@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _MAX_BINS = 256
+# (node, candidate, bin) cells scored per histogram pass of the forest fit;
+# keeps a tree level's temporaries near 1 MB however many nodes are open
+_BLOCK_CELLS = 1 << 13
 
 
 def _validate_xy(X, y):
@@ -38,6 +41,8 @@ def _validate_xy(X, y):
         raise ValueError("X must be 2-d (rows x features)")
     if y.shape != (X.shape[0],):
         raise ValueError("y must be 1-d with one label per row")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite (no NaN or inf)")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
     if y.min() == y.max():
@@ -219,9 +224,9 @@ class RandomForest:
     """Bagged Gini trees grown on quantile-binned features.
 
     Each tree bootstraps rows and, at every node, examines
-    ceil(sqrt(n_features)) candidate features; the best Gini split wins,
-    with ties resolved toward the earlier candidate feature and the lowest
-    cut. Split thresholds are actual training values (predicate
+    ceil(sqrt(n_features)) candidate features (``mtry``); the best Gini
+    split wins, with ties resolved toward the lowest feature index and then
+    the lowest cut. Split thresholds are actual training values (predicate
     ``x <= value``), so predictions depend only on feature order and are
     unchanged by order-preserving transforms applied consistently to
     training and test data. Nodes stop at purity, fewer than 2 samples,
@@ -230,11 +235,21 @@ class RandomForest:
 
     Features with more than 256 distinct values are binned to 256
     quantile-spaced cut points (still actual observed values).
+
+    Trees grow level by level. Each level counts the rows of all open
+    nodes in one histogram over (node, candidate, bin, class); cumulative
+    sums over the bins then score every cut of every candidate at once.
+    Levels with many open nodes are counted in blocks of nodes, which keeps
+    a level's temporaries near 1 MB. Candidates are sorted ascending, so
+    the first minimum of a node's flattened (candidate, cut) scores follows
+    the tie rule above.
     """
 
     def __init__(self, n_trees: int = 100, mtry: int | None = None, seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if mtry is not None and mtry < 1:
+            raise ValueError("mtry must be >= 1")
         self.n_trees = int(n_trees)
         self.mtry = mtry
         self.seed = int(seed)
@@ -248,8 +263,9 @@ class RandomForest:
         mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(d))
         mtry = min(mtry, d)
 
-        cuts = []
         bins = np.empty((n, d), dtype=np.uint8)
+        # row f holds feature f's cut values, padded with inf to a common width
+        cut_table = np.full((d, _MAX_BINS), np.inf)
         for f in range(d):
             uniq = np.unique(X[:, f])
             if len(uniq) > _MAX_BINS:
@@ -257,22 +273,38 @@ class RandomForest:
                     np.round(np.linspace(0, len(uniq) - 1, _MAX_BINS)).astype(int)
                 )
                 uniq = uniq[pick]
-            cuts.append(uniq)
+            cut_table[f, : len(uniq)] = uniq
             bins[:, f] = np.searchsorted(uniq, X[:, f], side="left")
+        # each feature's largest value is its last cut, so this is the widest row
+        cut_table = cut_table[:, : int(bins.max()) + 1]
 
         self.trees = []
         for t in range(self.n_trees):
             rng = stream(self.seed, "tree", t)
             boot = rng.integers(0, n, size=n)
-            self.trees.append(_grow_tree(bins[boot], y[boot], cuts, mtry, rng))
+            self.trees.append(_grow_tree(bins[boot], y[boot], cut_table, mtry, rng))
         return self
 
     def predict_score(self, X):
         X = np.asarray(X, dtype=float)[:, self.kept]
-        votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += _tree_votes(tree, X)
-        return votes / self.n_trees
+        # all trees walk together, level by level, over their concatenated nodes
+        sizes = [len(tree["vote"]) for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, vote = (
+            np.concatenate([tree[key] for tree in self.trees])
+            for key in ("feature", "threshold", "left", "right", "vote")
+        )
+        left = left + np.repeat(roots, sizes)
+        right = right + np.repeat(roots, sizes)
+        n_trees = len(sizes)
+        node = np.tile(roots, len(X))  # node[i * n_trees + t]: row i in tree t
+        pending = np.flatnonzero(vote[node] == -1)
+        while len(pending):
+            cur = node[pending]
+            go_left = X[pending // n_trees, feature[cur]] <= threshold[cur]
+            node[pending] = np.where(go_left, left[cur], right[cur])
+            pending = pending[vote[node[pending]] == -1]
+        return vote[node].reshape(len(X), n_trees).sum(axis=1) / self.n_trees
 
     def to_dict(self) -> dict:
         return {
@@ -304,152 +336,113 @@ class RandomForest:
         return model
 
 
-def _grow_tree(bins, y, cuts, mtry, rng):
-    """Level-wise CART on pre-binned features; returns flat node arrays."""
+def _grow_tree(bins, y, cut_table, mtry, rng):
+    """Level-wise CART on pre-binned features; returns flat node arrays.
+
+    The nodes of one level are numbered consecutively, so a row's slot is
+    its node minus the level's first node, and the children of the level's
+    i-th split are the next level's slots 2i and 2i + 1.
+    """
     n, d = bins.shape
-    feature = [0]
-    threshold = [np.inf]
-    left = [0]
-    right = [0]
-    vote = [np.int8(-1)]
+    n_bins = cut_table.shape[1]
+    size = 2 * n - 1  # every leaf holds at least one row
+    feature = np.zeros(size, dtype=np.int32)
+    threshold = np.full(size, np.inf)
+    left = np.arange(size, dtype=np.int32)
+    right = np.arange(size, dtype=np.int32)
+    vote = np.full(size, -1, dtype=np.int8)
 
-    node_of = np.zeros(n, dtype=np.int32)
-    alive = np.ones(n, dtype=bool)
+    rows = np.arange(n)
+    slot = np.zeros(n, dtype=np.int64)
+    first, n_nodes = 0, 1
+    while len(rows):
+        n_slots = n_nodes - first
+        per_class = np.bincount(slot * 2 + y[rows], minlength=2 * n_slots).reshape(n_slots, 2)
+        counts = per_class.sum(axis=1)
+        ones = per_class[:, 1]
+        is_open = (counts >= 2) & (ones > 0) & (ones < counts)
+        opened = np.flatnonzero(is_open)
+        k = len(opened)
+        cand = np.empty((k, mtry), dtype=np.int64)
+        for i in range(k):
+            cand[i] = rng.choice(d, size=mtry, replace=False)
+        cand.sort(axis=1)
 
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        slot_ids, inv = np.unique(node_of[idx], return_inverse=True)
-        n_slots = len(slot_ids)
-        counts = np.bincount(inv, minlength=n_slots)
-        ones = np.bincount(inv, weights=y[idx], minlength=n_slots)
+        # score the open slots a block at a time
+        rank = np.cumsum(is_open) - 1
+        in_open = is_open[slot]
+        open_rows = rows[in_open]
+        open_rank = rank[slot[in_open]]
+        best = np.empty(k, dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // (mtry * n_bins))
+        for lo in range(0, k, step):
+            hi = min(lo + step, k)
+            in_block = (open_rank >= lo) & (open_rank < hi)
+            best[lo:hi] = _best_cuts(
+                bins, y, open_rows[in_block], open_rank[in_block] - lo, cand[lo:hi], n_bins
+            )
+        found = best >= 0
 
-        resolve = (counts < 2) | (ones == 0) | (ones == counts)
-        candidates = np.full((n_slots, mtry), -1, dtype=np.int32)
-        for s in range(n_slots):
-            if resolve[s]:
-                _set_leaf(vote, slot_ids[s], ones[s], counts[s])
-            else:
-                candidates[s] = rng.choice(d, size=mtry, replace=False)
+        # open slots without a separating cut become leaves too
+        is_split = np.zeros(n_slots, dtype=bool)
+        is_split[opened[found]] = True
+        leaf = np.flatnonzero(~is_split)
+        vote[first + leaf] = 2 * ones[leaf] > counts[leaf]  # tie -> 0
+        split = opened[found]
+        best = best[found]
+        split_feat = cand[found, best // (n_bins - 1)]
+        split_bin = best % (n_bins - 1)
+        nid = first + split
+        children = n_nodes + 2 * np.arange(len(split))
+        feature[nid] = split_feat
+        threshold[nid] = cut_table[split_feat, split_bin]
+        left[nid] = children
+        right[nid] = children + 1
 
-        best_score = np.full(n_slots, np.inf)
-        best_feat = np.full(n_slots, -1, dtype=np.int32)
-        best_bin = np.full(n_slots, -1, dtype=np.int64)
-
-        open_slots = ~resolve
-        for f in range(d):
-            uses = open_slots & np.any(candidates == f, axis=1)
-            if not np.any(uses):
-                continue
-            slot_pos = np.full(n_slots, -1, dtype=np.int64)
-            active = np.flatnonzero(uses)
-            slot_pos[active] = np.arange(len(active))
-            pos = slot_pos[inv]
-            m = pos >= 0
-            rows = idx[m]
-            n_bins = len(cuts[f])
-            composite = (pos[m] * n_bins + bins[rows, f]) * 2 + y[rows]
-            hist = np.bincount(composite, minlength=len(active) * n_bins * 2)
-            hist = hist.reshape(len(active), n_bins, 2)
-            cum = np.cumsum(hist, axis=1)
-            total = cum[:, -1, :]  # (k, 2)
-            l0 = cum[:, :-1, 0]
-            l1 = cum[:, :-1, 1]
-            nl = l0 + l1
-            r0 = total[:, None, 0] - l0
-            r1 = total[:, None, 1] - l1
-            nr = r0 + r1
-            valid = (nl > 0) & (nr > 0)
-            nl_safe = np.where(nl > 0, nl, 1)
-            nr_safe = np.where(nr > 0, nr, 1)
-            gini_l = 1.0 - (l0**2 + l1**2) / (nl_safe**2)
-            gini_r = 1.0 - (r0**2 + r1**2) / (nr_safe**2)
-            score = (nl * gini_l + nr * gini_r) / (nl + nr).clip(min=1)
-            score = np.where(valid, score, np.inf)
-            if score.shape[1] == 0:
-                continue
-            arg = np.argmin(score, axis=1)
-            val = score[np.arange(len(active)), arg]
-            better = val < best_score[active]
-            upd = active[better]
-            best_score[upd] = val[better]
-            best_feat[upd] = f
-            best_bin[upd] = arg[better]
-
-        # materialize splits; unsplittable open slots become forced leaves
-        slot_feat = np.full(n_slots, -1, dtype=np.int32)
-        slot_bin = np.zeros(n_slots, dtype=np.int64)
-        slot_left = np.zeros(n_slots, dtype=np.int32)
-        slot_right = np.zeros(n_slots, dtype=np.int32)
-        for s in range(n_slots):
-            if resolve[s]:
-                continue
-            if best_feat[s] < 0:
-                _set_leaf(vote, slot_ids[s], ones[s], counts[s])
-                resolve[s] = True
-                continue
-            f = int(best_feat[s])
-            b = int(best_bin[s])
-            nid = int(slot_ids[s])
-            child_l = len(feature)
-            child_r = child_l + 1
-            for _ in range(2):
-                feature.append(0)
-                threshold.append(np.inf)
-                left.append(len(left))
-                right.append(len(right))
-                vote.append(np.int8(-1))
-            feature[nid] = f
-            threshold[nid] = float(cuts[f][b])
-            left[nid] = child_l
-            right[nid] = child_r
-            # leaf self-loops already set by construction above
-            left[child_l] = child_l
-            right[child_l] = child_l
-            left[child_r] = child_r
-            right[child_r] = child_r
-            slot_feat[s] = f
-            slot_bin[s] = b
-            slot_left[s] = child_l
-            slot_right[s] = child_r
-
-        dead = resolve[inv]
-        alive[idx[dead]] = False
-        move = ~dead
-        if np.any(move):
-            rows = idx[move]
-            s_of = inv[move]
-            go_left = bins[rows, slot_feat[s_of]] <= slot_bin[s_of]
-            node_of[rows] = np.where(go_left, slot_left[s_of], slot_right[s_of])
+        # route the rows of split slots to their children, the next level's slots
+        moving = is_split[slot]
+        rows = rows[moving]
+        j = (np.cumsum(is_split) - 1)[slot[moving]]
+        slot = 2 * j + (bins[rows, split_feat[j]] > split_bin[j])
+        first, n_nodes = n_nodes, n_nodes + 2 * len(split)
 
     return {
-        "feature": np.asarray(feature, dtype=np.int32),
-        "threshold": np.asarray(threshold, dtype=float),
-        "left": np.asarray(left, dtype=np.int32),
-        "right": np.asarray(right, dtype=np.int32),
-        "vote": np.asarray(vote, dtype=np.int8),
+        "feature": feature[:n_nodes].copy(),
+        "threshold": threshold[:n_nodes].copy(),
+        "left": left[:n_nodes].copy(),
+        "right": right[:n_nodes].copy(),
+        "vote": vote[:n_nodes].copy(),
     }
 
 
-def _set_leaf(vote, nid, n_ones, n_total):
-    majority = 1 if 2 * n_ones > n_total else 0  # tie -> 0
-    vote[nid] = np.int8(majority)
+def _best_cuts(bins, y, rows, slot, cand, n_bins):
+    """Flat (candidate, cut) index of each slot's best Gini split, -1 if none.
 
-
-def _tree_votes(tree, X):
-    node = np.zeros(len(X), dtype=np.int32)
-    vote = tree["vote"]
-    feature = tree["feature"]
-    threshold = tree["threshold"]
-    left = tree["left"]
-    right = tree["right"]
-    pending = vote[node] == -1
-    while np.any(pending):
-        rows = np.flatnonzero(pending)
-        cur = node[rows]
-        go_left = X[rows, feature[cur]] <= threshold[cur]
-        node[rows] = np.where(go_left, left[cur], right[cur])
-        pending = vote[node] == -1
-    return vote[node].astype(float)
+    One histogram over (slot, candidate, bin, class) and its cumulative sums
+    over the bins score every cut of every candidate at once. argmin takes
+    the first minimum, so with ascending candidates ties go to the lowest
+    feature index, then the lowest cut.
+    """
+    k, mtry = cand.shape
+    key = (slot[:, None] * mtry + np.arange(mtry)) * n_bins + bins[rows[:, None], cand[slot]]
+    hist = np.bincount((key * 2 + y[rows][:, None]).ravel(), minlength=k * mtry * n_bins * 2)
+    cum = np.cumsum(hist.reshape(k, mtry, n_bins, 2), axis=2)
+    total = cum[:, :, -1:, :]
+    l0 = cum[:, :, :-1, 0]
+    l1 = cum[:, :, :-1, 1]
+    nl = l0 + l1
+    r0 = total[..., 0] - l0
+    r1 = total[..., 1] - l1
+    nr = r0 + r1
+    valid = (nl > 0) & (nr > 0)
+    nl_safe = np.where(nl > 0, nl, 1)
+    nr_safe = np.where(nr > 0, nr, 1)
+    gini_l = 1.0 - (l0**2 + l1**2) / (nl_safe**2)
+    gini_r = 1.0 - (r0**2 + r1**2) / (nr_safe**2)
+    score = (nl * gini_l + nr * gini_r) / (nl + nr).clip(min=1)
+    score = np.where(valid, score, np.inf).reshape(k, mtry * (n_bins - 1))
+    best = np.argmin(score, axis=1)
+    return np.where(score[np.arange(k), best] < np.inf, best, -1)
 
 
 def save_model(model, path: str) -> None:

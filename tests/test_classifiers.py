@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gridloop.classifiers import (
     load_model,
     save_model,
 )
+from gridloop.detect import build_training_set, make_features
 
 
 def _blobs(n=60, gap=8.0, sd=0.5, seed=17, d=2):
@@ -79,6 +82,15 @@ def test_label_validation(factory):
         factory().fit(X[:, 0], np.array([0, 1] * 5))
     with pytest.raises(ValueError, match="one label per row"):
         factory().fit(X, np.array([0, 1] * 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("factory", ALL_MODELS)
+def test_non_finite_features_rejected(factory, bad):
+    X, y = _blobs(seed=43)
+    X[5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        factory().fit(X, y)
 
 
 @pytest.mark.parametrize("factory", ALL_MODELS)
@@ -196,3 +208,91 @@ def test_forest_handles_many_distinct_values():
 def test_forest_validation():
     with pytest.raises(ValueError, match="n_trees"):
         RandomForest(n_trees=0)
+    for mtry in (0, -1):
+        with pytest.raises(ValueError, match="mtry"):
+            RandomForest(mtry=mtry)
+
+
+# ---------------------------------------------------------------------------
+# golden forest: the grown trees and scores are pinned bit for bit
+
+
+def _lagged_case():
+    rng = np.random.default_rng(31)
+    hours = np.arange(14 * 24)
+    series = 100.0 + 30.0 * np.sin(2 * np.pi * hours / 24) + rng.normal(0.0, 5.0, len(hours))
+    X, y = make_features(*build_training_set(series, np.random.default_rng(32)), lags=24)
+    return X, y, dict(n_trees=20, seed=33)
+
+
+def _many_values_case():
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(2000, 2))
+    y = (X[:, 0] + 0.5 * rng.normal(size=2000) > 0).astype(int)
+    return X, y, dict(n_trees=10, seed=35)
+
+
+def _constant_column_case():
+    X, y = _blobs(seed=36, gap=2.0, sd=1.5, d=3)
+    return np.column_stack([X[:, :1], np.full(len(y), 7.0), X[:, 1:]]), y, dict(n_trees=15, seed=37)
+
+
+def _single_tree_case():
+    X, y = _blobs(seed=38, gap=1.5, sd=1.5, d=4)
+    return X, y, dict(n_trees=1, seed=39)
+
+
+def _full_mtry_case():
+    X, y = _blobs(seed=40, gap=1.5, sd=1.5, d=5)
+    return X, y, dict(n_trees=12, mtry=5, seed=41)
+
+
+# sha256 of the tree arrays and of predict_score on a probe set, per case
+GOLDEN_FORESTS = {
+    "lagged_24": (
+        _lagged_case,
+        "563bf54eac13096cb10e282e7bf0585083b28ec3c2610fdea8a006a113d30176",
+        "ee40957b5c3537f2a05748b380eb9508db66cbc7792199ade3c89179a7e1894a",
+    ),
+    "many_values": (
+        _many_values_case,
+        "41216e56c277e35a260f753097c3d2ed80138cf60f779ec773515adb32e6f5ce",
+        "b25e5277de34f3cd800716b3efe054578988d8e3b75e2718803ff035d046324a",
+    ),
+    "constant_column": (
+        _constant_column_case,
+        "5f0a6388686f812519aac81739c9b4e44c01f4aee518df6719c96266c102aa88",
+        "10bef42cc31d6349638932dfa1e7f890fd57b3d1357f21a90f7a4c1ea83be607",
+    ),
+    "single_tree": (
+        _single_tree_case,
+        "e0cb0b1b075d6f49c719c41e245889aaf701404aab691caf44447a8112b1c1d7",
+        "3c583a1a6dc05ee870a2bb824f7169e8b19e58dbd8d439fee45706d7ce98b8d3",
+    ),
+    "full_mtry": (
+        _full_mtry_case,
+        "1985cdef7afe13ae5d03898b4019a98e12f711818943255d990e91adc56b6696",
+        "911fa5c65acb50057a3adb93df5d9f3d13ba4d9bc172878773a437a16a3c3522",
+    ),
+}
+
+
+def _forest_digests(case):
+    X, y, params = case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = RandomForest(**params).fit(X, y)
+    trees = hashlib.sha256()
+    for tree in model.trees:
+        for key in ("feature", "threshold", "left", "right", "vote"):
+            trees.update(key.encode() + tree[key].dtype.str.encode() + tree[key].tobytes())
+    probe = np.random.default_rng(42).normal(X.mean(axis=0), 2.0 * X.std(axis=0), size=(500, X.shape[1]))
+    probe[::7] = X[: len(probe[::7])]
+    scores = hashlib.sha256(model.predict_score(probe).tobytes())
+    return trees.hexdigest(), scores.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FORESTS))
+def test_forest_golden_trees_and_scores(name):
+    case, tree_digest, score_digest = GOLDEN_FORESTS[name]
+    assert _forest_digests(case) == (tree_digest, score_digest)
