@@ -46,10 +46,7 @@ def main(argv=None) -> int:
         base = grid.kwh[:horizon]
         base_means.append(base.sum(axis=1).mean())
         for kappa in args.kappas:
-            cfg = GridConfig(
-                n_homes=args.homes, kappa=kappa, goal=args.goal,
-                target=args.target, seed=args.seed,
-            )
+            cfg = GridConfig(n_homes=args.homes, kappa=kappa, goal=args.goal, target=args.target)
             trace = simulate(base, cfg)
             rows.append((kappa, rep, trace.observed_load.mean(), trace.price.mean()))
 

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         templates,
         BootstrapConfig(n_homes=proto.n_homes, num_days=-(-proto.horizon // 24), seed=gseed),
     )
-    cfg = GridConfig(n_homes=proto.n_homes, kappa=args.kappa, target=proto.target, seed=args.seed)
+    cfg = GridConfig(n_homes=proto.n_homes, kappa=args.kappa, target=proto.target)
     trace = simulate(grid.kwh[: proto.horizon], cfg)
     train = trace.observed_load[: proto.train_hours]
 

@@ -7,7 +7,7 @@ supervised (logistic regression, naive Bayes, random forest) detectors.
 """
 
 from gridloop.attack import AttackSchedule, make_point, make_ramp, make_sudden
-from gridloop.feedback import DemandCurve, GridConfig, SimulationTrace, simulate
+from gridloop.feedback import GridConfig, SimulationTrace, simulate
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.experiment import ExperimentConfig, run_experiment
 
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackSchedule",
     "BootstrapConfig",
-    "DemandCurve",
     "ExperimentConfig",
     "GridConfig",
     "SimulationTrace",

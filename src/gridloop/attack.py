@@ -243,10 +243,9 @@ def inject_post_hoc(trace, schedule: AttackSchedule):
     """Tamper the recorded aggregate of a finished run (no feedback).
 
     Only load-mode schedules make sense here: households already responded
-    to the genuine price, so a price schedule has nothing to act on.
-    Per-home loads (if present) are left untouched -- the attack forges the
-    aggregate record, not the physical behavior. Negative results truncate
-    to zero and are counted in ``clamped``.
+    to the genuine price, so a price schedule has nothing to act on. The
+    attack forges the aggregate record, not the physical behavior. Negative
+    results truncate to zero and are counted in ``clamped``.
     """
     if schedule.mode != "load":
         raise ValueError("price attacks require closed_loop injection")
@@ -276,19 +275,30 @@ def write_schedule(schedule: AttackSchedule, path: str) -> None:
 
 
 def read_schedule(path: str) -> AttackSchedule:
+    """Read a schedule JSON; a missing key or an invalid field names the file."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in ("mode", "kind", "window", "params"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    if not isinstance(payload["params"], dict):
+        raise ValueError(f"{path}: 'params' must be an object")
     params = dict(payload["params"])
-    if payload["kind"] == "point":
-        params["values"] = {int(t): float(v) for t, v in params["values"].items()}
     victims = payload.get("victims")
-    return AttackSchedule(
-        mode=payload["mode"],
-        kind=payload["kind"],
-        window=tuple(payload["window"]),
-        params=params,
-        victims=None if victims is None else tuple(victims),
-    )
+    try:
+        if payload["kind"] == "point" and "values" in params:
+            params["values"] = {int(t): float(v) for t, v in params["values"].items()}
+        return AttackSchedule(
+            mode=payload["mode"],
+            kind=payload["kind"],
+            window=tuple(payload["window"]),
+            params=params,
+            victims=None if victims is None else tuple(victims),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _params_to_json(schedule: AttackSchedule) -> dict:

@@ -120,7 +120,6 @@ def cmd_simulate(args) -> int:
         goal=cfg.goal,
         target=cfg.target,
         lstar_floor=cfg.lstar_floor,
-        seed=cfg.seed,
     )
     schedule = read_schedule(args.schedule) if args.schedule else None
     trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule, injection=args.injection)

@@ -107,6 +107,11 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be >= 2")
+        labels = [_kappa_dir(k) for k in self.kappas]
+        if len(set(labels)) != len(labels):
+            raise ValueError(
+                f"kappas {self.kappas} share a scenario directory ({', '.join(labels)})"
+            )
         # delegate the grid-parameter checks
         GridConfig(
             n_homes=self.n_homes,
@@ -167,8 +172,12 @@ def protocol_schedule(kind: str, cfg: ExperimentConfig) -> AttackSchedule:
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
+def _kappa_dir(kappa: float) -> str:
+    return f"kappa_{kappa:g}"
+
+
 def scenario_dir(out_root, kappa: float, attack: str, rep: int) -> Path:
-    return Path(out_root) / f"kappa_{kappa:g}" / attack / f"rep_{rep:03d}"
+    return Path(out_root) / _kappa_dir(kappa) / attack / f"rep_{rep:03d}"
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +455,6 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
                 goal=cfg.goal,
                 target=cfg.target,
                 lstar_floor=cfg.lstar_floor,
-                seed=cfg.seed,
             )
             nominal = simulate(base, gcfg)
             shared = prepare_detectors(
@@ -489,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
                 "kappa": kappa,
                 "attack_type": attack,
                 "replications": len(reps),
-                "dir": str(Path(f"kappa_{kappa:g}") / attack),
+                "dir": str(Path(_kappa_dir(kappa)) / attack),
             }
             for (kappa, attack), reps in sorted(per_scenario.items())
         ],

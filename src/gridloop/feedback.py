@@ -6,7 +6,15 @@ only the elastic fraction of its base need phi, so its realized load is
     l = kappa * phi * P**eps + (1 - kappa) * phi
 
 with kappa the DSM participation fraction and eps < 0 the demand
-elasticity. The utility inverts the same model to steer the aggregate
+elasticity. At a posted price every home serves the same fraction
+c = (1 - kappa) + kappa * P**eps of its need, so the loop runs on the
+aggregate base load Phi and, under attack, the victims' share Phi_v:
+
+    L = c * (Phi - Phi_v) + ((1 - kappa) + kappa * (P + a)**eps) * Phi_v
+
+under a price offset a, and c * (Phi - Phi_v) + sum_v max(0, c * phi_v + d)
+under a load delta d per victim, the only case that reads single homes.
+The utility inverts the same model to steer the aggregate
 toward a target L': given a forecast of the aggregate base load and an
 assumed elasticity it posts
 
@@ -38,12 +46,8 @@ from gridloop.attack import inject_post_hoc
 from gridloop.loadgen import Microgrid
 
 __all__ = [
-    "DemandCurve",
     "GridConfig",
     "SimulationTrace",
-    "aggregate_load",
-    "elastic_demand",
-    "household_load",
     "read_trace",
     "set_price",
     "simulate",
@@ -60,54 +64,6 @@ TRACE_COLUMNS = [
     "observed_load",
     "attack_truth",
 ]
-
-
-@dataclass(frozen=True)
-class DemandCurve:
-    """Constant-elasticity demand: quantity = scale * (price + market_cost)**elasticity."""
-
-    scale: float
-    elasticity: float
-    market_cost: float = 0.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.elasticity >= 0:
-            raise ValueError("elasticity must be negative")
-        if self.market_cost < 0:
-            raise ValueError("market_cost must be non-negative")
-
-
-def elastic_demand(curve: DemandCurve, price: float):
-    """Quantity demanded at ``price`` (scalar or array)."""
-    p = np.asarray(price, dtype=float) + curve.market_cost
-    if np.any(p <= 0):
-        raise ValueError("non-physical price: effective price must be positive")
-    q = curve.scale * p**curve.elasticity
-    return float(q) if np.ndim(price) == 0 else q
-
-
-def household_load(base_load, kappa: float, price, eps: float):
-    """Realized load of a household (or vector of households).
-
-    The participating fraction kappa of the base need responds to price
-    with elasticity eps; the rest is served inelastically.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
-    if eps >= 0:
-        raise ValueError("elasticity must be negative")
-    if np.any(np.asarray(price) <= 0):
-        raise ValueError("non-physical price: price must be positive")
-    phi = np.asarray(base_load, dtype=float)
-    out = kappa * phi * np.asarray(price, dtype=float) ** eps + (1.0 - kappa) * phi
-    return float(out) if out.ndim == 0 else out
-
-
-def aggregate_load(loads) -> float:
-    """Total load across homes."""
-    return float(np.sum(np.asarray(loads, dtype=float)))
 
 
 def set_price(
@@ -165,7 +121,6 @@ class GridConfig:
     goal: str = "goal1"
     target: float | Sequence[float] = 200.0
     lstar_floor: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_homes < 1:
@@ -193,9 +148,8 @@ class GridConfig:
 class SimulationTrace:
     """Hourly record of one closed-loop run.
 
-    per_home is the (hours x homes) matrix of realized household loads, or
-    None when the trace was read back from CSV. clamped counts household
-    loads that a direct manipulation pushed below zero (truncated to 0).
+    clamped counts household loads that a direct manipulation pushed below
+    zero (truncated to 0).
     """
 
     hour: np.ndarray
@@ -206,7 +160,6 @@ class SimulationTrace:
     lstar: np.ndarray
     observed_load: np.ndarray
     attack_truth: np.ndarray
-    per_home: np.ndarray | None = None
     clamped: int = 0
 
     def __len__(self) -> int:
@@ -255,6 +208,9 @@ def simulate(
 
     in_loop = schedule is not None and injection == "closed_loop"
     victims = schedule.victim_indices(n_homes) if in_loop else None
+    # a victim set that names every home spares none: its base load is the total
+    subset = in_loop and len(victims) < n_homes
+    kappa = cfg.kappa
 
     base_total = base.sum(axis=1)
     price = np.empty(n_hours)
@@ -262,11 +218,9 @@ def simulate(
     lstar = np.empty(n_hours)
     observed = np.empty(n_hours)
     truth = np.zeros(n_hours, dtype=np.int8)
-    per_home = np.empty_like(base)
     clamped = 0
 
     for t in range(n_hours):
-        phi = base[t]
         if t == 0:
             phi_hat = float(base_total[0])
         else:
@@ -287,27 +241,31 @@ def simulate(
         forecast[t] = phi_hat
         lstar[t] = l_t
 
+        # every home serves c_t of its need at the posted price
+        c_t = (1.0 - kappa) + kappa * p_t**eps
         delta = schedule.value_at(t) if in_loop else 0.0
-        if delta != 0.0 and schedule.mode == "price":
-            seen = np.full(n_homes, p_t)
-            seen[victims] = seen[victims] + delta
-            if np.any(seen <= 0):
-                raise ValueError("non-physical price: attacked price must stay positive")
-            loads = cfg.kappa * phi * seen**eps + (1.0 - cfg.kappa) * phi
-            truth[t] = 1
+        if delta == 0.0:
+            observed[t] = c_t * base_total[t]
+            continue
+        if subset:
+            phi_v = base[t, victims]
+            phi_v_total = phi_v.sum()
         else:
-            loads = cfg.kappa * phi * p_t**eps + (1.0 - cfg.kappa) * phi
-            if delta != 0.0:  # load manipulation, split across victims
-                loads = loads.copy()
-                loads[victims] = loads[victims] + delta / len(victims)
-                neg = loads < 0
-                if np.any(neg):
-                    clamped += int(neg.sum())
-                    loads = np.where(neg, 0.0, loads)
-                truth[t] = 1
-
-        per_home[t] = loads
-        observed[t] = loads.sum()
+            phi_v, phi_v_total = base[t], base_total[t]
+        if schedule.mode == "price":
+            seen = p_t + delta
+            if seen <= 0:
+                raise ValueError("non-physical price: attacked price must stay positive")
+            hit = ((1.0 - kappa) + kappa * seen**eps) * phi_v_total
+        else:  # load manipulation, split across victims
+            loads = c_t * phi_v + delta / len(victims)
+            neg = loads < 0
+            clamped += int(neg.sum())
+            hit = np.where(neg, 0.0, loads).sum()
+        # the difference of two sums can round below zero where the
+        # spared homes need nothing
+        observed[t] = c_t * max(base_total[t] - phi_v_total, 0.0) + hit
+        truth[t] = 1
 
     trace = SimulationTrace(
         hour=np.arange(n_hours),
@@ -318,7 +276,6 @@ def simulate(
         lstar=lstar,
         observed_load=observed,
         attack_truth=truth,
-        per_home=per_home,
         clamped=clamped,
     )
     if schedule is not None and injection == "post_hoc":
@@ -331,7 +288,7 @@ def _naive(history: np.ndarray) -> float:
 
 
 def write_trace(trace: SimulationTrace, path: str) -> None:
-    """Aggregate trace CSV (per-home matrix is not persisted)."""
+    """Aggregate trace CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
@@ -353,8 +310,17 @@ def write_trace(trace: SimulationTrace, path: str) -> None:
             )
 
 
+# what each trace column must hold; the others are loads in kWh
+_TRACE_RULES = {
+    "hour": ("finite", np.isfinite),
+    "price": ("finite and positive", lambda v: np.isfinite(v) & (v > 0)),
+    "attack_truth": ("0 or 1", lambda v: (v == 0) | (v == 1)),
+}
+_LOAD_RULE = ("finite and non-negative", lambda v: np.isfinite(v) & (v >= 0))
+
+
 def read_trace(path: str) -> SimulationTrace:
-    cols: dict[str, list[float]] = {c: [] for c in TRACE_COLUMNS}
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -363,16 +329,27 @@ def read_trace(path: str) -> SimulationTrace:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"{path}:{lineno}: malformed row")
-            for c, v in zip(TRACE_COLUMNS, row):
-                cols[c].append(float(v))
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row") from None
+    # one contiguous array per column
+    cols = np.asarray(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS)).T.copy()
+    rules = [_TRACE_RULES.get(c, _LOAD_RULE) for c in TRACE_COLUMNS]
+    ok = np.stack([check(col) for (_, check), col in zip(rules, cols)])
+    if not ok.all():
+        t, j = np.argwhere(~ok.T)[0]
+        raise ValueError(
+            f"{path}:{t + 2}: {TRACE_COLUMNS[j]} {float(cols[j, t])!r} must be {rules[j][0]}"
+        )
+    col = dict(zip(TRACE_COLUMNS, cols))
     return SimulationTrace(
-        hour=np.asarray(cols["hour"], dtype=np.int64),
-        price=np.asarray(cols["price"]),
-        base_load=np.asarray(cols["base_load"]),
-        forecast=np.asarray(cols["forecast"]),
-        target=np.asarray(cols["target"]),
-        lstar=np.asarray(cols["lstar"]),
-        observed_load=np.asarray(cols["observed_load"]),
-        attack_truth=np.asarray(cols["attack_truth"], dtype=np.int8),
-        per_home=None,
+        hour=col["hour"].astype(np.int64),
+        price=col["price"],
+        base_load=col["base_load"],
+        forecast=col["forecast"],
+        target=col["target"],
+        lstar=col["lstar"],
+        observed_load=col["observed_load"],
+        attack_truth=col["attack_truth"].astype(np.int8),
     )

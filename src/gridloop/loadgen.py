@@ -95,6 +95,7 @@ def write_microgrid(grid: Microgrid, path: str) -> None:
 
 
 def read_microgrid(path: str) -> Microgrid:
+    """Read a micro-grid CSV; every load must be finite and non-negative."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -104,5 +105,15 @@ def read_microgrid(path: str) -> Microgrid:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: malformed row")
-            rows.append([float(v) for v in row[1:]])
-    return Microgrid(kwh=np.asarray(rows, dtype=float), template_ids=tuple(header[1:]))
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row") from None
+    kwh = np.asarray(rows, dtype=float)
+    ok = np.isfinite(kwh) & (kwh >= 0)
+    if not ok.all():
+        t, i = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"{path}:{t + 2}: {header[i + 1]} load {float(kwh[t, i])!r} must be finite and non-negative"
+        )
+    return Microgrid(kwh=kwh, template_ids=tuple(header[1:]))

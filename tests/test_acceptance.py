@@ -258,7 +258,6 @@ def test_criterion_10_forecast_whitening(templates):
         eps_dsm=PROTOCOL.eps_dsm,
         goal=PROTOCOL.goal,
         target=PROTOCOL.target,
-        seed=PROTOCOL.seed,
     )
     nominal = simulate(grid.kwh[: PROTOCOL.horizon], cfg)
     train = nominal.observed_load[: PROTOCOL.train_hours]

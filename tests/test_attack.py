@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +220,21 @@ def test_schedule_equality():
     assert a == b
     assert a != c
     assert a != "not a schedule"
+
+
+@pytest.mark.parametrize("key", ["mode", "kind", "window", "params"])
+def test_read_schedule_names_a_missing_key(tmp_path, key):
+    path = tmp_path / "s.json"
+    write_schedule(make_sudden((0, 4), level=1.0), str(path))
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
+        read_schedule(str(path))
+
+
+def test_read_schedule_names_the_file_on_invalid_fields(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"mode": "load", "kind": "point", "window": [0, 4], "params": {}}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: point needs a non-empty 'values' map")):
+        read_schedule(str(path))

@@ -130,3 +130,16 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    schedule = tmp_path / "s.json"
+    schedule.write_text(json.dumps({"mode": "load", "kind": "sudden", "window": [0, 4]}))
+    run("synth", "--config", cfg_json, "--out", grid)
+    capsys.readouterr()
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
+               "--schedule", schedule, "--out", tmp_path / "t.csv") == 2
+    err = capsys.readouterr().err
+    assert err == f"gridloop: error: {schedule}: missing key 'params'\n"
+    assert "Traceback" not in err

@@ -62,6 +62,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"replications": 0}, "replications"),
         ({"sweep_points": 1}, "sweep_points"),
         ({"n_homes": 0}, "n_homes"),
+        ({"kappas": (0.1, 0.1000001)}, "share a scenario directory"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -298,7 +299,7 @@ def test_detect_stage_rejects_wrong_horizon(tiny_cfg, tiny_run, tmp_path):
     short = dataclasses.replace(
         trace,
         **{f.name: getattr(trace, f.name)[:-1] for f in dataclasses.fields(trace)
-           if f.name not in ("per_home", "clamped")},
+           if f.name != "clamped"},
     )
     with pytest.raises(ValueError, match="trace has 125 hours, config wants 126"):
         detect_stage(short, tiny_cfg, 0.2, "sudden", 0, 0, tmp_path)

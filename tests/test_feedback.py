@@ -1,16 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridloop.attack import make_sudden
+from gridloop.attack import make_ramp, make_sudden
 from gridloop.feedback import (
     TRACE_COLUMNS,
-    DemandCurve,
     GridConfig,
-    aggregate_load,
-    elastic_demand,
-    household_load,
     read_trace,
     set_price,
     simulate,
@@ -19,58 +17,46 @@ from gridloop.feedback import (
 from gridloop.forecast import make_oracle
 
 # ---------------------------------------------------------------------------
-# demand primitives
+# a household's load, seen through the loop: one home, one hour, and a
+# target that makes the utility post the price the example needs
 
-def test_constant_elasticity_curve():
-    curve = DemandCurve(scale=10000.0, elasticity=-1.0)
-    assert elastic_demand(curve, 1.0) == 10000.0
-    assert elastic_demand(curve, 100.0) == 100.0
-
-
-def test_market_cost_shifts_the_curve():
-    curve = DemandCurve(scale=5.0, elasticity=-1.0, market_cost=1.0)
-    assert elastic_demand(curve, 1.0) == 2.5  # 5 * (1 + 1)^-1
-
-
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        DemandCurve(scale=0.0, elasticity=-1.0)
-    with pytest.raises(ValueError):
-        DemandCurve(scale=1.0, elasticity=0.5)
-    curve = DemandCurve(scale=1.0, elasticity=-1.0)
-    with pytest.raises(ValueError, match="non-physical price"):
-        elastic_demand(curve, 0.0)
+def _one_hour(base, kappa, eps, target):
+    base = np.atleast_1d(np.asarray(base, dtype=float))
+    cfg = GridConfig(n_homes=len(base), kappa=kappa, eps_dsm=eps, target=target)
+    trace = simulate(base[None, :], cfg)
+    return float(trace.price[0]), float(trace.observed_load[0])
 
 
 def test_household_load_worked_example():
-    # half the 2 kWh need responds: 0.5*2*4^-1 + 0.5*2 = 1.25
-    assert household_load(2.0, kappa=0.5, price=4.0, eps=-1.0) == 1.25
+    # base 2, target 0.5 -> P = (0.5 / 2)^-1 = 4; half the 2 kWh need
+    # responds: 0.5*2*4^-1 + 0.5*2 = 1.25
+    assert _one_hour(2.0, kappa=0.5, eps=-1.0, target=0.5) == (4.0, 1.25)
 
 
 def test_household_load_kappa_edges():
-    assert household_load(3.0, kappa=0.0, price=7.0, eps=-1.0) == 3.0
-    assert household_load(3.0, kappa=1.0, price=2.0, eps=-1.0) == 1.5
+    price, load = _one_hour(3.0, kappa=0.0, eps=-1.0, target=3.0 / 7.0)
+    assert price == pytest.approx(7.0, rel=1e-15)
+    assert load == 3.0
+    assert _one_hour(3.0, kappa=1.0, eps=-1.0, target=1.5) == (2.0, 1.5)
     # price 1 is the fixed point regardless of participation
     for kappa in (0.0, 0.3, 1.0):
-        assert household_load(5.0, kappa=kappa, price=1.0, eps=-2.0) == 5.0
+        assert _one_hour(5.0, kappa=kappa, eps=-2.0, target=5.0) == (1.0, 5.0)
 
 
 def test_household_load_vector():
-    out = household_load(np.array([1.0, 2.0]), kappa=1.0, price=4.0, eps=-0.5)
-    assert np.allclose(out, [0.5, 1.0])
+    # homes of 1 and 2 kWh at P = 4, eps = -0.5 serve 0.5 and 1.0
+    assert _one_hour([1.0, 2.0], kappa=1.0, eps=-0.5, target=1.5) == (4.0, 1.5)
 
 
 def test_household_load_validation():
     with pytest.raises(ValueError, match="kappa"):
-        household_load(1.0, kappa=1.2, price=1.0, eps=-1.0)
-    with pytest.raises(ValueError, match="elasticity"):
-        household_load(1.0, kappa=0.5, price=1.0, eps=0.0)
+        GridConfig(n_homes=1, kappa=1.2)
+    with pytest.raises(ValueError, match="eps_dsm"):
+        GridConfig(n_homes=1, kappa=0.5, eps_dsm=0.0)
+    # the posted price is 1; an offset of -1 leaves the victim a price of 0
+    cfg = GridConfig(n_homes=1, kappa=0.5, target=1.0)
     with pytest.raises(ValueError, match="non-physical price"):
-        household_load(1.0, kappa=0.5, price=0.0, eps=-1.0)
-
-
-def test_aggregate_load():
-    assert aggregate_load([1.0, 2.0, 3.0]) == 6.0
+        simulate(np.ones((1, 1)), cfg, schedule=make_sudden((0, 1), -1.0, mode="price"))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +201,13 @@ def test_load_attack_split_across_victims():
     hit_all = simulate(base, cfg, schedule=make_sudden((1, 2), 30.0))
     assert hit_first.observed_load.tolist() == [100.0, 130.0, 100.0]
     assert hit_all.observed_load.tolist() == [100.0, 130.0, 100.0]
-    assert np.allclose(hit_first.per_home[1], [90.0, 40.0])
-    assert np.allclose(hit_all.per_home[1], [75.0, 55.0])
     assert hit_first.attack_truth.tolist() == [0, 1, 0]
+    # -80 on home 0 alone drives it to -20, clamped at 0; split over both
+    # homes it leaves 20 and 0
+    first = simulate(base, cfg, schedule=make_sudden((0, 1), -80.0, victims=(0,)))
+    both = simulate(base, cfg, schedule=make_sudden((0, 1), -80.0))
+    assert (first.observed_load[0], first.clamped) == (40.0, 1)
+    assert (both.observed_load[0], both.clamped) == (20.0, 0)
 
 
 def test_load_attack_clamps_at_zero():
@@ -226,6 +216,16 @@ def test_load_attack_clamps_at_zero():
     trace = simulate(base, cfg, schedule=make_sudden((0, 1), -50.0))
     assert trace.observed_load[0] == 0.0
     assert trace.clamped == 1
+
+
+def test_load_attack_on_every_home_listed_out_of_order():
+    # the victims' base-load sum in this order differs from the row total
+    # in the last bit; every home is clamped, so the aggregate is exactly 0
+    base = np.array([[1.25, 2.9, 0.2]])
+    cfg = GridConfig(n_homes=3, kappa=0.0)
+    trace = simulate(base, cfg, schedule=make_sudden((0, 1), -9.0, victims=(2, 0, 1)))
+    assert trace.observed_load[0] == 0.0
+    assert trace.clamped == 3
 
 
 def test_post_hoc_leaves_the_loop_clean():
@@ -278,7 +278,30 @@ def test_trace_round_trip(tmp_path):
     back = read_trace(str(path))
     for col in TRACE_COLUMNS:
         assert np.array_equal(getattr(back, col), getattr(trace, col)), col
-    assert back.per_home is None
+
+
+@pytest.mark.parametrize(
+    "column, value, rule",
+    [
+        ("observed_load", "inf", "must be finite and non-negative"),
+        ("base_load", "nan", "must be finite and non-negative"),
+        ("forecast", "-1.0", "must be finite and non-negative"),
+        ("price", "0.0", "must be finite and positive"),
+        ("attack_truth", "7", "must be 0 or 1"),
+    ],
+)
+def test_read_trace_rejects_bad_values(tmp_path, column, value, rule):
+    base = np.full((3, 1), 2.0)
+    path = tmp_path / "trace.csv"
+    write_trace(simulate(base, GridConfig(n_homes=1, kappa=0.5, target=1.0)), str(path))
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[TRACE_COLUMNS.index(column)] = value
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    want = f"{path}:3: {column} {float(value)!r} {rule}"
+    with pytest.raises(ValueError, match="^" + re.escape(want)):
+        read_trace(str(path))
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,3 +322,105 @@ def test_loop_invariants(hours, homes, kappa, target, seed):
     assert np.all(trace.lstar > 0)
     assert np.all(trace.observed_load > 0)
     assert trace.attack_truth.sum() == 0
+
+
+def _per_home_loop(base, cfg, schedule):
+    """The closed loop evaluated home by home: every home's load each hour.
+
+    Reference for simulate's aggregate form. Returns (price, lstar,
+    observed, truth, clamped, well_posed). The two forms round the loads
+    differently, so an hour is ill-posed for comparison where an attacked
+    victim's load lies within 1e-9 of zero (it may clamp in one form only)
+    or where goal2's target + (prev_target - prev_load) cancels to under
+    5% of its terms (the cancellation magnifies the rounding difference).
+    """
+    n_hours, n_homes = base.shape
+    targets = np.broadcast_to(np.asarray(cfg.target, dtype=float), (n_hours,))
+    total = base.sum(axis=1)
+    victims = schedule.victim_indices(n_homes) if schedule is not None else None
+    kappa, eps = cfg.kappa, cfg.eps_dsm
+    price, lstar, observed = np.empty(n_hours), np.empty(n_hours), np.empty(n_hours)
+    truth = np.zeros(n_hours, dtype=np.int8)
+    clamped, well_posed = 0, True
+    for t in range(n_hours):
+        price[t], lstar[t] = set_price(
+            float(targets[t]), float(total[max(t - 1, 0)]), cfg.effective_eps_hat,
+            goal=cfg.goal,
+            prev_target=float(targets[t - 1]) if t else None,
+            prev_load=float(observed[t - 1]) if t else None,
+            lstar_floor=cfg.lstar_floor,
+        )
+        if cfg.goal == "goal2" and t:
+            terms = targets[t] + targets[t - 1] + observed[t - 1]
+            raw = targets[t] + (targets[t - 1] - observed[t - 1])
+            well_posed &= abs(raw) > 0.05 * terms
+        delta = schedule.value_at(t) if schedule is not None else 0.0
+        seen = np.full(n_homes, price[t])
+        if delta != 0.0 and schedule.mode == "price":
+            seen[victims] += delta
+            if np.any(seen <= 0):
+                raise ValueError("non-physical price: attacked price must stay positive")
+        loads = kappa * base[t] * seen**eps + (1.0 - kappa) * base[t]
+        if delta != 0.0 and schedule.mode == "load":
+            loads[victims] += delta / len(victims)
+            well_posed &= bool(np.all(np.abs(loads[victims]) > 1e-9))
+            clamped += int(np.sum(loads < 0))
+            loads = np.maximum(loads, 0.0)
+        truth[t] = delta != 0.0
+        observed[t] = loads.sum()
+    return price, lstar, observed, truth, clamped, well_posed
+
+
+@st.composite
+def _loop_cases(draw):
+    hours = draw(st.integers(2, 12))
+    homes = draw(st.integers(1, 6))
+    base = np.random.default_rng(draw(st.integers(0, 2**31))).uniform(
+        0.2, 3.0, size=(hours, homes)
+    )
+    cfg = GridConfig(
+        n_homes=homes,
+        kappa=draw(st.floats(0.0, 1.0)),
+        eps_dsm=draw(st.floats(-3.0, -0.2)),
+        goal=draw(st.sampled_from(["goal1", "goal2"])),
+        target=draw(st.floats(0.5, 2.0)) * float(base.sum(axis=1).mean()),
+        lstar_floor=0.1,
+    )
+    victims = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, homes - 1), min_size=1, max_size=homes, unique=True).map(tuple),
+    ))
+    mode = draw(st.sampled_from(["price", "load"]))
+    start = draw(st.integers(0, hours - 1))
+    window = (start, draw(st.integers(start + 1, hours)))
+    n_victims = homes if victims is None else len(victims)
+    if mode == "price":  # offsets below -P make the price non-physical
+        level = draw(st.floats(-2.0, 2.0))
+        schedule = make_sudden(window, level, mode="price", victims=victims)
+    else:  # per victim, -4 kWh clamps most homes and +1 none
+        per_victim = draw(st.floats(-4.0, 1.0))
+        schedule = make_ramp(window, per_victim * n_victims / (window[1] - start),
+                             mode="load", victims=victims)
+    return base, cfg, draw(st.sampled_from([None, schedule]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loop_cases())
+def test_loop_matches_per_home_reference(case):
+    base, cfg, schedule = case
+    try:
+        price, lstar, observed, truth, clamped, well_posed = _per_home_loop(
+            base, cfg, schedule
+        )
+    except ValueError as exc:
+        assert "non-physical price" in str(exc)
+        with pytest.raises(ValueError, match="non-physical price"):
+            simulate(base, cfg, schedule=schedule)
+        return
+    assume(well_posed)
+    trace = simulate(base, cfg, schedule=schedule)
+    np.testing.assert_allclose(trace.observed_load, observed, rtol=1e-12)
+    np.testing.assert_allclose(trace.price, price, rtol=1e-12)
+    np.testing.assert_allclose(trace.lstar, lstar, rtol=1e-12)
+    assert trace.attack_truth.tolist() == truth.tolist()
+    assert trace.clamped == clamped

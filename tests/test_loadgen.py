@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,22 @@ def test_csv_round_trip(tmp_path):
     back = read_microgrid(str(path))
     assert np.array_equal(back.kwh, grid.kwh)
     assert back.kwh.shape == grid.kwh.shape
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        (["0,1.0,nan", "1,-2.0,1.0"], ":2: home_1 load nan"),
+        (["0,1.0,0.5", "1,-2.0,1.0"], ":3: home_0 load -2.0"),
+        (["0,1.0,0.5", "1,1.0,inf"], ":3: home_1 load inf"),
+        (["0,1.0,0.5", "1,1.0,x"], ":3: malformed row"),
+    ],
+)
+def test_read_microgrid_rejects_bad_loads(tmp_path, rows, where):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["hour,home_0,home_1"] + rows) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        read_microgrid(str(path))
 
 
 @settings(max_examples=25)
