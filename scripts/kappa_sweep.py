@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
+from gridloop.experiment import ExperimentConfig
 from gridloop.feedback import GridConfig, simulate
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
-from gridloop.seeds import seed_sequence
 from gridloop.synth import synthetic_hourly_templates
 
 
@@ -35,11 +35,13 @@ def main(argv=None) -> int:
 
     templates = synthetic_hourly_templates(7, 28, seed=args.seed)
     horizon = 24 * args.days
+    # the protocol's grid seeds; the sweep sets its own size and horizon
+    proto = ExperimentConfig(seed=args.seed)
 
     rows = []
     base_means = []
     for rep in range(args.reps):
-        gseed = int(seed_sequence(args.seed, "grid", rep).generate_state(1)[0])
+        gseed = proto.bootstrap_config(rep).seed
         grid = synthesize_microgrid(
             templates, BootstrapConfig(n_homes=args.homes, num_days=args.days, seed=gseed)
         )

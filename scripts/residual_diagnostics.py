@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from gridloop.experiment import ExperimentConfig
-from gridloop.feedback import GridConfig, simulate
+from gridloop.feedback import simulate
 from gridloop.forecast import acf, acf_band, fit_seasonal_ar, jarque_bera, one_step_residuals, qq_points
-from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
-from gridloop.seeds import seed_sequence
+from gridloop.loadgen import synthesize_microgrid
 from gridloop.synth import synthetic_hourly_templates
 
 
@@ -31,15 +30,10 @@ def main(argv=None) -> int:
     ap.add_argument("--plot", metavar="PREFIX", help="save PREFIX_acf.png and PREFIX_qq.png")
     args = ap.parse_args(argv)
 
-    proto = ExperimentConfig()
-    templates = synthetic_hourly_templates(proto.template_homes, proto.template_days, seed=args.seed)
-    gseed = int(seed_sequence(args.seed, "grid", args.rep).generate_state(1)[0])
-    grid = synthesize_microgrid(
-        templates,
-        BootstrapConfig(n_homes=proto.n_homes, num_days=-(-proto.horizon // 24), seed=gseed),
-    )
-    cfg = GridConfig(n_homes=proto.n_homes, kappa=args.kappa, target=proto.target)
-    trace = simulate(grid.kwh[: proto.horizon], cfg)
+    proto = ExperimentConfig(seed=args.seed)
+    templates = synthetic_hourly_templates(proto.template_homes, proto.template_days, seed=proto.seed)
+    grid = synthesize_microgrid(templates, proto.bootstrap_config(args.rep))
+    trace = simulate(grid.kwh[: proto.horizon], proto.grid_config(args.kappa))
     train = trace.observed_load[: proto.train_hours]
 
     model = fit_seasonal_ar(train, order=args.order)

@@ -1,9 +1,12 @@
-"""Integrity attacks on the pricing loop.
+"""Integrity attacks on the pricing loop: schedules, equivalence, injection.
 
 Two attack surfaces exist. A *price* attack perturbs the price signal a
-set of victim homes receives (their meters see P + a and respond to it);
-a *load* attack adds energy directly to victim loads (or, injected
-post-hoc, to the recorded aggregate). Because households respond to price
+set of victim homes receives (their meters see P + a and respond to it,
+and P + a must stay positive); a *load* attack adds energy directly to
+victim loads, each truncated at zero. An AttackSchedule says when, whom
+and by how much; feedback.simulate applies it inside the closed loop,
+while inject_post_hoc adds a load schedule to the recorded aggregate of a
+finished run. Because households respond to price
 deterministically, the two surfaces are interchangeable whenever some load
 is price-responsive: a price offset a_P moves a household's load by
 
@@ -26,8 +29,6 @@ import numpy as np
 
 __all__ = [
     "AttackSchedule",
-    "apply_to_load",
-    "apply_to_price",
     "equivalent_load_delta",
     "equivalent_price_delta",
     "inject_post_hoc",
@@ -110,9 +111,6 @@ class AttackSchedule:
             return float(self.params["level"])
         return float(self.params["values"].get(t, 0.0))
 
-    def active(self, t: int) -> bool:
-        return self.value_at(t) != 0.0
-
     def victim_indices(self, n_homes: int) -> np.ndarray:
         if self.victims is None:
             return np.arange(n_homes)
@@ -150,25 +148,6 @@ def make_point(values: dict, window=None, mode: str = "load", victims=None) -> A
 
 
 # ---------------------------------------------------------------------------
-# primitive applications
-
-def apply_to_price(price: float, delta: float) -> float:
-    """Tampered price a victim meter sees; must stay physical."""
-    out = price + delta
-    if out <= 0:
-        raise ValueError("non-physical price: attacked price must stay positive")
-    return out
-
-
-def apply_to_load(load: float, delta: float) -> tuple[float, bool]:
-    """Tampered load value, truncated at zero; flags when truncation bit."""
-    out = load + delta
-    if out < 0:
-        return 0.0, True
-    return out, False
-
-
-# ---------------------------------------------------------------------------
 # equivalence between the two attack surfaces
 
 def _check_equiv_args(kappa, price, eps):
@@ -188,20 +167,9 @@ def equivalent_load_delta(
     kappa: float,
     price: float,
     eps: float,
-    paper_literal: bool = False,
 ) -> float:
-    """Load change on one household equivalent to a price offset.
-
-    With paper_literal=True, uses the legacy closed form
-    a_L = kappa*phi*a_P**eps + (1-kappa)*phi, which treats the attack value
-    as the household's entire compromised load evaluated at price a_P
-    rather than as an additive delta; it requires a_P > 0.
-    """
+    """Load change on one household equivalent to a price offset."""
     _check_equiv_args(kappa, price, eps)
-    if paper_literal:
-        if price_delta <= 0:
-            raise ValueError("non-physical price: literal form needs a positive value")
-        return kappa * base_load * price_delta**eps + (1.0 - kappa) * base_load
     new_price = price + price_delta
     if new_price <= 0:
         raise ValueError("non-physical price: attacked price must stay positive")
@@ -214,7 +182,6 @@ def equivalent_price_delta(
     kappa: float,
     price: float,
     eps: float,
-    paper_literal: bool = False,
 ) -> float:
     """Price offset on one household equivalent to a load change.
 
@@ -225,11 +192,6 @@ def equivalent_price_delta(
     _check_equiv_args(kappa, price, eps)
     if base_load <= 0:
         raise ValueError("no equivalent price exists for a zero base load")
-    if paper_literal:
-        num = (load_delta - (1.0 - kappa) * base_load) / (kappa * base_load)
-        if num <= 0:
-            raise ValueError("no equivalent price exists for this load value")
-        return num ** (1.0 / eps)
     root = load_delta / (kappa * base_load) + price**eps
     if root <= 0:
         raise ValueError("no equivalent price exists for this load delta")

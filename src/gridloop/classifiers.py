@@ -1,9 +1,8 @@
-"""Supervised detectors: numpy-only classifiers with JSON round-tripping.
+"""Supervised detectors: numpy-only binary classifiers.
 
 Three binary classifiers share one small contract: ``fit(X, y)`` with
-labels in {0, 1} (both present), ``predict_score(X)`` returning an
-attack probability/score in [0, 1], and lossless (de)serialization via
-``to_dict``/``from_dict`` so fitted models survive a JSON round trip.
+labels in {0, 1} (both present) and ``predict_score(X)`` returning an
+attack probability/score in [0, 1].
 
 All three drop constant feature columns at fit time (with a warning) and
 remember which columns survived, because a zero-variance column breaks
@@ -12,7 +11,6 @@ z-scoring and likelihoods and can never carry a split.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 
@@ -24,8 +22,6 @@ __all__ = [
     "GaussianNaiveBayes",
     "LogisticRegression",
     "RandomForest",
-    "load_model",
-    "save_model",
 ]
 
 _MAX_BINS = 256
@@ -131,27 +127,6 @@ class LogisticRegression:
         margin = z @ self.weights + self.bias
         return 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))
 
-    def to_dict(self) -> dict:
-        return {
-            "model": "logistic_regression",
-            "l2": self.l2,
-            "kept": self.kept.tolist(),
-            "mu": self.mu.tolist(),
-            "sd": self.sd.tolist(),
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LogisticRegression":
-        model = cls(l2=payload["l2"])
-        model.kept = np.asarray(payload["kept"], dtype=bool)
-        model.mu = np.asarray(payload["mu"], dtype=float)
-        model.sd = np.asarray(payload["sd"], dtype=float)
-        model.weights = np.asarray(payload["weights"], dtype=float)
-        model.bias = float(payload["bias"])
-        return model
-
 
 class GaussianNaiveBayes:
     """Per-class independent Gaussians with frequency priors.
@@ -200,24 +175,6 @@ class GaussianNaiveBayes:
         shifted = jll - jll.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         return probs[:, 1] / probs.sum(axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": "gaussian_nb",
-            "kept": self.kept.tolist(),
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "vars": self.vars.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GaussianNaiveBayes":
-        model = cls()
-        model.kept = np.asarray(payload["kept"], dtype=bool)
-        model.priors = np.asarray(payload["priors"], dtype=float)
-        model.means = np.asarray(payload["means"], dtype=float)
-        model.vars = np.asarray(payload["vars"], dtype=float)
-        return model
 
 
 class RandomForest:
@@ -305,35 +262,6 @@ class RandomForest:
             node[pending] = np.where(go_left, left[cur], right[cur])
             pending = pending[vote[node[pending]] == -1]
         return vote[node].reshape(len(X), n_trees).sum(axis=1) / self.n_trees
-
-    def to_dict(self) -> dict:
-        return {
-            "model": "random_forest",
-            "n_trees": self.n_trees,
-            "mtry": self.mtry,
-            "seed": self.seed,
-            "kept": self.kept.tolist(),
-            "trees": [
-                {key: tree[key].tolist() for key in ("feature", "threshold", "left", "right", "vote")}
-                for tree in self.trees
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RandomForest":
-        model = cls(n_trees=payload["n_trees"], mtry=payload["mtry"], seed=payload["seed"])
-        model.kept = np.asarray(payload["kept"], dtype=bool)
-        model.trees = [
-            {
-                "feature": np.asarray(t["feature"], dtype=np.int32),
-                "threshold": np.asarray(t["threshold"], dtype=float),
-                "left": np.asarray(t["left"], dtype=np.int32),
-                "right": np.asarray(t["right"], dtype=np.int32),
-                "vote": np.asarray(t["vote"], dtype=np.int8),
-            }
-            for t in payload["trees"]
-        ]
-        return model
 
 
 def _grow_tree(bins, y, cut_table, mtry, rng):
@@ -444,22 +372,3 @@ def _best_cuts(bins, y, rows, slot, cand, n_bins):
     best = np.argmin(score, axis=1)
     return np.where(score[np.arange(k), best] < np.inf, best, -1)
 
-
-def save_model(model, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh)
-        fh.write("\n")
-
-
-def load_model(path: str):
-    with open(path) as fh:
-        payload = json.load(fh)
-    registry = {
-        "logistic_regression": LogisticRegression,
-        "gaussian_nb": GaussianNaiveBayes,
-        "random_forest": RandomForest,
-    }
-    kind = payload.get("model")
-    if kind not in registry:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return registry[kind].from_dict(payload)

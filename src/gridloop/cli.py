@@ -33,10 +33,9 @@ from gridloop.experiment import (
     protocol_schedule,
     run_experiment,
 )
-from gridloop.feedback import GridConfig, read_trace, simulate, write_trace
+from gridloop.feedback import read_trace, simulate, write_trace
 from gridloop.ingest import load_template_dir, resample_hourly, write_hourly
-from gridloop.loadgen import BootstrapConfig, read_microgrid, synthesize_microgrid, write_microgrid
-from gridloop.seeds import seed_sequence
+from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates, synthetic_templates
 
 
@@ -61,10 +60,6 @@ def _hourly_templates(args, cfg):
     if args.templates:
         return [resample_hourly(t) for t in load_template_dir(args.templates)]
     return synthetic_hourly_templates(cfg.template_homes, cfg.template_days, seed=cfg.seed)
-
-
-def _grid_seed(cfg, rep: int) -> int:
-    return int(seed_sequence(cfg.seed, "grid", rep).generate_state(1)[0])
 
 
 def _out_file(args, default_name: str) -> Path:
@@ -96,11 +91,7 @@ def cmd_ingest(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     templates = _hourly_templates(args, cfg)
-    num_days = -(-cfg.horizon // 24)
-    grid = synthesize_microgrid(
-        templates,
-        BootstrapConfig(n_homes=cfg.n_homes, num_days=num_days, seed=_grid_seed(cfg, args.rep)),
-    )
+    grid = synthesize_microgrid(templates, cfg.bootstrap_config(args.rep))
     out = _out_file(args, "microgrid.csv")
     write_microgrid(grid, str(out))
     print(f"wrote {grid.n_hours}h x {grid.n_homes} homes to {out}")
@@ -112,15 +103,8 @@ def cmd_simulate(args) -> int:
     grid = read_microgrid(args.grid)
     if grid.n_hours < cfg.horizon:
         raise ValueError(f"grid has {grid.n_hours} hours, config wants {cfg.horizon}")
-    gcfg = GridConfig(
-        n_homes=grid.n_homes,
-        kappa=args.kappa,
-        eps_dsm=cfg.eps_dsm,
-        eps_dsm_hat=cfg.eps_dsm_hat,
-        goal=cfg.goal,
-        target=cfg.target,
-        lstar_floor=cfg.lstar_floor,
-    )
+    # the grid file, not the config, says how many homes there are
+    gcfg = dataclasses.replace(cfg.grid_config(args.kappa), n_homes=grid.n_homes)
     schedule = read_schedule(args.schedule) if args.schedule else None
     trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule, injection=args.injection)
     out = _out_file(args, "trace.csv")

@@ -129,15 +129,25 @@ def _check_labels(labels) -> np.ndarray:
 
 
 def roc_from_scores(scores, labels) -> RocCurve:
-    """ROC over the score distribution (ties grouped on one point)."""
+    """ROC over the score distribution (ties grouped on one point).
+
+    One sort plus cumulative counts (Fawcett 2006, Alg. 2): lowering the
+    threshold to the next distinct score adds the rows tied at that score
+    to the true- or false-positive count.
+    """
     labels = _check_labels(labels)
     scores = np.asarray(scores, dtype=float)
-    uniq = np.unique(scores)[::-1]
-    thresholds = np.concatenate(([np.inf], uniq))
-    fpr = np.empty(len(thresholds))
-    tpr = np.empty(len(thresholds))
-    for i, th in enumerate(thresholds):
-        fpr[i], tpr[i] = _rates(scores >= th, labels)
+    if scores.shape != labels.shape:
+        raise ValueError("scores and labels must have equal length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    uniq, group = np.unique(scores, return_inverse=True)
+    # rows tied at each distinct score, highest score first
+    tp = np.cumsum(np.bincount(group[labels], minlength=len(uniq))[::-1])
+    fp = np.cumsum(np.bincount(group[~labels], minlength=len(uniq))[::-1])
+    thresholds = np.concatenate(([np.inf], uniq[::-1]))
+    tpr = np.concatenate(([0.0], tp / np.count_nonzero(labels)))
+    fpr = np.concatenate(([0.0], fp / np.count_nonzero(~labels)))
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc_trapezoid(fpr, tpr))
 
 

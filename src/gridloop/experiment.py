@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +113,7 @@ class ExperimentConfig:
                 f"kappas {self.kappas} share a scenario directory ({', '.join(labels)})"
             )
         # delegate the grid-parameter checks
-        GridConfig(
-            n_homes=self.n_homes,
-            kappa=self.kappas[0],
-            eps_dsm=self.eps_dsm,
-            eps_dsm_hat=self.eps_dsm_hat,
-            goal=self.goal,
-            target=self.target,
-            lstar_floor=self.lstar_floor,
-        )
+        self.grid_config(self.kappas[0])
 
     @property
     def train_hours(self) -> int:
@@ -130,6 +122,23 @@ class ExperimentConfig:
     @property
     def horizon(self) -> int:
         return self.train_hours + self.test_hours
+
+    def bootstrap_config(self, rep: int) -> BootstrapConfig:
+        """Bootstrap of replication `rep`: whole days covering the horizon."""
+        seed = int(seed_sequence(self.seed, "grid", rep).generate_state(1)[0])
+        return BootstrapConfig(n_homes=self.n_homes, num_days=-(-self.horizon // 24), seed=seed)
+
+    def grid_config(self, kappa: float) -> GridConfig:
+        """Closed-loop parameters at participation level `kappa`."""
+        return GridConfig(
+            n_homes=self.n_homes,
+            kappa=kappa,
+            eps_dsm=self.eps_dsm,
+            eps_dsm_hat=self.eps_dsm_hat,
+            goal=self.goal,
+            target=self.target,
+            lstar_floor=self.lstar_floor,
+        )
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -438,25 +447,12 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
             cfg.template_homes, cfg.template_days, seed=cfg.seed
         )
 
-    num_days = -(-cfg.horizon // 24)
     per_scenario: dict[tuple, list[list[dict]]] = {}
     for rep in range(cfg.replications):
-        grid_seed = int(seed_sequence(cfg.seed, "grid", rep).generate_state(1)[0])
-        grid = synthesize_microgrid(
-            templates, BootstrapConfig(n_homes=cfg.n_homes, num_days=num_days, seed=grid_seed)
-        )
+        grid = synthesize_microgrid(templates, cfg.bootstrap_config(rep))
         base = grid.kwh[: cfg.horizon]
         for k_idx, kappa in enumerate(cfg.kappas):
-            gcfg = GridConfig(
-                n_homes=cfg.n_homes,
-                kappa=kappa,
-                eps_dsm=cfg.eps_dsm,
-                eps_dsm_hat=cfg.eps_dsm_hat,
-                goal=cfg.goal,
-                target=cfg.target,
-                lstar_floor=cfg.lstar_floor,
-            )
-            nominal = simulate(base, gcfg)
+            nominal = simulate(base, cfg.grid_config(kappa))
             shared = prepare_detectors(
                 nominal.observed_load[: cfg.train_hours], cfg, k_idx, rep
             )

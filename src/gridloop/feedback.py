@@ -228,21 +228,25 @@ def simulate(
         if not np.isfinite(phi_hat) or phi_hat <= 0:
             raise ValueError("invalid forecast: base-load forecast must be positive")
 
-        p_t, l_t = set_price(
-            float(targets[t]),
-            phi_hat,
-            eps_hat,
-            goal=cfg.goal,
-            prev_target=float(targets[t - 1]) if t > 0 else None,
-            prev_load=float(observed[t - 1]) if t > 0 else None,
-            lstar_floor=cfg.lstar_floor,
-        )
+        try:
+            p_t, l_t = set_price(
+                float(targets[t]),
+                phi_hat,
+                eps_hat,
+                goal=cfg.goal,
+                prev_target=float(targets[t - 1]) if t > 0 else None,
+                prev_load=float(observed[t - 1]) if t > 0 else None,
+                lstar_floor=cfg.lstar_floor,
+            )
+            # every home serves c_t of its need at the posted price
+            c_t = (1.0 - kappa) + kappa * p_t**eps
+        except (OverflowError, ZeroDivisionError):
+            # the price overflowed, or underflowed to 0 and 0**eps divides by zero
+            raise _out_of_float_range(t, eps, eps_hat) from None
         price[t] = p_t
         forecast[t] = phi_hat
         lstar[t] = l_t
 
-        # every home serves c_t of its need at the posted price
-        c_t = (1.0 - kappa) + kappa * p_t**eps
         delta = schedule.value_at(t) if in_loop else 0.0
         if delta == 0.0:
             observed[t] = c_t * base_total[t]
@@ -256,7 +260,10 @@ def simulate(
             seen = p_t + delta
             if seen <= 0:
                 raise ValueError("non-physical price: attacked price must stay positive")
-            hit = ((1.0 - kappa) + kappa * seen**eps) * phi_v_total
+            try:
+                hit = ((1.0 - kappa) + kappa * seen**eps) * phi_v_total
+            except OverflowError:
+                raise _out_of_float_range(t, eps, eps_hat) from None
         else:  # load manipulation, split across victims
             loads = c_t * phi_v + delta / len(victims)
             neg = loads < 0
@@ -285,6 +292,13 @@ def simulate(
 
 def _naive(history: np.ndarray) -> float:
     return float(history[-1])
+
+
+def _out_of_float_range(t: int, eps: float, eps_hat: float) -> ValueError:
+    return ValueError(
+        f"hour {t}: the price or its power leaves the float range; "
+        f"eps_dsm={eps} and eps_dsm_hat={eps_hat} are too extreme for these loads"
+    )
 
 
 def write_trace(trace: SimulationTrace, path: str) -> None:

@@ -1,14 +1,14 @@
-"""Load forecasting and residual diagnostics.
+"""Load forecasting and residual diagnostics for the detectors.
 
-The in-loop utility forecaster is deliberately simple (persistence or
-seasonal persistence). For detection, demand is modeled as a daily-seasonal
-AR process: seasonally difference at period 24, fit AR(p) to the
-differenced series by conditional least squares (no intercept), and
-forecast by recursing the AR over the differences and re-adding the
-level from 24 hours back. One-step-ahead residuals on the training window
-give the noise scale sigma that calibrates the sequential detectors.
+Demand is modeled as a daily-seasonal AR process: seasonally difference
+at period 24, fit AR(p) to the differenced series by conditional least
+squares (no intercept), and forecast by recursing the AR over the
+differences and re-adding the level from 24 hours back. One-step-ahead
+residuals on the training window give the noise scale sigma that
+calibrates the sequential detectors. (The utility's own in-loop forecast
+is plain persistence inside feedback.simulate.)
 
-Diagnostics (sample ACF/PACF, Jarque-Bera, normal Q-Q coordinates) verify
+Diagnostics (sample ACF, Jarque-Bera, normal Q-Q coordinates) verify
 the residuals are close enough to white noise for that calibration to be
 honest.
 """
@@ -28,44 +28,11 @@ __all__ = [
     "fit_seasonal_ar",
     "forecast",
     "jarque_bera",
-    "make_oracle",
-    "naive_forecast",
     "one_step_residuals",
-    "pacf",
     "qq_points",
-    "seasonal_naive_forecast",
 ]
 
 SIGMA_FLOOR = 1e-6
-
-
-def naive_forecast(history: np.ndarray) -> float:
-    """Persistence: next value = last observed value."""
-    if len(history) == 0:
-        raise ValueError("invalid forecast: no history")
-    return float(history[-1])
-
-
-def seasonal_naive_forecast(history: np.ndarray, period: int = 24) -> float:
-    """Next value = value one period ago (falls back to persistence early on)."""
-    if len(history) == 0:
-        raise ValueError("invalid forecast: no history")
-    if len(history) >= period:
-        return float(history[-period])
-    return float(history[-1])
-
-
-def make_oracle(truth: np.ndarray):
-    """Forecaster that returns the true value (for tracking-limit studies).
-
-    The returned callable maps a history of length t to truth[t].
-    """
-    truth = np.asarray(truth, dtype=float)
-
-    def oracle(history: np.ndarray) -> float:
-        return float(truth[len(history)])
-
-    return oracle
 
 
 @dataclass
@@ -208,27 +175,6 @@ def acf(x, nlags: int) -> np.ndarray:
     out = np.empty(nlags + 1)
     for k in range(nlags + 1):
         out[k] = float(c[k:] @ c[: n - k]) / denom
-    return out
-
-
-def pacf(x, nlags: int) -> np.ndarray:
-    """Partial autocorrelation via Durbin-Levinson; pacf[0] = 1, pacf[1] = acf[1]."""
-    r = acf(x, nlags)
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    if nlags == 0:
-        return out
-    phi_prev = np.array([r[1]])
-    out[1] = r[1]
-    for k in range(2, nlags + 1):
-        num = r[k] - phi_prev @ r[k - 1 : 0 : -1]
-        den = 1.0 - phi_prev @ r[1:k]
-        phi_kk = num / den
-        phi = np.empty(k)
-        phi[: k - 1] = phi_prev - phi_kk * phi_prev[::-1]
-        phi[k - 1] = phi_kk
-        out[k] = phi_kk
-        phi_prev = phi
     return out
 
 

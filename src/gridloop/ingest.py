@@ -20,7 +20,6 @@ __all__ = [
     "TemplateHome",
     "load_template",
     "load_template_dir",
-    "read_hourly",
     "resample_hourly",
     "write_hourly",
 ]
@@ -157,19 +156,3 @@ def write_hourly(series: HourlySeries, path: str) -> None:
         for h, e in zip(series.hours, series.kwh):
             writer.writerow([int(h), repr(float(e))])
 
-
-def read_hourly(path: str) -> HourlySeries:
-    hours: list[int] = []
-    kwh: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["hour", "kwh"]:
-            raise ValueError(f"{path}: expected header 'hour,kwh'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
-            hours.append(int(row[0]))
-            kwh.append(float(row[1]))
-    home_id = os.path.splitext(os.path.basename(path))[0]
-    return HourlySeries(home_id=home_id, hours=np.array(hours), kwh=np.array(kwh))

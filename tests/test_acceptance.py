@@ -22,8 +22,7 @@ from gridloop.experiment import (
 )
 from gridloop.feedback import GridConfig, simulate
 from gridloop.forecast import acf, acf_band, fit_seasonal_ar, forecast, one_step_residuals
-from gridloop.loadgen import BootstrapConfig, synthesize_microgrid, write_microgrid
-from gridloop.seeds import seed_sequence
+from gridloop.loadgen import synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 
 PROTOCOL = ExperimentConfig()  # the reference setup all bands refer to
@@ -41,11 +40,9 @@ def templates():
     )
 
 
-def _bootstrap_grid(templates, rep: int = 0, n_homes: int = 200, num_days: int = 30):
-    gseed = int(seed_sequence(PROTOCOL.seed, "grid", rep).generate_state(1)[0])
-    return synthesize_microgrid(
-        templates, BootstrapConfig(n_homes=n_homes, num_days=num_days, seed=gseed)
-    )
+def _bootstrap_grid(templates, rep: int = 0):
+    """The protocol's grid for replication `rep`: 200 homes over 30 days."""
+    return synthesize_microgrid(templates, PROTOCOL.bootstrap_config(rep))
 
 
 def test_criterion_01_no_dsm_identity(templates):
@@ -218,7 +215,8 @@ def test_criterion_08_roc_properties():
 
 def test_criterion_09_bootstrap_fidelity(templates, tmp_path):
     n_homes, num_days = 200, 30
-    grid = _bootstrap_grid(templates, rep=0, n_homes=n_homes, num_days=num_days)
+    grid = _bootstrap_grid(templates, rep=0)
+    assert grid.kwh.shape == (24 * num_days, n_homes)
     n_templates = len(templates)
     all_match = True
     for i in range(n_homes):
@@ -229,7 +227,7 @@ def test_criterion_09_bootstrap_fidelity(templates, tmp_path):
             all_match = False
             break
 
-    again = _bootstrap_grid(templates, rep=0, n_homes=n_homes, num_days=num_days)
+    again = _bootstrap_grid(templates, rep=0)
     write_microgrid(grid, str(tmp_path / "a.csv"))
     write_microgrid(again, str(tmp_path / "b.csv"))
     identical = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -252,14 +250,7 @@ def test_criterion_10_forecast_whitening(templates):
 
     # reference training window (first replication, low participation)
     grid = _bootstrap_grid(templates, rep=0)
-    cfg = GridConfig(
-        n_homes=PROTOCOL.n_homes,
-        kappa=PROTOCOL.kappas[0],
-        eps_dsm=PROTOCOL.eps_dsm,
-        goal=PROTOCOL.goal,
-        target=PROTOCOL.target,
-    )
-    nominal = simulate(grid.kwh[: PROTOCOL.horizon], cfg)
+    nominal = simulate(grid.kwh[: PROTOCOL.horizon], PROTOCOL.grid_config(PROTOCOL.kappas[0]))
     train = nominal.observed_load[: PROTOCOL.train_hours]
     model = fit_seasonal_ar(train, order=PROTOCOL.ar_order)
     resid = one_step_residuals(model, train)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from gridloop.attack import (
     AttackSchedule,
-    apply_to_load,
-    apply_to_price,
     equivalent_load_delta,
     equivalent_price_delta,
     inject_post_hoc,
@@ -82,20 +80,6 @@ def test_victim_indices():
 
 
 # ---------------------------------------------------------------------------
-# primitive applications
-
-def test_apply_to_price():
-    assert apply_to_price(2.0, -1.0) == 1.0
-    with pytest.raises(ValueError, match="non-physical price"):
-        apply_to_price(1.0, -1.0)
-
-
-def test_apply_to_load_truncates():
-    assert apply_to_load(1.2, 0.75) == (1.95, False)
-    assert apply_to_load(0.5, -1.0) == (0.0, True)
-
-
-# ---------------------------------------------------------------------------
 # equivalence between the attack surfaces
 
 def test_equivalent_load_delta_worked_example():
@@ -107,16 +91,6 @@ def test_equivalent_load_delta_worked_example():
 def test_equivalent_price_delta_inverts():
     a_p = equivalent_price_delta(-0.5, base_load=2.0, kappa=0.5, price=1.0, eps=-1.0)
     assert a_p == pytest.approx(1.0, rel=1e-12)
-
-
-def test_literal_form_round_trip():
-    # legacy closed form treats the value as the whole compromised load
-    a_l = equivalent_load_delta(2.0, 2.0, 0.5, 1.0, -1.0, paper_literal=True)
-    assert a_l == 1.5  # 0.5*2*2^-1 + 0.5*2
-    a_p = equivalent_price_delta(1.5, 2.0, 0.5, 1.0, -1.0, paper_literal=True)
-    assert a_p == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError, match="positive value"):
-        equivalent_load_delta(-1.0, 2.0, 0.5, 1.0, -1.0, paper_literal=True)
 
 
 def test_no_conversion_without_participation():

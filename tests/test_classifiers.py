@@ -1,5 +1,4 @@
 import hashlib
-import json
 import warnings
 
 import numpy as np
@@ -9,8 +8,6 @@ from gridloop.classifiers import (
     GaussianNaiveBayes,
     LogisticRegression,
     RandomForest,
-    load_model,
-    save_model,
 )
 from gridloop.detect import build_training_set, make_features
 
@@ -91,25 +88,6 @@ def test_non_finite_features_rejected(factory, bad):
     X[5, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         factory().fit(X, y)
-
-
-@pytest.mark.parametrize("factory", ALL_MODELS)
-def test_json_round_trip(factory, tmp_path):
-    X, y = _blobs(seed=21)
-    model = factory().fit(X, y)
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    back = load_model(str(path))
-    assert type(back) is type(model)
-    probe = np.random.default_rng(22).normal(2.0, 3.0, size=(40, X.shape[1]))
-    assert np.array_equal(back.predict_score(probe), model.predict_score(probe))
-
-
-def test_load_model_rejects_unknown_kind(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text(json.dumps({"model": "svm"}))
-    with pytest.raises(ValueError, match="unknown model kind"):
-        load_model(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ The central claim: chaining synth -> simulate -> attack -> detect ->
 evaluate with matching --rep/--kappa/--attack reproduces the files a
 run_experiment scenario writes, byte for byte."""
 
+import dataclasses
 import json
 
 import pytest
 
 from gridloop.cli import main
+from gridloop.experiment import run_experiment
 from gridloop.loadgen import read_microgrid
 
 
@@ -23,8 +25,8 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def test_pipeline_matches_run_experiment(cfg_json, tiny_run, tmp_path):
-    root, _ = tiny_run
+def _assert_chain_matches(cfg_json, root, tmp_path):
+    """Chain the stage subcommands and compare with root's scenario files."""
     sdir = root / "kappa_0.2" / "sudden" / "rep_000"
 
     grid = tmp_path / "grid.csv"
@@ -43,6 +45,21 @@ def test_pipeline_matches_run_experiment(cfg_json, tiny_run, tmp_path):
     assert attacked.read_bytes() == (sdir / "trace.csv").read_bytes()
     for name in ("detections.csv", "detect_meta.json", "metrics.json", "roc.csv"):
         assert (det / name).read_bytes() == (sdir / name).read_bytes(), name
+
+
+def test_pipeline_matches_run_experiment(cfg_json, tiny_run, tmp_path):
+    root, _ = tiny_run
+    _assert_chain_matches(cfg_json, root, tmp_path)
+
+
+def test_pipeline_matches_run_experiment_with_non_default_loop(tiny_cfg, tmp_path):
+    # goal, eps_dsm_hat and lstar_floor off their defaults: a path that drops one fails
+    cfg = dataclasses.replace(tiny_cfg, goal="goal2", eps_dsm_hat=-1.5, lstar_floor=5.0)
+    cfg_json = tmp_path / "cfg.json"
+    cfg.to_json(cfg_json)
+    root = tmp_path / "runs"
+    run_experiment(cfg, root)
+    _assert_chain_matches(cfg_json, root, tmp_path)
 
 
 def test_run_experiment_command(cfg_json, tiny_run, tmp_path, capsys):
@@ -118,6 +135,19 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
     # evaluate on a directory with no detect output
     assert run("evaluate", "--detections", tmp_path / "empty") == 2
     assert capsys.readouterr().err.startswith("gridloop: error:")
+
+
+def test_overflowing_price_power_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": 800, "eps_dsm": -1100, "eps_dsm_hat": -1}))
+    grid = tmp_path / "grid.csv"
+    assert run("synth", "--config", cfg, "--out", grid) == 0
+    capsys.readouterr()
+    assert run("simulate", "--config", cfg, "--grid", grid, "--kappa", 0.5,
+               "--out", tmp_path / "t.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gridloop: error: hour 0: the price or its power leaves the float range")
+    assert "Traceback" not in err
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

@@ -104,6 +104,44 @@ def test_roc_needs_both_classes():
         roc_from_scores([0.1, 0.9], [1, 1])
 
 
+def test_roc_rejects_non_finite_scores_and_length_mismatch():
+    with pytest.raises(ValueError, match="finite"):
+        roc_from_scores([0.1, np.nan], [0, 1])
+    with pytest.raises(ValueError, match="equal length"):
+        roc_from_scores([0.1, 0.2, 0.3], [0, 1])
+
+
+def _brute_force_roc(scores, labels):
+    """One confusion matrix per threshold: the definition the fast path keeps."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(bool)
+    thresholds = np.concatenate(([np.inf], np.unique(scores)[::-1]))
+    fpr, tpr = [], []
+    for th in thresholds:
+        c = confusion(labels, scores >= th)
+        fpr.append(c.fp / (c.fp + c.tn))
+        tpr.append(c.tp / (c.tp + c.fn))
+    return thresholds, np.array(fpr), np.array(tpr), auc_trapezoid(fpr, tpr)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_roc_matches_brute_force_bit_for_bit(tied, seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    # tied: a few distinct values, each shared by many rows of both classes
+    scores = rng.integers(0, 7, size=n) / 7.0 if tied else rng.random(n)
+    thresholds, fpr, tpr, auc = _brute_force_roc(scores, labels)
+    roc = roc_from_scores(scores, labels)
+    assert len(roc.thresholds) == (8 if tied else n + 1)
+    assert roc.thresholds.tobytes() == thresholds.tobytes()
+    assert roc.fpr.tobytes() == fpr.tobytes()
+    assert roc.tpr.tobytes() == tpr.tobytes()
+    assert roc.auc == auc
+
+
 def test_decision_rule_is_score_at_least_threshold():
     m = metrics_at_threshold([0.3, 0.5, 0.7], [0, 1, 1], 0.5)
     assert m.recall == 1.0 and m.fpr == 0.0

@@ -14,7 +14,6 @@ from gridloop.feedback import (
     simulate,
     write_trace,
 )
-from gridloop.forecast import make_oracle
 
 # ---------------------------------------------------------------------------
 # a household's load, seen through the loop: one home, one hour, and a
@@ -112,6 +111,12 @@ def _flat_grid(hours, homes, level=100.0):
     return np.full((hours, homes), level / homes)
 
 
+def _oracle(base):
+    """Forecaster that knows each hour's true base total."""
+    totals = base.sum(axis=1)
+    return lambda history: float(totals[len(history)])
+
+
 def test_zero_participation_is_identity():
     rng = np.random.default_rng(0)
     base = rng.uniform(0.5, 2.5, size=(48, 5))
@@ -125,7 +130,7 @@ def test_full_participation_oracle_tracks_target():
     rng = np.random.default_rng(1)
     base = rng.uniform(0.5, 2.5, size=(48, 5))
     cfg = GridConfig(n_homes=5, kappa=1.0, target=60.0)
-    trace = simulate(base, cfg, forecaster=make_oracle(base.sum(axis=1)))
+    trace = simulate(base, cfg, forecaster=_oracle(base))
     assert np.allclose(trace.observed_load, 60.0, rtol=1e-9)
 
 
@@ -133,7 +138,7 @@ def test_per_hour_targets():
     base = _flat_grid(3, 2)
     targets = [100.0, 200.0, 300.0]
     cfg = GridConfig(n_homes=2, kappa=1.0, target=targets)
-    trace = simulate(base, cfg, forecaster=make_oracle(base.sum(axis=1)))
+    trace = simulate(base, cfg, forecaster=_oracle(base))
     assert np.allclose(trace.observed_load, targets, rtol=1e-12)
     assert np.array_equal(trace.target, targets)
 
@@ -192,6 +197,19 @@ def test_price_attack_must_stay_positive():
     schedule = make_sudden((0, 2), level=-5.0, mode="price")
     with pytest.raises(ValueError, match="non-physical price"):
         simulate(base, cfg, schedule=schedule)
+
+
+def test_price_out_of_float_range_names_the_hour():
+    # price 1 at hour 0; the attacked price 0.5 ** -1100 overflows at hour 1
+    cfg = GridConfig(n_homes=1, kappa=0.5, eps_dsm=-1100.0, eps_dsm_hat=-1.0, target=100.0)
+    schedule = make_sudden((1, 2), level=-0.5, mode="price")
+    with pytest.raises(ValueError, match="hour 1: the price or its power leaves the float range"):
+        simulate(_flat_grid(3, 1), cfg, schedule=schedule)
+    # the posted price overflows, or underflows to 0 and 0 ** eps divides by zero
+    for target in (25.0, 400.0):
+        cfg = GridConfig(n_homes=1, kappa=0.5, eps_dsm_hat=-0.001, target=target)
+        with pytest.raises(ValueError, match="hour 0: the price"):
+            simulate(_flat_grid(3, 1), cfg)
 
 
 def test_load_attack_split_across_victims():

@@ -10,35 +10,9 @@ from gridloop.forecast import (
     fit_seasonal_ar,
     forecast,
     jarque_bera,
-    make_oracle,
-    naive_forecast,
     one_step_residuals,
-    pacf,
     qq_points,
-    seasonal_naive_forecast,
 )
-
-# ---------------------------------------------------------------------------
-# simple forecasters
-
-def test_naive_is_persistence():
-    assert naive_forecast(np.array([1.0, 2.0, 3.0])) == 3.0
-    with pytest.raises(ValueError, match="no history"):
-        naive_forecast(np.array([]))
-
-
-def test_seasonal_naive():
-    y = np.arange(30.0)
-    assert seasonal_naive_forecast(y) == y[-24]
-    assert seasonal_naive_forecast(y[:10]) == y[9]  # early fallback
-
-
-def test_oracle_indexes_by_history_length():
-    truth = np.array([5.0, 6.0, 7.0])
-    oracle = make_oracle(truth)
-    assert oracle(truth[:0]) == 5.0
-    assert oracle(truth[:2]) == 7.0
-
 
 # ---------------------------------------------------------------------------
 # seasonal AR fit
@@ -148,26 +122,6 @@ def test_acf_validation():
         acf(np.ones(50), 5)
     with pytest.raises(ValueError, match="nlags"):
         acf(np.arange(5.0), 5)
-
-
-def test_pacf_first_lag_matches_acf():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=200)
-    assert pacf(x, 3)[1] == pytest.approx(acf(x, 3)[1], rel=1e-12)
-
-
-def test_pacf_lag2_closed_form():
-    x = np.array([2.0, 1.0, 3.0, 0.5, 2.5, 1.5, 3.5, 1.0, 2.0])
-    r = acf(x, 2)
-    expected = (r[2] - r[1] ** 2) / (1 - r[1] ** 2)
-    assert pacf(x, 2)[2] == pytest.approx(expected, rel=1e-12)
-
-
-def test_pacf_cuts_off_for_ar1():
-    d = _ar_series([0.6], 5000, sigma=1.0, seed=10)
-    p = pacf(d, 5)
-    assert p[1] == pytest.approx(0.6, abs=0.05)
-    assert np.all(np.abs(p[2:]) < 0.05)
 
 
 def test_acf_band_formula():

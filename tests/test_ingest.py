@@ -8,7 +8,6 @@ from gridloop.ingest import (
     TemplateHome,
     load_template,
     load_template_dir,
-    read_hourly,
     resample_hourly,
     write_hourly,
 )
@@ -138,12 +137,12 @@ def test_empty_dir_rejected(tmp_path):
 
 
 def test_hourly_round_trip(tmp_path):
-    series = HourlySeries("h", np.arange(5), np.array([1.0, 0.25, np.pi, 2.5, 0.1]))
+    kwh = [1.0, 0.25, np.pi, 2.5, 0.1]
     path = tmp_path / "h.csv"
-    write_hourly(series, str(path))
-    back = read_hourly(str(path))
-    assert np.array_equal(back.kwh, series.kwh)  # repr round-trips exactly
-    assert back.hours.tolist() == series.hours.tolist()
+    write_hourly(HourlySeries("h", np.arange(5), np.array(kwh)), str(path))
+    lines = path.read_text().splitlines()
+    assert lines == ["hour,kwh"] + [f"{h},{e!r}" for h, e in enumerate(kwh)]
+    assert [float(ln.split(",")[1]) for ln in lines[1:]] == kwh  # repr round-trips exactly
 
 
 def test_hourly_contiguity_enforced():
