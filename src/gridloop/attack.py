@@ -22,10 +22,11 @@ sudden (constant level), point (isolated spikes at chosen hours).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from gridloop.tables import read_json
 
 __all__ = [
     "AttackSchedule",
@@ -36,7 +37,6 @@ __all__ = [
     "make_ramp",
     "make_sudden",
     "read_schedule",
-    "write_schedule",
 ]
 
 MODES = ("load", "price")
@@ -74,19 +74,19 @@ class AttackSchedule:
             if len(set(self.victims)) != len(self.victims):
                 raise ValueError("victims must be distinct")
         if self.kind == "ramp":
-            if not np.isfinite(self.params.get("step", np.nan)):
+            if not _finite(self.params.get("step")):
                 raise ValueError("ramp needs a finite 'step' parameter")
         elif self.kind == "sudden":
-            if not np.isfinite(self.params.get("level", np.nan)):
+            if not _finite(self.params.get("level")):
                 raise ValueError("sudden needs a finite 'level' parameter")
         else:
             values = self.params.get("values")
-            if not values:
+            if not isinstance(values, dict) or not values:
                 raise ValueError("point needs a non-empty 'values' map")
             for t, v in values.items():
                 if not (start <= int(t) < end):
                     raise ValueError(f"point hour {t} outside window [{start}, {end})")
-                if not np.isfinite(v):
+                if not _finite(v):
                     raise ValueError(f"point value at hour {t} must be finite")
 
     def __eq__(self, other):
@@ -199,7 +199,7 @@ def equivalent_price_delta(
 
 
 # ---------------------------------------------------------------------------
-# post-hoc injection and schedule serialization
+# post-hoc injection and the schedule file
 
 def inject_post_hoc(trace, schedule: AttackSchedule):
     """Tamper the recorded aggregate of a finished run (no feedback).
@@ -223,39 +223,23 @@ def inject_post_hoc(trace, schedule: AttackSchedule):
     )
 
 
-def write_schedule(schedule: AttackSchedule, path: str) -> None:
-    payload = {
-        "mode": schedule.mode,
-        "kind": schedule.kind,
-        "window": list(schedule.window),
-        "victims": None if schedule.victims is None else list(schedule.victims),
-        "params": _params_to_json(schedule),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_schedule(path: str) -> AttackSchedule:
     """Read a schedule JSON; a missing key or an invalid field names the file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in ("mode", "kind", "window", "params"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r}")
-    if not isinstance(payload["params"], dict):
+    payload = read_json(path, dict.fromkeys(("mode", "kind", "window", "params")))
+    window, params, victims = payload["window"], payload["params"], payload.get("victims")
+    if not (_int_list(window) and len(window) == 2):
+        raise ValueError(f"{path}: window {window!r} must be a list [start, end] of hours")
+    if not (victims is None or _int_list(victims)):
+        raise ValueError(f"{path}: victims {victims!r} must be null or a list of home indices")
+    if not isinstance(params, dict):
         raise ValueError(f"{path}: 'params' must be an object")
-    params = dict(payload["params"])
-    victims = payload.get("victims")
     try:
-        if payload["kind"] == "point" and "values" in params:
-            params["values"] = {int(t): float(v) for t, v in params["values"].items()}
+        if payload["kind"] == "point" and isinstance(params.get("values"), dict):
+            params = {**params, "values": {int(t): v for t, v in params["values"].items()}}
         return AttackSchedule(
             mode=payload["mode"],
             kind=payload["kind"],
-            window=tuple(payload["window"]),
+            window=tuple(window),
             params=params,
             victims=None if victims is None else tuple(victims),
         )
@@ -263,7 +247,9 @@ def read_schedule(path: str) -> AttackSchedule:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _params_to_json(schedule: AttackSchedule) -> dict:
-    if schedule.kind == "point":
-        return {"values": {str(t): v for t, v in schedule.params["values"].items()}}
-    return dict(schedule.params)
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and -np.inf < value < np.inf

@@ -2,7 +2,6 @@
 
 Subcommands mirror the pipeline stages:
 
-    ingest          minute templates -> hourly template CSVs
     synth           hourly templates -> bootstrapped micro-grid CSV
     simulate        micro-grid -> closed-loop trace CSV
     attack          trace -> post-hoc attacked trace CSV
@@ -10,11 +9,13 @@ Subcommands mirror the pipeline stages:
     evaluate        detections dir -> metrics.json + roc.csv
     run_experiment  full protocol sweep into an output tree
 
-All stages read one experiment config JSON (defaults apply when --config
-is omitted). Seed precedence: --seed flag, then the GRIDLOOP_SEED
-environment variable, then the config value. Chaining subcommands with
-matching --rep/--kappa/--attack reproduces the corresponding
-run_experiment scenario byte for byte.
+Every stage but evaluate reads one experiment config JSON (defaults apply
+when --config is omitted). Seed precedence: --seed flag, then the
+GRIDLOOP_SEED environment variable, then the config value. synth and
+run_experiment take --templates DIR of minute-level meter CSVs in place of
+the synthetic templates. Chaining subcommands with matching
+--rep/--kappa/--attack reproduces the corresponding run_experiment
+scenario byte for byte.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from gridloop.experiment import (
     run_experiment,
 )
 from gridloop.feedback import read_trace, simulate, write_trace
-from gridloop.ingest import load_template_dir, resample_hourly, write_hourly
+from gridloop.ingest import load_template_dir, resample_hourly
 from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
-from gridloop.synth import synthetic_hourly_templates, synthetic_templates
+from gridloop.synth import synthetic_hourly_templates
 
 
 def _add_common(sub):
@@ -71,21 +72,6 @@ def _out_file(args, default_name: str) -> Path:
         return out
     out.mkdir(parents=True, exist_ok=True)
     return out / default_name
-
-
-def cmd_ingest(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out or "hourly")
-    out.mkdir(parents=True, exist_ok=True)
-    if args.templates:
-        homes = load_template_dir(args.templates)
-    else:
-        homes = synthetic_templates(cfg.template_homes, cfg.template_days, seed=cfg.seed)
-    for home in homes:
-        series = resample_hourly(home)
-        write_hourly(series, str(out / f"{home.home_id}.csv"))
-    print(f"wrote {len(homes)} hourly series to {out}")
-    return 0
 
 
 def cmd_synth(args) -> int:
@@ -179,10 +165,6 @@ def _fmt(v) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridloop", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="minute templates -> hourly CSVs")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="bootstrap a micro-grid CSV")
     _add_common(p)

@@ -17,8 +17,6 @@ run_experiment scenario bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -32,6 +30,7 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
+from gridloop.tables import BINARY, FINITE, POSITIVE, TEXT, read_json, read_table, write_json, write_table
 
 __all__ = [
     "DETECTORS",
@@ -57,6 +56,22 @@ ATTACK_KINDS = ("ramp", "sudden", "point")
 _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
 _RAMP_STEP = 5.0
 _SUDDEN_LEVEL = 150.0
+
+_DETECTION_COLUMNS = {"hour": FINITE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
+# what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
+_META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": POSITIVE,
+              "sweep.points": POSITIVE, "sweep.cusum_sigmas": FINITE, "sweep.cusum_k": FINITE}
+
+_NUMBER = (int, float)
+# config field type -> (what its JSON value must be, the check); bools are no numbers
+_CONFIG_JSON = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in _NUMBER),
+    "float | None": ("a number or null", lambda v: v is None or type(v) in _NUMBER),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and {*map(type, v)} <= {*_NUMBER}),
+    "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
+}
 
 
 @dataclass(frozen=True)
@@ -141,22 +156,25 @@ class ExperimentConfig:
         )
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            payload = json.load(fh)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        """Read a config JSON; a missing field takes its default."""
+        payload = read_json(path)
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("kappas", "attacks"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
-        return cls(**payload)
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            kind, fits = _CONFIG_JSON[cls.__dataclass_fields__[key].type]
+            if not fits(value):
+                raise ValueError(f"{path}: {key} {value!r} must be {kind}")
+            if type(value) is list:
+                payload[key] = tuple(value)
+        try:
+            return cls(**payload)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def protocol_schedule(kind: str, cfg: ExperimentConfig) -> AttackSchedule:
@@ -274,24 +292,21 @@ def detect_stage(
     X_test = X_all[cfg.train_hours - cfg.feature_lags :]
     scores = {name: model.predict_score(X_test) for name, model in shared.models.items()}
 
-    hours = trace.hour[cfg.train_hours :]
-    with open(out_dir / "detections.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "detector", "score", "decision", "label"])
-        rows = {
-            "glrt": (glrt_res.scores, glrt_res.decisions),
-            "cusum": (cusum_res.scores, cusum_res.decisions),
-            "cusum_interval": (cusum_res.scores, cusum_res.interval_decisions),
-            "logreg": (scores["logreg"], scores["logreg"] >= 0.5),
-            "gnb": (scores["gnb"], scores["gnb"] >= 0.5),
-            "forest": (scores["forest"], scores["forest"] >= 0.5),
-            "residual": (residuals, np.zeros(len(residuals), dtype=np.int8)),
-        }
-        for name, (svals, dvals) in rows.items():
-            for i, hour in enumerate(hours):
-                writer.writerow(
-                    [int(hour), name, repr(float(svals[i])), int(dvals[i]), int(test_labels[i])]
-                )
+    # one block of rows per detector, then the residual series
+    rows = {
+        "glrt": (glrt_res.scores, glrt_res.decisions),
+        "cusum": (cusum_res.scores, cusum_res.decisions),
+        "cusum_interval": (cusum_res.scores, cusum_res.interval_decisions),
+        **{name: (s, s >= 0.5) for name, s in scores.items()},  # logreg, gnb, forest
+        "residual": (residuals, np.zeros(len(residuals), dtype=np.int8)),
+    }
+    write_table(out_dir / "detections.csv", list(_DETECTION_COLUMNS), [
+        np.tile(trace.hour[cfg.train_hours :], len(rows)),
+        [name for name in rows for _ in test_labels],
+        np.concatenate([svals for svals, _ in rows.values()]),
+        np.concatenate([dvals for _, dvals in rows.values()]).astype(np.int8),
+        np.tile(test_labels, len(rows)),
+    ])
 
     meta = {
         "kappa": kappa,
@@ -308,29 +323,22 @@ def detect_stage(
             "cusum_k": cfg.cusum_k_sigma * sigma,
         },
     }
-    with open(out_dir / "detect_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "detect_meta.json", meta)
 
 
 # ---------------------------------------------------------------------------
 # evaluate stage
 
 def _read_detections(path):
-    table: dict[str, dict[str, list[float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["hour", "detector", "score", "decision", "label"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            rec = table.setdefault(row[1], {"score": [], "label": []})
-            rec["score"].append(float(row[2]))
-            rec["label"].append(int(row[4]))
-    return {
-        name: (np.asarray(rec["score"]), np.asarray(rec["label"], dtype=np.int8))
-        for name, rec in table.items()
-    }
+    """Scores and labels of every detector and of the residual series, in file order."""
+    cols = read_table(path, _DETECTION_COLUMNS)
+    table = {}
+    for name in DETECTORS + ("residual",):
+        rows = cols["detector"] == name
+        if not rows.any():
+            raise ValueError(f"{path}: no rows for detector {name!r}")
+        table[name] = (cols["score"][rows], cols["label"][rows].astype(np.int8))
+    return table
 
 
 def _json_float(x: float):
@@ -365,8 +373,7 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     det_dir = Path(det_dir)
     out_dir = det_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(det_dir / "detect_meta.json") as fh:
-        meta = json.load(fh)
+    meta = read_json(det_dir / "detect_meta.json", _META_KEYS)
     table = _read_detections(det_dir / "detections.csv")
     residuals, labels = table["residual"]
     sigma = float(meta["sigma"])
@@ -411,32 +418,16 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
             }
         )
 
-    with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detector", "threshold", "fpr", "tpr"])
-        for name in DETECTORS:
-            roc = curves[name]
-            for i in range(len(roc.thresholds)):
-                writer.writerow(
-                    [name, repr(float(roc.thresholds[i])), repr(float(roc.fpr[i])), repr(float(roc.tpr[i]))]
-                )
+    write_json(out_dir / "metrics.json", entries)
+    write_table(out_dir / "roc.csv", ["detector", "threshold", "fpr", "tpr"], [
+        [name for name, roc in curves.items() for _ in roc.thresholds],
+        *(np.concatenate([getattr(roc, c) for roc in curves.values()]) for c in ("thresholds", "fpr", "tpr")),
+    ])
     return entries
 
 
 # ---------------------------------------------------------------------------
 # full protocol
-
-def _metric_value(entry: dict, key: str) -> float:
-    v = entry[key]
-    if v is None:
-        return float("nan")
-    if isinstance(v, str):
-        return float("inf") if v == "Infinity" else float("-inf")
-    return float(v)
-
 
 def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries] | None = None) -> dict:
     """Run the whole protocol; returns the summary (also written to disk)."""
@@ -472,11 +463,10 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
             row = {"kappa": kappa, "attack_type": attack, "detector": detector,
                    "replications": len(reps)}
             for key in ("accuracy", "precision", "recall", "fpr", "auc"):
+                # as float, an undefined metric (null) is nan and "Infinity" is inf
                 vals = np.array(
-                    [
-                        _metric_value(next(e for e in rep_entries if e["detector"] == detector), key)
-                        for rep_entries in reps
-                    ]
+                    [next(e for e in rep_entries if e["detector"] == detector)[key] for rep_entries in reps],
+                    dtype=float,
                 )
                 finite = vals[np.isfinite(vals)]
                 row[key] = _json_float(float(np.mean(finite))) if len(finite) else None
@@ -498,22 +488,12 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
             for (kappa, attack), reps in sorted(per_scenario.items())
         ],
     }
-    with open(out_root / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_root / "summary.json", summary)
 
-    metric_cols = []
+    header = ["kappa", "attack_type", "detector", "replications"]
     for key in ("accuracy", "precision", "recall", "fpr", "auc"):
-        metric_cols += [key, f"{key}_std"]
-    with open(out_root / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "attack_type", "detector", "replications"] + metric_cols)
-        for row in table:
-            writer.writerow(
-                [row["kappa"], row["attack_type"], row["detector"], row["replications"]]
-                + [
-                    "nan" if row[c] is None else repr(float(row[c])) if not isinstance(row[c], str) else row[c]
-                    for c in metric_cols
-                ]
-            )
+        header += [key, f"{key}_std"]
+    write_table(out_root / "summary.csv", header, [
+        ["nan" if row[c] is None else row[c] for row in table] for c in header
+    ])
     return summary

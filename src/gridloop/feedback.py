@@ -36,7 +36,6 @@ price stays physical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +43,7 @@ import numpy as np
 
 from gridloop.attack import inject_post_hoc
 from gridloop.loadgen import Microgrid
+from gridloop.tables import BINARY, FINITE, NON_NEGATIVE, POSITIVE, read_table, write_table
 
 __all__ = [
     "GridConfig",
@@ -54,16 +54,14 @@ __all__ = [
     "write_trace",
 ]
 
-TRACE_COLUMNS = [
-    "hour",
-    "price",
-    "base_load",
-    "forecast",
-    "target",
-    "lstar",
-    "observed_load",
-    "attack_truth",
-]
+# each trace column and what it must hold
+_TRACE_DOMAINS = {
+    "hour": FINITE,
+    "price": POSITIVE,
+    **dict.fromkeys(("base_load", "forecast", "target", "lstar", "observed_load"), NON_NEGATIVE),
+    "attack_truth": BINARY,
+}
+TRACE_COLUMNS = list(_TRACE_DOMAINS)
 
 
 def set_price(
@@ -302,68 +300,13 @@ def _out_of_float_range(t: int, eps: float, eps_hat: float) -> ValueError:
 
 
 def write_trace(trace: SimulationTrace, path: str) -> None:
-    """Aggregate trace CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for t in range(len(trace)):
-            writer.writerow(
-                [int(trace.hour[t])]
-                + [
-                    repr(float(col[t]))
-                    for col in (
-                        trace.price,
-                        trace.base_load,
-                        trace.forecast,
-                        trace.target,
-                        trace.lstar,
-                        trace.observed_load,
-                    )
-                ]
-                + [int(trace.attack_truth[t])]
-            )
-
-
-# what each trace column must hold; the others are loads in kWh
-_TRACE_RULES = {
-    "hour": ("finite", np.isfinite),
-    "price": ("finite and positive", lambda v: np.isfinite(v) & (v > 0)),
-    "attack_truth": ("0 or 1", lambda v: (v == 0) | (v == 1)),
-}
-_LOAD_RULE = ("finite and non-negative", lambda v: np.isfinite(v) & (v >= 0))
+    """Aggregate trace CSV, one row per hour."""
+    write_table(path, TRACE_COLUMNS, [getattr(trace, c) for c in TRACE_COLUMNS])
 
 
 def read_trace(path: str) -> SimulationTrace:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(TRACE_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: malformed row")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row") from None
-    # one contiguous array per column
-    cols = np.asarray(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS)).T.copy()
-    rules = [_TRACE_RULES.get(c, _LOAD_RULE) for c in TRACE_COLUMNS]
-    ok = np.stack([check(col) for (_, check), col in zip(rules, cols)])
-    if not ok.all():
-        t, j = np.argwhere(~ok.T)[0]
-        raise ValueError(
-            f"{path}:{t + 2}: {TRACE_COLUMNS[j]} {float(cols[j, t])!r} must be {rules[j][0]}"
-        )
-    col = dict(zip(TRACE_COLUMNS, cols))
-    return SimulationTrace(
-        hour=col["hour"].astype(np.int64),
-        price=col["price"],
-        base_load=col["base_load"],
-        forecast=col["forecast"],
-        target=col["target"],
-        lstar=col["lstar"],
-        observed_load=col["observed_load"],
-        attack_truth=col["attack_truth"].astype(np.int8),
-    )
+    """Read a trace CSV; prices positive, loads non-negative, truth 0 or 1."""
+    col = read_table(path, _TRACE_DOMAINS)
+    col["hour"] = col["hour"].astype(np.int64)
+    col["attack_truth"] = col["attack_truth"].astype(np.int8)
+    return SimulationTrace(**col)

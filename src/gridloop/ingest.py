@@ -21,7 +21,6 @@ __all__ = [
     "load_template",
     "load_template_dir",
     "resample_hourly",
-    "write_hourly",
 ]
 
 MAX_GAP_MINUTES = 5
@@ -147,12 +146,3 @@ def resample_hourly(home: TemplateHome) -> HourlySeries:
         h = int(np.where(counts == 0)[0][0]) + first
         raise ValueError(f"unfillable gap: hour {h} has no readings")
     return HourlySeries(home_id=home.home_id, hours=np.arange(n_hours), kwh=sums / counts)
-
-
-def write_hourly(series: HourlySeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "kwh"])
-        for h, e in zip(series.hours, series.kwh):
-            writer.writerow([int(h), repr(float(e))])
-

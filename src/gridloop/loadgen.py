@@ -10,13 +10,13 @@ never reshuffles the others.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from gridloop.ingest import HourlySeries
 from gridloop.seeds import stream
+from gridloop.tables import FINITE, NON_NEGATIVE, read_table, write_table
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
@@ -87,33 +87,12 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
 
 def write_microgrid(grid: Microgrid, path: str) -> None:
     """CSV with header hour,home_0,...,home_{N-1}; full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour"] + [f"home_{i}" for i in range(grid.n_homes)])
-        for t in range(grid.n_hours):
-            writer.writerow([t] + [repr(float(v)) for v in grid.kwh[t]])
+    header = ["hour"] + [f"home_{i}" for i in range(grid.n_homes)]
+    write_table(path, header, [np.arange(grid.n_hours)] + list(grid.kwh.T))
 
 
 def read_microgrid(path: str) -> Microgrid:
     """Read a micro-grid CSV; every load must be finite and non-negative."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "hour" or len(header) < 2:
-            raise ValueError(f"{path}: expected header hour,home_0,...")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: malformed row")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row") from None
-    kwh = np.asarray(rows, dtype=float)
-    ok = np.isfinite(kwh) & (kwh >= 0)
-    if not ok.all():
-        t, i = np.argwhere(~ok)[0]
-        raise ValueError(
-            f"{path}:{t + 2}: {header[i + 1]} load {float(kwh[t, i])!r} must be finite and non-negative"
-        )
-    return Microgrid(kwh=kwh, template_ids=tuple(header[1:]))
+    cols = read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+    homes = list(cols)[1:]
+    return Microgrid(kwh=np.stack([cols[h] for h in homes], axis=1), template_ids=tuple(homes))

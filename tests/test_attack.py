@@ -15,7 +15,6 @@ from gridloop.attack import (
     make_ramp,
     make_sudden,
     read_schedule,
-    write_schedule,
 )
 from gridloop.feedback import GridConfig, simulate
 
@@ -171,20 +170,25 @@ def test_post_hoc_rejects_price_mode():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the schedule file
 
 def test_schedule_json_round_trip(tmp_path):
-    schedules = [
-        make_ramp((3, 9), step=2.5, victims=(0, 4)),
-        make_sudden((0, 24), level=150.0, mode="price"),
-        make_point({5: 1.0, 9: -2.0}, window=(4, 12)),
+    # the payloads are written out literally: they pin the format read_schedule accepts
+    cases = [
+        ({"mode": "load", "kind": "ramp", "window": [3, 9], "victims": [0, 4],
+          "params": {"step": 2.5}}, make_ramp((3, 9), step=2.5, victims=(0, 4))),
+        ({"mode": "price", "kind": "sudden", "window": [0, 24], "victims": None,
+          "params": {"level": 150.0}}, make_sudden((0, 24), level=150.0, mode="price")),
+        ({"mode": "load", "kind": "point", "window": [4, 12],
+          "params": {"values": {"5": 1.0, "9": -2}}}, make_point({5: 1.0, 9: -2.0}, window=(4, 12))),
     ]
-    for i, s in enumerate(schedules):
+    for i, (payload, want) in enumerate(cases):
         path = tmp_path / f"s{i}.json"
-        write_schedule(s, str(path))
+        path.write_text(json.dumps(payload))
         back = read_schedule(str(path))
-        assert back == s
-        assert back.value_at(5) == s.value_at(5)
+        assert back == want
+        assert back.value_at(5) == want.value_at(5)
+        assert back.value_at(9) == want.value_at(9)
 
 
 def test_schedule_equality():
@@ -199,8 +203,7 @@ def test_schedule_equality():
 @pytest.mark.parametrize("key", ["mode", "kind", "window", "params"])
 def test_read_schedule_names_a_missing_key(tmp_path, key):
     path = tmp_path / "s.json"
-    write_schedule(make_sudden((0, 4), level=1.0), str(path))
-    payload = json.loads(path.read_text())
+    payload = {"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"level": 1.0}}
     del payload[key]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):

@@ -6,6 +6,7 @@ run_experiment scenario writes, byte for byte."""
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -71,14 +72,6 @@ def test_run_experiment_command(cfg_json, tiny_run, tmp_path, capsys):
     assert lines[0] == f"wrote {out}/summary.json and {out}/summary.csv"
     # one table line per detector
     assert sum("detector" not in ln and "kappa=" in ln for ln in lines) == 6
-
-
-def test_ingest_command(cfg_json, tmp_path, capsys):
-    out = tmp_path / "hourly"
-    assert run("ingest", "--config", cfg_json, "--out", out) == 0
-    files = sorted(out.glob("*.csv"))
-    assert [f.name for f in files] == ["synth_0.csv", "synth_1.csv", "synth_2.csv"]
-    assert capsys.readouterr().out.startswith(f"wrote 3 hourly series to {out}")
 
 
 def test_seed_flag_beats_env(cfg_json, tmp_path, monkeypatch):
@@ -173,3 +166,109 @@ def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"gridloop: error: {schedule}: missing key 'params'\n"
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2, the file named, no traceback
+
+
+def _assert_names_file(capsys, path, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridloop: error: {path}"), err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+def _first(rows, detector, col, value):
+    row = next(r for r in rows if r[1] == detector)
+    row[col] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda rows: [rows[0][:4]] + rows[1:], ":2: malformed row: 4 cells, expected 5"),
+        (lambda rows: [r for r in rows if r[1] != "residual"], ": no rows for detector 'residual'"),
+        (lambda rows: [r for r in rows if r[1] != "forest"], ": no rows for detector 'forest'"),
+        (lambda rows: _first(rows, "residual", 2, "nan"), "score nan must be finite"),
+        (lambda rows: _first(rows, "gnb", 4, "2"), "label 2.0 must be 0 or 1"),
+        (lambda rows: _first(rows, "glrt", 3, "2"), "decision 2.0 must be 0 or 1"),
+    ],
+    ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2"],
+)
+def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment):
+    sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    shutil.copy(sdir / "detect_meta.json", tmp_path / "detect_meta.json")
+    header, *lines = (sdir / "detections.csv").read_text().splitlines()
+    rows = edit([ln.split(",") for ln in lines])
+    path = tmp_path / "detections.csv"
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    assert run("evaluate", "--detections", tmp_path) == 2
+    _assert_names_file(capsys, path, fragment)
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda meta: meta.pop("sweep"), ": missing key 'sweep'"),
+        (lambda meta: meta.update(sigma="x"), ": sigma 'x' must be a number, finite and positive"),
+    ],
+    ids=["no-sweep", "sigma-x"],
+)
+def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
+    sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    shutil.copy(sdir / "detections.csv", tmp_path / "detections.csv")
+    meta = json.loads((sdir / "detect_meta.json").read_text())
+    edit(meta)
+    path = tmp_path / "detect_meta.json"
+    path.write_text(json.dumps(meta))
+    assert run("evaluate", "--detections", tmp_path) == 2
+    _assert_names_file(capsys, path, fragment)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[1, 2]", ": expected a JSON object"),
+        ('{"kappas": 0.5}', ": kappas 0.5 must be a list of numbers"),
+        ('{"n_homes": "a"}', ": n_homes 'a' must be an integer"),
+        ('{"seed": 1.5}', ": seed 1.5 must be an integer"),
+        ('{"attacks": ["sudden", 3]}', ": attacks ['sudden', 3] must be a list of strings"),
+        ('{"kappas": [0.5, 2]}', ": kappa must lie in [0, 1]"),
+        ("{", ":1: Expecting property name"),
+    ],
+    ids=["list", "kappas-number", "n_homes-string", "seed-float", "attacks-mixed", "kappa-range",
+         "truncated"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, text, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run("synth", "--config", path, "--out", tmp_path / "g.csv") == 2
+    _assert_names_file(capsys, path, fragment)
+
+
+_SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"level": 1.0}}'
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (_SUDDEN.replace("[0, 4]", "5"), ": window 5 must be a list [start, end] of hours"),
+        (_SUDDEN.replace("}}", '}, "victims": 3}'), ": victims 3 must be null or a list"),
+        (_SUDDEN.replace("1.0", '"x"'), ": sudden needs a finite 'level' parameter"),
+        ('{"mode": "load", "kind": "point", "window": [0, 4], "params": {"values": [1, 2]}}',
+         ": point needs a non-empty 'values' map"),
+        ("{", ":1: Expecting property name"),
+    ],
+    ids=["window-number", "victims-number", "level-string", "point-values-list", "truncated"],
+)
+def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
+    grid = tmp_path / "grid.csv"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
+               "--schedule", path, "--out", tmp_path / "t.csv") == 2
+    _assert_names_file(capsys, path, fragment)

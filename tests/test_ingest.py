@@ -9,7 +9,6 @@ from gridloop.ingest import (
     load_template,
     load_template_dir,
     resample_hourly,
-    write_hourly,
 )
 from gridloop.synth import synthetic_hourly_templates, synthetic_templates
 
@@ -134,15 +133,6 @@ def test_template_dir_sorted(tmp_path):
 def test_empty_dir_rejected(tmp_path):
     with pytest.raises(ValueError, match="no template CSVs"):
         load_template_dir(str(tmp_path))
-
-
-def test_hourly_round_trip(tmp_path):
-    kwh = [1.0, 0.25, np.pi, 2.5, 0.1]
-    path = tmp_path / "h.csv"
-    write_hourly(HourlySeries("h", np.arange(5), np.array(kwh)), str(path))
-    lines = path.read_text().splitlines()
-    assert lines == ["hour,kwh"] + [f"{h},{e!r}" for h, e in enumerate(kwh)]
-    assert [float(ln.split(",")[1]) for ln in lines[1:]] == kwh  # repr round-trips exactly
 
 
 def test_hourly_contiguity_enforced():

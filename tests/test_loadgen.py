@@ -105,9 +105,9 @@ def test_csv_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "rows, where",
     [
-        (["0,1.0,nan", "1,-2.0,1.0"], ":2: home_1 load nan"),
-        (["0,1.0,0.5", "1,-2.0,1.0"], ":3: home_0 load -2.0"),
-        (["0,1.0,0.5", "1,1.0,inf"], ":3: home_1 load inf"),
+        (["0,1.0,nan", "1,-2.0,1.0"], ":2: home_1 nan"),
+        (["0,1.0,0.5", "1,-2.0,1.0"], ":3: home_0 -2.0"),
+        (["0,1.0,0.5", "1,1.0,inf"], ":3: home_1 inf"),
         (["0,1.0,0.5", "1,1.0,x"], ":3: malformed row"),
     ],
 )

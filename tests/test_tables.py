@@ -1,0 +1,174 @@
+"""The on-disk formats: exact bytes of the writers, exact floats back from
+the reader, and the one error shape every reader raises."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from gridloop.feedback import SimulationTrace, write_trace
+from gridloop.loadgen import Microgrid, write_microgrid
+from gridloop.tables import (
+    BINARY,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    TEXT,
+    read_json,
+    read_table,
+    write_json,
+    write_table,
+)
+
+# ---------------------------------------------------------------------------
+# golden bytes: a drift in the format fails here, not only between two runs
+
+
+def test_trace_bytes(tmp_path):
+    trace = SimulationTrace(
+        hour=np.arange(2),
+        price=np.array([0.1, 1 / 3]),
+        base_load=np.array([1e-300, 2.0]),
+        forecast=np.array([250.0, 0.30000000000000004]),
+        target=np.array([200.0, 200.0]),
+        lstar=np.array([200.0, 12.5]),
+        observed_load=np.array([0.0, 1e22]),
+        attack_truth=np.array([0, 1], dtype=np.int8),
+    )
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    assert path.read_bytes() == (
+        b"hour,price,base_load,forecast,target,lstar,observed_load,attack_truth\r\n"
+        b"0,0.1,1e-300,250.0,200.0,200.0,0.0,0\r\n"
+        b"1,0.3333333333333333,2.0,0.30000000000000004,200.0,12.5,1e+22,1\r\n"
+    )
+
+
+def test_microgrid_bytes(tmp_path):
+    grid = Microgrid(kwh=np.array([[0.1, 1 / 3], [1e-300, 2.0]]), template_ids=("a", "b"))
+    path = tmp_path / "grid.csv"
+    write_microgrid(grid, path)
+    assert path.read_bytes() == (
+        b"hour,home_0,home_1\r\n"
+        b"0,0.1,0.3333333333333333\r\n"
+        b"1,1e-300,2.0\r\n"
+    )
+
+
+def test_json_bytes(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"b": [1, 0.1], "a": {"d": None, "c": "s"}})
+    assert path.read_text() == (
+        '{\n  "a": {\n    "c": "s",\n    "d": null\n  },\n  "b": [\n    1,\n    0.1\n  ]\n}\n'
+    )
+
+
+def test_floats_round_trip_bit_for_bit(tmp_path):
+    # 40k rows: the writer and the reader each handle several blocks of rows
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000),
+        [0.1, 1 / 3, 1e-300, 5e-324, -0.0, np.finfo(float).max, np.finfo(float).tiny],
+    ])
+    path = tmp_path / "t.csv"
+    write_table(path, ["i", "name", "x"], [np.arange(len(values)), ["a,b"] * len(values), values])
+    cols = read_table(path, {"i": FINITE, "name": TEXT, "x": FINITE})
+    assert cols["x"].view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert cols["i"].tolist() == list(range(len(values)))
+    assert set(cols["name"]) == {"a,b"}  # a comma inside a cell is quoted
+
+
+# ---------------------------------------------------------------------------
+# reader checks
+
+_DOMAINS = {"hour": FINITE, "load": NON_NEGATIVE, "price": POSITIVE, "flag": BINARY, "who": TEXT}
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("", ":1: unexpected header ; expected hour,load,price,flag,who"),
+        ("hour,load,price,flag\n", ":1: unexpected header hour,load,price,flag;"),
+        ("hour,load,price,flag,who,extra\n", ":1: unexpected header"),
+        ("hour,load,price,flag,who\n0,1,1,0,a\n1,1,1\n", ":3: malformed row: 3 cells, expected 5"),
+        ("hour,load,price,flag,who\n0,1,1,0,a\n1,1,x,0,b\n", ":3: malformed row: price 'x' is not a number"),
+        ("hour,load,price,flag,who\n0,-1,1,0,a\n", ":2: load -1.0 must be finite and non-negative"),
+        ("hour,load,price,flag,who\n0,1,0,0,a\n", ":2: price 0.0 must be finite and positive"),
+        ("hour,load,price,flag,who\n0,1,1,0.5,a\n", ":2: flag 0.5 must be 0 or 1"),
+        ("hour,load,price,flag,who\n0,1,1,0,a\nnan,1,1,0,b\n", ":3: hour nan must be finite"),
+    ],
+)
+def test_read_table_names_path_and_line(tmp_path, text, where):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        read_table(path, _DOMAINS)
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ("0,1", ":25002: malformed row: 2 cells, expected 3"),
+        ("0,1,x", ":25002: malformed row: b 'x' is not a number"),
+        ("0,1,-1", ":25002: b -1.0 must be finite and non-negative"),
+    ],
+)
+def test_line_numbers_hold_across_blocks(tmp_path, row, where):
+    rows = ["0,1,1"] * 30_000
+    rows[25_000] = row
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(["hour,a,b"] + rows) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+
+
+def test_read_table_more_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("hour,a,b\n0,1.5,2\n1,0,3\n")
+    cols = read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+    assert list(cols) == ["hour", "a", "b"]
+    assert cols["b"].tolist() == [2.0, 3.0]
+    for header in ("hour\n", "hour,a,a\n"):
+        path.write_text(header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: unexpected header")):
+            read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+
+
+def test_read_table_empty_body(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("hour,who\n")
+    cols = read_table(path, {"hour": FINITE, "who": TEXT})
+    assert len(cols["hour"]) == len(cols["who"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("{", ":1: Expecting property name"),
+        ("{}\n\n]", ":3: Extra data"),
+        ("[1, 2]", ": expected a JSON object"),
+        ('{"a": 1}', ": missing key 'b'"),
+        ('{"a": 1, "b": 2}', ": missing key 'b.c'"),
+        ('{"a": 1, "b": {"c": "x"}}', ": b.c 'x' must be a number, finite and positive"),
+        ('{"a": 1, "b": {"c": true}}', ": b.c True must be a number, finite and positive"),
+        ('{"a": 1, "b": {"c": NaN}}', ": b.c nan must be a number, finite and positive"),
+        ('{"a": 1, "b": {"c": -1}}', ": b.c -1 must be a number, finite and positive"),
+        ('{"a": 1, "b": {"c": 1e400}}', ": b.c inf must be a number, finite and positive"),
+        ('{"a": 1, "b": {"c": 1%s}}' % ("0" * 400), ": b.c 1000"),
+    ],
+    ids=["truncated", "extra-data", "list", "missing", "missing-nested", "string", "bool", "nan",
+         "negative", "overflowing-float", "overflowing-int"],
+)
+def test_read_json_names_path_and_key(tmp_path, text, where):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        read_json(path, {"a": None, "b.c": POSITIVE})
+
+
+def test_read_json_returns_the_object(tmp_path):
+    path = tmp_path / "x.json"
+    payload = {"a": [1, 2], "b": {"c": 0.5}}
+    path.write_text(json.dumps(payload))
+    assert read_json(path, {"a": None, "b.c": POSITIVE}) == payload
