@@ -25,9 +25,12 @@ __all__ = [
 ]
 
 _MAX_BINS = 256
-# (node, candidate, bin) cells scored per histogram pass of the forest fit;
-# keeps a tree level's temporaries near 1 MB however many nodes are open
+# (node, candidate, bin) cells per histogram and (row, candidate) keys per
+# bincount in the forest fit; keeps a level's temporaries near 1 MB however
+# many nodes are open
 _BLOCK_CELLS = 1 << 13
+# bootstrap rows grown in lockstep: a fit grows max(1, _BATCH_ROWS // n) trees at once
+_BATCH_ROWS = 1 << 15
 
 
 def _validate_xy(X, y):
@@ -193,13 +196,21 @@ class RandomForest:
     Features with more than 256 distinct values are binned to 256
     quantile-spaced cut points (still actual observed values).
 
-    Trees grow level by level. Each level counts the rows of all open
-    nodes in one histogram over (node, candidate, bin, class); cumulative
-    sums over the bins then score every cut of every candidate at once.
-    Levels with many open nodes are counted in blocks of nodes, which keeps
-    a level's temporaries near 1 MB. Candidates are sorted ascending, so
-    the first minimum of a node's flattened (candidate, cut) scores follows
-    the tie rule above.
+    Trees grow level by level, max(1, 32768 // n_rows) of them in
+    lockstep: the batch is one super-tree whose first level holds every
+    tree's root and whose rows are the trees' bootstrap samples. Each tree
+    draws from its own seed stream (its bootstrap, then its open nodes'
+    candidates in level and slot order), so a tree does not depend on the
+    batch it grew in, and ``n_trees=k`` gives the first k trees of any
+    larger forest with the same seed. Each level counts the rows of the
+    batch's open nodes in a histogram over (node, candidate, bin, class);
+    cumulative sums over the bins then give every cut of every candidate,
+    and the Gini score is computed at occupied bins only. A level is
+    counted in blocks of at most 8192 (node, candidate, bin) cells and 8192
+    (row, candidate) keys, so its temporaries stay near 1 MB however many
+    nodes are open. Candidates are sorted ascending, so the first minimum
+    of a node's flattened (candidate, cut) scores follows the tie rule
+    above.
     """
 
     def __init__(self, n_trees: int = 100, mtry: int | None = None, seed: int = 0):
@@ -234,12 +245,13 @@ class RandomForest:
             bins[:, f] = np.searchsorted(uniq, X[:, f], side="left")
         # each feature's largest value is its last cut, so this is the widest row
         cut_table = cut_table[:, : int(bins.max()) + 1]
+        del X  # the trees see only the bins
 
         self.trees = []
-        for t in range(self.n_trees):
-            rng = stream(self.seed, "tree", t)
-            boot = rng.integers(0, n, size=n)
-            self.trees.append(_grow_tree(bins[boot], y[boot], cut_table, mtry, rng))
+        batch = max(1, _BATCH_ROWS // n)
+        for lo in range(0, self.n_trees, batch):
+            rngs = [stream(self.seed, "tree", t) for t in range(lo, min(lo + batch, self.n_trees))]
+            self.trees += _grow_trees(bins, y, cut_table, mtry, rngs)
         return self
 
     def predict_score(self, X):
@@ -264,27 +276,27 @@ class RandomForest:
         return vote[node].reshape(len(X), n_trees).sum(axis=1) / self.n_trees
 
 
-def _grow_tree(bins, y, cut_table, mtry, rng):
-    """Level-wise CART on pre-binned features; returns flat node arrays.
+def _grow_trees(bins, y, cut_table, mtry, rngs):
+    """Grow one tree per generator in lockstep; returns per-tree flat node arrays.
 
-    The nodes of one level are numbered consecutively, so a row's slot is
-    its node minus the level's first node, and the children of the level's
-    i-th split are the next level's slots 2i and 2i + 1.
+    The batch is one super-tree: level 0 holds every tree's root and the
+    rows are the trees' bootstrap samples, concatenated. Each generator
+    draws its tree's bootstrap, then the candidates of the tree's open
+    nodes in ascending slot order, level by level, as if the tree grew
+    alone. A level's slots are ordered by tree, then slot; the children of
+    the level's i-th split are the next level's slots 2i and 2i + 1, so
+    each tree's nodes, taken level by level, get their numbers in its own
+    order.
     """
     n, d = bins.shape
     n_bins = cut_table.shape[1]
-    size = 2 * n - 1  # every leaf holds at least one row
-    feature = np.zeros(size, dtype=np.int32)
-    threshold = np.full(size, np.inf)
-    left = np.arange(size, dtype=np.int32)
-    right = np.arange(size, dtype=np.int32)
-    vote = np.full(size, -1, dtype=np.int8)
-
-    rows = np.arange(n)
-    slot = np.zeros(n, dtype=np.int64)
-    first, n_nodes = 0, 1
+    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    slot = np.repeat(np.arange(len(rngs)), n)
+    tree = np.arange(len(rngs))  # tree of each slot of the level
+    levels = []
+    n_nodes = len(tree)  # nodes of all levels so far, the current one included
     while len(rows):
-        n_slots = n_nodes - first
+        n_slots = len(tree)
         per_class = np.bincount(slot * 2 + y[rows], minlength=2 * n_slots).reshape(n_slots, 2)
         counts = per_class.sum(axis=1)
         ones = per_class[:, 1]
@@ -292,83 +304,103 @@ def _grow_tree(bins, y, cut_table, mtry, rng):
         opened = np.flatnonzero(is_open)
         k = len(opened)
         cand = np.empty((k, mtry), dtype=np.int64)
-        for i in range(k):
-            cand[i] = rng.choice(d, size=mtry, replace=False)
+        for i, t in enumerate(tree[opened]):
+            cand[i] = rngs[t].choice(d, size=mtry, replace=False)
         cand.sort(axis=1)
 
-        # score the open slots a block at a time
-        rank = np.cumsum(is_open) - 1
-        in_open = is_open[slot]
-        open_rows = rows[in_open]
-        open_rank = rank[slot[in_open]]
+        # score the open slots a block at a time; rows of closed slots rank -1
+        rank = np.where(is_open, np.cumsum(is_open) - 1, -1)[slot]
         best = np.empty(k, dtype=np.int64)
         step = max(1, _BLOCK_CELLS // (mtry * n_bins))
         for lo in range(0, k, step):
             hi = min(lo + step, k)
-            in_block = (open_rank >= lo) & (open_rank < hi)
+            in_block = (rank >= lo) & (rank < hi)
             best[lo:hi] = _best_cuts(
-                bins, y, open_rows[in_block], open_rank[in_block] - lo, cand[lo:hi], n_bins
+                bins, y, rows[in_block], rank[in_block] - lo, cand[lo:hi], n_bins
             )
         found = best >= 0
 
         # open slots without a separating cut become leaves too
-        is_split = np.zeros(n_slots, dtype=bool)
-        is_split[opened[found]] = True
-        leaf = np.flatnonzero(~is_split)
-        vote[first + leaf] = 2 * ones[leaf] > counts[leaf]  # tie -> 0
         split = opened[found]
-        best = best[found]
-        split_feat = cand[found, best // (n_bins - 1)]
-        split_bin = best % (n_bins - 1)
-        nid = first + split
-        children = n_nodes + 2 * np.arange(len(split))
-        feature[nid] = split_feat
-        threshold[nid] = cut_table[split_feat, split_bin]
-        left[nid] = children
-        right[nid] = children + 1
+        is_split = np.zeros(n_slots, dtype=bool)
+        is_split[split] = True
+        split_cand, split_bin = np.divmod(best[found], n_bins)
+        split_feat = cand[found, split_cand]
+        feature = np.zeros(n_slots, dtype=np.int32)
+        feature[split] = split_feat
+        threshold = np.full(n_slots, np.inf)
+        threshold[split] = cut_table[split_feat, split_bin]
+        # a leaf's children are itself; a split's are the next level's 2i, 2i + 1
+        left = n_nodes - n_slots + np.arange(n_slots)
+        left[split] = n_nodes + 2 * np.arange(len(split))
+        vote = np.where(is_split, -1, 2 * ones > counts).astype(np.int8)  # tie -> 0
+        levels.append((tree, feature, threshold, left, left + is_split, vote))
 
         # route the rows of split slots to their children, the next level's slots
         moving = is_split[slot]
         rows = rows[moving]
         j = (np.cumsum(is_split) - 1)[slot[moving]]
         slot = 2 * j + (bins[rows, split_feat[j]] > split_bin[j])
-        first, n_nodes = n_nodes, n_nodes + 2 * len(split)
+        tree = np.repeat(tree[split], 2)
+        n_nodes += len(tree)
 
-    return {
-        "feature": feature[:n_nodes].copy(),
-        "threshold": threshold[:n_nodes].copy(),
-        "left": left[:n_nodes].copy(),
-        "right": right[:n_nodes].copy(),
-        "vote": vote[:n_nodes].copy(),
-    }
+    # renumber each tree's nodes from 0, in level order, and cut the batch apart
+    tree, feature, threshold, left, right, vote = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=len(rngs))
+    local = np.empty(n_nodes, dtype=np.int32)
+    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = {"feature": feature, "threshold": threshold, "left": local[left],
+            "right": local[right], "vote": vote}
+    ends = np.cumsum(sizes)[:-1]
+    split_cols = {key: np.split(col[order], ends) for key, col in cols.items()}
+    return [{key: split_cols[key][t] for key in cols} for t in range(len(rngs))]
 
 
 def _best_cuts(bins, y, rows, slot, cand, n_bins):
-    """Flat (candidate, cut) index of each slot's best Gini split, -1 if none.
+    """Flat (candidate, bin) index of each slot's best Gini split, -1 if none.
 
-    One histogram over (slot, candidate, bin, class) and its cumulative sums
-    over the bins score every cut of every candidate at once. argmin takes
-    the first minimum, so with ascending candidates ties go to the lowest
-    feature index, then the lowest cut.
+    One histogram over (slot, candidate, bin, class), counted a few
+    thousand keys at a time, and its cumulative sums over the bins give
+    every cut. Only cuts at occupied bins below a candidate's last occupied
+    bin are scored: a cut at an empty bin repeats the previous cut, and one
+    at or past the last leaves the right side empty. The first minimum in
+    (slot, candidate, bin) order wins, so with ascending candidates ties go
+    to the lowest feature index, then the lowest cut.
     """
     k, mtry = cand.shape
-    key = (slot[:, None] * mtry + np.arange(mtry)) * n_bins + bins[rows[:, None], cand[slot]]
-    hist = np.bincount((key * 2 + y[rows][:, None]).ravel(), minlength=k * mtry * n_bins * 2)
-    cum = np.cumsum(hist.reshape(k, mtry, n_bins, 2), axis=2)
-    total = cum[:, :, -1:, :]
-    l0 = cum[:, :, :-1, 0]
-    l1 = cum[:, :, :-1, 1]
+    d = bins.shape[1]
+    cells = np.int64(k * mtry * n_bins)  # a numpy int, so cells * y (int8) is int64
+    hist = np.zeros(2 * cells, dtype=np.int64)
+    # keys are (candidate, row): rows run along the long axis
+    offset = (np.arange(mtry) * n_bins)[:, None]
+    chunk = max(1, _BLOCK_CELLS // mtry)
+    for lo in range(0, len(rows), chunk):
+        r, s = rows[lo : lo + chunk], slot[lo : lo + chunk]
+        at = cand.T.take(s, axis=1) + r * d  # flat index of each candidate's bin in `bins`
+        key = bins.take(at) + (s * (mtry * n_bins) + cells * y[r]) + offset
+        hist += np.bincount(key.ravel(), minlength=2 * cells)
+    # class-major: hist[c, slot * mtry + candidate, bin]
+    hist = hist.reshape(2, k * mtry, n_bins)
+    occupied = hist.any(axis=0)
+    cum = np.cumsum(hist, axis=2, out=hist)
+    n_left = cum[0] + cum[1]
+    cut = np.flatnonzero(occupied & (n_left < n_left[:, -1:]))
+    pair = cut // n_bins  # slot * mtry + candidate
+    l0 = cum[0].ravel()[cut]
+    l1 = cum[1].ravel()[cut]
     nl = l0 + l1
-    r0 = total[..., 0] - l0
-    r1 = total[..., 1] - l1
+    r0 = cum[0, :, -1][pair] - l0
+    r1 = cum[1, :, -1][pair] - l1
     nr = r0 + r1
-    valid = (nl > 0) & (nr > 0)
-    nl_safe = np.where(nl > 0, nl, 1)
-    nr_safe = np.where(nr > 0, nr, 1)
-    gini_l = 1.0 - (l0**2 + l1**2) / (nl_safe**2)
-    gini_r = 1.0 - (r0**2 + r1**2) / (nr_safe**2)
-    score = (nl * gini_l + nr * gini_r) / (nl + nr).clip(min=1)
-    score = np.where(valid, score, np.inf).reshape(k, mtry * (n_bins - 1))
-    best = np.argmin(score, axis=1)
-    return np.where(score[np.arange(k), best] < np.inf, best, -1)
+    gini_l = 1.0 - (l0**2 + l1**2) / (nl**2)
+    gini_r = 1.0 - (r0**2 + r1**2) / (nr**2)
+    score = (nl * gini_l + nr * gini_r) / (nl + nr)
 
+    # the first minimum of each slot's (candidate, bin) scores; unscored cuts are inf
+    dense = np.full(cells, np.inf)
+    dense[cut] = score
+    dense = dense.reshape(k, mtry * n_bins)
+    best = dense.argmin(axis=1)
+    best[dense[np.arange(k), best] == np.inf] = -1
+    return best

@@ -100,9 +100,7 @@ def glrt_sweep(x, sigma: float, window: int = 24, n_points: int = 101):
     n_eff = np.minimum(np.arange(len(x)) + 1, window)
     scale = np.sqrt(sigma**2 / n_eff)
     p_fas = np.linspace(0.0, 1.0, n_points)
-    decisions = np.empty((n_points, len(x)), dtype=np.int8)
-    for i, p in enumerate(p_fas):
-        decisions[i] = scores > scale * norm_isf(p)
+    decisions = (scores > scale * norm_isf(p_fas)[:, None]).astype(np.int8)
     return p_fas, decisions
 
 
@@ -189,11 +187,26 @@ def cusum_sweep(
     x = np.asarray(x, dtype=float)
     drift = 0.5 * sigma if k is None else k
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
-    decisions = np.empty((n_points, len(x)), dtype=np.int8)
-    for i, h in enumerate(hs):
-        _, alarms, intervals, _ = _cusum(x, drift, h)
-        decisions[i] = intervals if interval else alarms
-    return hs, decisions
+    n = len(x)
+    # the _cusum recursion for every threshold at once
+    g = np.zeros(n_points)
+    last_zero = np.full(n_points, -1)
+    alarms = np.zeros((n_points, n), dtype=np.int8)
+    # +1 where an alarm's interval starts, -1 just after it ends; intervals never overlap
+    marks = np.zeros((n_points, n + 1), dtype=np.int64)
+    for t in range(n):
+        g = np.maximum(0.0, g + x[t] - drift)
+        zero = g == 0.0
+        fire = ~zero & (g > hs)
+        alarms[:, t] = fire
+        i = np.flatnonzero(fire)
+        marks[i, last_zero[i] + 1] += 1
+        marks[i, t + 1] -= 1
+        g[i] = 0.0
+        last_zero[zero | fire] = t
+    if interval:
+        return hs, (np.cumsum(marks[:, :n], axis=1) > 0).astype(np.int8)
+    return hs, alarms
 
 
 # ---------------------------------------------------------------------------

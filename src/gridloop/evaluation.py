@@ -114,13 +114,6 @@ def auc_trapezoid(fpr, tpr) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def _rates(decisions, labels) -> tuple[float, float]:
-    c = confusion(labels, decisions)
-    fpr = c.fp / (c.fp + c.tn)
-    tpr = c.tp / (c.tp + c.fn)
-    return fpr, tpr
-
-
 def _check_labels(labels) -> np.ndarray:
     labels = np.asarray(labels).astype(bool)
     if labels.all() or not labels.any():
@@ -158,16 +151,17 @@ def roc_from_sweep(thresholds, decision_rows, labels) -> RocCurve:
     decision_rows = np.asarray(decision_rows)
     if decision_rows.shape != (len(thresholds), len(labels)):
         raise ValueError("decision matrix must be (n_thresholds x n_samples)")
-    pts = [(*_rates(row, labels), th) for th, row in zip(thresholds, decision_rows)]
-    if not any(f == 0.0 and t == 0.0 for f, t, _ in pts):
-        pts.append((0.0, 0.0, np.inf))
-    if not any(f == 1.0 and t == 1.0 for f, t, _ in pts):
-        pts.append((1.0, 1.0, -np.inf))
-    pts.sort(key=lambda p: (p[0], p[1]))
-    fpr = np.array([p[0] for p in pts])
-    tpr = np.array([p[1] for p in pts])
-    ths = np.array([p[2] for p in pts])
-    return RocCurve(thresholds=ths, fpr=fpr, tpr=tpr, auc=auc_trapezoid(fpr, tpr))
+    decisions = decision_rows.astype(bool)
+    tpr = np.count_nonzero(decisions & labels, axis=1) / np.count_nonzero(labels)
+    fpr = np.count_nonzero(decisions & ~labels, axis=1) / np.count_nonzero(~labels)
+    if not np.any((fpr == 0.0) & (tpr == 0.0)):
+        thresholds, fpr, tpr = np.append(thresholds, np.inf), np.append(fpr, 0.0), np.append(tpr, 0.0)
+    if not np.any((fpr == 1.0) & (tpr == 1.0)):
+        thresholds, fpr, tpr = np.append(thresholds, -np.inf), np.append(fpr, 1.0), np.append(tpr, 1.0)
+    # stable, so points tied on (fpr, tpr) keep the grid order, corners last
+    order = np.lexsort((tpr, fpr))
+    fpr, tpr = fpr[order], tpr[order]
+    return RocCurve(thresholds=thresholds[order], fpr=fpr, tpr=tpr, auc=auc_trapezoid(fpr, tpr))
 
 
 def best_operating_index(roc: RocCurve) -> int:

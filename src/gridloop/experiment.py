@@ -30,7 +30,8 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
-from gridloop.tables import BINARY, FINITE, POSITIVE, TEXT, read_json, read_table, write_json, write_table
+from gridloop.tables import (BINARY, COUNT, FINITE, POSITIVE, TEXT, read_json, read_table, write_json,
+                             write_table)
 
 __all__ = [
     "DETECTORS",
@@ -59,8 +60,8 @@ _SUDDEN_LEVEL = 150.0
 
 _DETECTION_COLUMNS = {"hour": FINITE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
-_META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": POSITIVE,
-              "sweep.points": POSITIVE, "sweep.cusum_sigmas": FINITE, "sweep.cusum_k": FINITE}
+_META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
+              "sweep.points": COUNT, "sweep.cusum_sigmas": FINITE, "sweep.cusum_k": FINITE}
 
 _NUMBER = (int, float)
 # config field type -> (what its JSON value must be, the check); bools are no numbers
@@ -122,6 +123,13 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.sweep_points < 2:
             raise ValueError("sweep_points must be >= 2")
+        for name in ("forest_trees", "glrt_window", "feature_lags", "template_homes", "template_days"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.glrt_p_fa < 1.0:
+            raise ValueError("glrt_p_fa must lie strictly inside (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         labels = [_kappa_dir(k) for k in self.kappas]
         if len(set(labels)) != len(labels):
             raise ValueError(
@@ -337,7 +345,10 @@ def _read_detections(path):
         rows = cols["detector"] == name
         if not rows.any():
             raise ValueError(f"{path}: no rows for detector {name!r}")
-        table[name] = (cols["score"][rows], cols["label"][rows].astype(np.int8))
+        labels = cols["label"][rows].astype(np.int8)
+        if labels.min() == labels.max():
+            raise ValueError(f"{path}: labels of detector {name!r} hold one class; a ROC curve needs both")
+        table[name] = (cols["score"][rows], labels)
     return table
 
 

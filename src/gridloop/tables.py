@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-__all__ = ["BINARY", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT",
+__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT",
            "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
@@ -23,6 +23,7 @@ FINITE = "finite"
 NON_NEGATIVE = "finite and non-negative"
 POSITIVE = "finite and positive"
 BINARY = "0 or 1"
+COUNT = "a whole number >= 1"
 TEXT = "text"
 
 _CHECKS = {
@@ -30,6 +31,7 @@ _CHECKS = {
     NON_NEGATIVE: lambda v: np.isfinite(v) & (v >= 0),
     POSITIVE: lambda v: np.isfinite(v) & (v > 0),
     BINARY: lambda v: (v == 0) | (v == 1),
+    COUNT: lambda v: np.isfinite(v) & (v >= 1) & (v == np.floor(v)),
 }
 # rows are handled in blocks of about this many cells, so a wide table is
 # never held whole as text or as Python floats

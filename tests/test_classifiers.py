@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gridloop.classifiers import (
+    _BATCH_ROWS,
     GaussianNaiveBayes,
     LogisticRegression,
     RandomForest,
@@ -274,3 +276,42 @@ def _forest_digests(case):
 def test_forest_golden_trees_and_scores(name):
     case, tree_digest, score_digest = GOLDEN_FORESTS[name]
     assert _forest_digests(case) == (tree_digest, score_digest)
+
+
+# ---------------------------------------------------------------------------
+# lockstep growth: a tree does not depend on the batch it grew in
+
+
+def _assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for ta, tb in zip(a, b):
+        for key in ("feature", "threshold", "left", "right", "vote"):
+            assert ta[key].dtype == tb[key].dtype, key
+            assert np.array_equal(ta[key], tb[key]), key
+
+
+def test_forest_first_trees_do_not_depend_on_the_batch():
+    X, y = _blobs(n=1500, seed=44, gap=1.5, sd=1.5, d=4)
+    batch = _BATCH_ROWS // len(y)
+    assert batch > 2
+    full = RandomForest(n_trees=batch + 3, seed=45).fit(X, y)
+    for k in (1, batch - 1, batch, batch + 1):
+        _assert_same_trees(RandomForest(n_trees=k, seed=45).fit(X, y).trees, full.trees[:k])
+
+
+def test_forest_fit_memory_stays_in_budget():
+    # noisy labels grow deep, bushy trees: many open nodes per level
+    rng = np.random.default_rng(46)
+    X = rng.normal(size=(5000, 24))
+    y = rng.integers(0, 2, size=5000)
+    n_trees = _BATCH_ROWS // len(y) + 1  # two batches
+    # the first fit in a process fills numpy's lazy caches; keep them out of the count
+    RandomForest(n_trees=2, seed=47).fit(X[:200], y[:200])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        RandomForest(n_trees=n_trees, seed=47).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

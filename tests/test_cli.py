@@ -194,8 +194,10 @@ def _first(rows, detector, col, value):
         (lambda rows: _first(rows, "residual", 2, "nan"), "score nan must be finite"),
         (lambda rows: _first(rows, "gnb", 4, "2"), "label 2.0 must be 0 or 1"),
         (lambda rows: _first(rows, "glrt", 3, "2"), "decision 2.0 must be 0 or 1"),
+        (lambda rows: [r[:4] + ["1"] for r in rows], ": labels of detector 'glrt' hold one class"),
     ],
-    ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2"],
+    ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2",
+         "one-class"],
 )
 def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
@@ -213,8 +215,11 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
     [
         (lambda meta: meta.pop("sweep"), ": missing key 'sweep'"),
         (lambda meta: meta.update(sigma="x"), ": sigma 'x' must be a number, finite and positive"),
+        (lambda meta: meta["glrt"].update(window=0.5), ": glrt.window 0.5 must be a number, a whole"),
+        (lambda meta: meta["sweep"].update(points=0), ": sweep.points 0 must be a number, a whole"),
+        (lambda meta: meta["sweep"].update(points=2.5), ": sweep.points 2.5 must be a number, a whole"),
     ],
-    ids=["no-sweep", "sigma-x"],
+    ids=["no-sweep", "sigma-x", "window-half", "points-0", "points-fraction"],
 )
 def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
@@ -246,6 +251,28 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, fragment):
     path.write_text(text)
     assert run("synth", "--config", path, "--out", tmp_path / "g.csv") == 2
     _assert_names_file(capsys, path, fragment)
+
+
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("forest_trees", 0, ": forest_trees must be >= 1"),
+        ("glrt_window", 0, ": glrt_window must be >= 1"),
+        ("feature_lags", 0, ": feature_lags must be >= 1"),
+        ("template_homes", 0, ": template_homes must be >= 1"),
+        ("template_days", -1, ": template_days must be >= 1"),
+        ("glrt_p_fa", 0.0, ": glrt_p_fa must lie strictly inside (0, 1)"),
+        ("glrt_p_fa", 1, ": glrt_p_fa must lie strictly inside (0, 1)"),
+        ("seed", -1, ": seed must be >= 0"),
+    ],
+)
+def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    assert run("run_experiment", "--config", path, "--out", out) == 2
+    _assert_names_file(capsys, path, fragment)
+    assert not out.exists()
 
 
 _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"level": 1.0}}'

@@ -15,6 +15,7 @@ from gridloop.detect import (
     make_features,
     sliding_means,
 )
+from gridloop.normal import norm_isf
 
 # ---------------------------------------------------------------------------
 # window means / GLRT
@@ -155,6 +156,71 @@ def test_cusum_invariants(xs, k, h):
     # every alarm hour is inside its own implicated interval
     assert np.all(res.interval_decisions[alarm_at] == 1)
 
+
+# ---------------------------------------------------------------------------
+# the sweeps match their per-threshold loops bit for bit
+
+
+def _glrt_sweep_loop(x, sigma, window, n_points):
+    scores = sliding_means(x, window)
+    scale = np.sqrt(sigma**2 / np.minimum(np.arange(len(x)) + 1, window))
+    p_fas = np.linspace(0.0, 1.0, n_points)
+    return p_fas, np.array([scores > scale * norm_isf(p) for p in p_fas], dtype=np.int8)
+
+
+def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas, interval):
+    hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
+    rows = []
+    for h in hs:
+        alarms = np.zeros(len(x), dtype=np.int8)
+        intervals = np.zeros(len(x), dtype=np.int8)
+        g, last_zero = 0.0, -1
+        for t in range(len(x)):
+            g = max(0.0, g + x[t] - k)
+            if g == 0.0:
+                last_zero = t
+            elif g > h:
+                alarms[t] = 1
+                intervals[last_zero + 1 : t + 1] = 1
+                g, last_zero = 0.0, t
+        rows.append(intervals if interval else alarms)
+    return hs, np.array(rows)
+
+
+def _sweep_series(kind, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, size=240)
+    if kind == "shift":
+        x[150:] += 1.5
+    elif kind == "spikes":
+        x[rng.choice(240, size=8, replace=False)] += 6.0
+    elif kind == "integer":
+        # integer steps with k = 0 land g exactly on grid thresholds (g == h: no alarm)
+        x = rng.integers(-2, 3, size=240).astype(float)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["noise", "shift", "spikes", "integer"])
+@pytest.mark.parametrize("interval", [False, True])
+def test_cusum_sweep_matches_the_per_threshold_loop(kind, interval):
+    x = _sweep_series(kind, seed=50)
+    k, n_points = (0.0, 13) if kind == "integer" else (0.5, 101)
+    hs, rows = cusum_sweep(x, 1.0, k=k, n_points=n_points, h_max_sigmas=6.0, interval=interval)
+    ref_hs, ref_rows = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0, interval)
+    assert hs[0] == 0.0  # h = 0 alarms on any positive g
+    assert np.array_equal(hs, ref_hs)
+    assert rows.dtype == np.int8 and np.array_equal(rows, ref_rows)
+
+
+@pytest.mark.parametrize("kind", ["noise", "shift", "spikes"])
+@pytest.mark.parametrize("window, n_points", [(24, 101), (1, 21), (500, 2)])
+def test_glrt_sweep_matches_the_per_threshold_loop(kind, window, n_points):
+    x = _sweep_series(kind, seed=51)
+    p_fas, rows = glrt_sweep(x, sigma=1.3, window=window, n_points=n_points)
+    ref_p, ref_rows = _glrt_sweep_loop(x, 1.3, window, n_points)
+    assert np.array_equal(p_fas, ref_p)
+    assert rows.dtype == np.int8 and np.array_equal(rows, ref_rows)
+    assert not rows[0].any() and rows[-1].all()  # p_fa 0 never alarms, 1 always
 
 # ---------------------------------------------------------------------------
 # supervised feature pipeline

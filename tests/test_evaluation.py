@@ -178,6 +178,43 @@ def test_roc_from_sweep_validation():
         roc_from_sweep([1.0], np.zeros((2, 3), dtype=np.int8), [1, 0, 1])
 
 
+
+def _roc_from_sweep_loop(thresholds, rows, labels):
+    labels = np.asarray(labels).astype(bool)
+    pts = []
+    for th, row in zip(thresholds, rows):
+        c = confusion(labels, row)
+        pts.append((c.fp / (c.fp + c.tn), c.tp / (c.tp + c.fn), th))
+    if not any(f == 0.0 and t == 0.0 for f, t, _ in pts):
+        pts.append((0.0, 0.0, np.inf))
+    if not any(f == 1.0 and t == 1.0 for f, t, _ in pts):
+        pts.append((1.0, 1.0, -np.inf))
+    pts.sort(key=lambda p: (p[0], p[1]))
+    return [np.array([p[i] for p in pts]) for i in (2, 0, 1)]
+
+
+@pytest.mark.parametrize("corners", ["none", "both", "never-only", "always-only"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roc_from_sweep_matches_the_per_threshold_loop(corners, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=40)
+    labels[:2] = (0, 1)
+    # few distinct rows, repeated: many points tie on (fpr, tpr)
+    distinct = (rng.random((6, 40)) < rng.random((6, 1))).astype(np.int8)
+    distinct[:, 0] = 1  # no row is all zeros ...
+    distinct[:, 1] = 0  # ... or all ones, unless a corner case adds one
+    rows = distinct[rng.integers(0, 6, size=25)]
+    if corners in ("both", "never-only"):
+        rows[3] = 0
+    if corners in ("both", "always-only"):
+        rows[7] = 1
+    thresholds = np.sort(rng.normal(size=25))[::-1]
+    roc = roc_from_sweep(thresholds, rows, labels)
+    ths, fpr, tpr = _roc_from_sweep_loop(thresholds, rows, labels)
+    assert np.array_equal(roc.thresholds, ths)
+    assert np.array_equal(roc.fpr, fpr) and np.array_equal(roc.tpr, tpr)
+    assert roc.auc == auc_trapezoid(fpr, tpr)
+
 # ---------------------------------------------------------------------------
 # operating point selection
 
