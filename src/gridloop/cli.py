@@ -44,6 +44,9 @@ def _add_common(sub):
     sub.add_argument("--config", help="experiment config JSON (defaults if omitted)")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="output file or directory")
+
+
+def _add_templates(sub):
     sub.add_argument("--templates", help="directory of minute-level template CSVs")
 
 
@@ -168,6 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="bootstrap a micro-grid CSV")
     _add_common(p)
+    _add_templates(p)
     p.add_argument("--rep", type=int, default=0, help="replication index (seed stream)")
     p.set_defaults(func=cmd_synth)
 
@@ -203,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run_experiment", help="full protocol sweep")
     _add_common(p)
+    _add_templates(p)
     p.set_defaults(func=cmd_run_experiment)
 
     return parser

@@ -130,6 +130,11 @@ class ExperimentConfig:
             raise ValueError("glrt_p_fa must lie strictly inside (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not 0.0 <= self.cusum_k_sigma < math.inf:
+            raise ValueError("cusum_k_sigma must be finite and >= 0")
+        for name in ("cusum_h_sigma", "cusum_sweep_sigmas"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         labels = [_kappa_dir(k) for k in self.kappas]
         if len(set(labels)) != len(labels):
             raise ValueError(

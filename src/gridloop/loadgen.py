@@ -6,6 +6,11 @@ its simulated days is an aligned 24-hour block drawn uniformly, with
 replacement, from that template's complete days. Per-home RNG streams are
 keyed (seed, "home", i), so growing the population or re-drawing one home
 never reshuffles the others.
+
+Home i's day picks are ``stream(seed, "home", i).integers(0, blocks_i,
+num_days)``. ``seeds.stream_integers`` computes them for a block of homes at
+once, bit-identical to building each home's Generator, and the grid is
+filled one simulated day at a time across the block.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from gridloop.ingest import HourlySeries
-from gridloop.seeds import stream
+from gridloop.seeds import stream_integers
 from gridloop.tables import FINITE, NON_NEGATIVE, read_table, write_table
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
 BLOCK_HOURS = 24
+# homes bootstrapped per vectorized pass; bounds the scratch memory beside the grid
+_BLOCK_HOMES = 4096
 
 
 @dataclass(frozen=True)
@@ -67,21 +74,27 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
     """
     if not templates:
         raise ValueError("need at least one template")
-    usable = [len(t.kwh) // BLOCK_HOURS for t in templates]
-    if min(usable) < 1:
+    usable = np.array([len(t.kwh) // BLOCK_HOURS for t in templates])
+    if usable.min() < 1:
         short = templates[int(np.argmin(usable))].home_id
         raise ValueError(f"template {short!r} has no complete day block")
 
+    # every template's day blocks side by side: column first[k] + j is day j of template k
+    day_rows = np.concatenate([t.kwh[: b * BLOCK_HOURS] for t, b in zip(templates, usable)])
+    day_rows = np.ascontiguousarray(day_rows.reshape(-1, BLOCK_HOURS).T)
+    first = np.cumsum(usable) - usable
+    which = np.arange(cfg.n_homes) % len(templates)
     out = np.empty((cfg.num_days * BLOCK_HOURS, cfg.n_homes))
-    assigned = []
-    for i in range(cfg.n_homes):
-        t = templates[i % len(templates)]
-        blocks = len(t.kwh) // BLOCK_HOURS
-        rng = stream(cfg.seed, "home", i)
-        picks = rng.integers(0, blocks, size=cfg.num_days)
-        day_matrix = t.kwh[: blocks * BLOCK_HOURS].reshape(blocks, BLOCK_HOURS)
-        out[:, i] = day_matrix[picks].reshape(-1)
-        assigned.append(t.home_id)
+    for lo in range(0, cfg.n_homes, _BLOCK_HOMES):
+        hi = min(lo + _BLOCK_HOMES, cfg.n_homes)
+        k = which[lo:hi]
+        picks = stream_integers((cfg.seed, "home"), np.arange(lo, hi), usable[k], cfg.num_days)
+        picks += first[k, None]
+        for d in range(cfg.num_days):
+            rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)
+            np.take(day_rows, picks[:, d], axis=1, out=out[rows, lo:hi])
+    ids = [t.home_id for t in templates]
+    assigned = [ids[k] for k in which]
     return Microgrid(kwh=out, template_ids=tuple(assigned))
 
 

@@ -155,6 +155,27 @@ def test_no_subcommand_is_usage_error():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--grid", "g.csv", "--kappa", 0.2],
+        ["attack", "--trace", "t.csv", "--kind", "sudden"],
+        ["detect", "--trace", "t.csv", "--kappa", 0.2, "--attack", "sudden"],
+        ["evaluate", "--detections", "det"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_templates_flag_only_where_read(argv, tmp_path, capsys):
+    # only synth and run_experiment read --templates; elsewhere it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--templates", tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gridloop")
+    assert err.splitlines()[-1] == f"gridloop: error: unrecognized arguments: --templates {tmp_path}"
+    assert "Traceback" not in err
+
+
 def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     schedule = tmp_path / "s.json"
@@ -264,6 +285,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, fragment):
         ("glrt_p_fa", 0.0, ": glrt_p_fa must lie strictly inside (0, 1)"),
         ("glrt_p_fa", 1, ": glrt_p_fa must lie strictly inside (0, 1)"),
         ("seed", -1, ": seed must be >= 0"),
+        ("cusum_k_sigma", -0.5, ": cusum_k_sigma must be finite and >= 0"),
+        ("cusum_k_sigma", float("inf"), ": cusum_k_sigma must be finite and >= 0"),
+        ("cusum_h_sigma", 0, ": cusum_h_sigma must be finite and > 0"),
+        ("cusum_h_sigma", float("nan"), ": cusum_h_sigma must be finite and > 0"),
+        ("cusum_sweep_sigmas", -1, ": cusum_sweep_sigmas must be finite and > 0"),
+        ("cusum_sweep_sigmas", 0.0, ": cusum_sweep_sigmas must be finite and > 0"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):

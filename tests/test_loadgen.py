@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from gridloop.ingest import HourlySeries
 from gridloop.loadgen import (
+    _BLOCK_HOMES,
     BootstrapConfig,
     read_microgrid,
     synthesize_microgrid,
     write_microgrid,
 )
+from gridloop.synth import synthetic_hourly_templates
 
 
 def _template(home_id, days, base=1.0):
@@ -134,3 +138,46 @@ def test_bootstrap_membership_property(k, days, homes, num_days, seed):
         source = _day_blocks(tpls[i % k].kwh)
         for day in _day_blocks(grid.kwh[:, i]):
             assert any(np.array_equal(day, s) for s in source)
+
+
+def _uneven_templates():
+    """Three templates of 3, 1 and 5 complete days, each with 5 stray hours."""
+    out = []
+    for j, days in enumerate((3, 1, 5)):
+        hours = np.arange(days * 24 + 5)
+        out.append(HourlySeries("abc"[j], hours, 0.5 + np.sin(hours * 0.37 + j) ** 2 + hours / 1000.0))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_homes, num_days, seed, digest",
+    [
+        # one block of homes plus one: the second block holds home 4096 alone
+        (4097, 3, 7, "5b584b3e51b4db75993bb4513c1dcf72b29c02d9d4706765c8f683df89ea1e58"),
+        (10, 4, 2**40, "c7fa518a3ba12937fab10c797df7c7f777f30aa03d7cb3a8f5d095e75a49b4f8"),
+        (5, 2, 0, "ffffcff8fb257554870100066b3efe18a3fce39d03f639104c38b08abb1baa4e"),
+    ],
+)
+def test_golden_microgrid_bytes(n_homes, num_days, seed, digest):
+    # digests of the grid built with one numpy Generator per home
+    grid = synthesize_microgrid(_uneven_templates(), BootstrapConfig(n_homes, num_days, seed=seed))
+    assert hashlib.sha256(grid.kwh.tobytes()).hexdigest() == digest
+    assert grid.template_ids == tuple("abc"[i % 3] for i in range(n_homes))
+
+
+def test_golden_grid_spans_a_block_seam():
+    assert _BLOCK_HOMES + 1 == 4097
+
+
+def test_bootstrap_memory_stays_beside_the_grid():
+    # the homes are drawn in blocks, so scratch memory does not grow with the population
+    templates = synthetic_hourly_templates(7, 28, seed=0)
+    synthesize_microgrid(templates, BootstrapConfig(10, 2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grid = synthesize_microgrid(templates, BootstrapConfig(20_000, 31))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak - grid.kwh.nbytes < 5 * 2**20
