@@ -64,64 +64,63 @@ def _drop_constant(X):
 class LogisticRegression:
     """L2-penalized logistic regression on z-scored features.
 
-    Full-batch gradient descent with a backtracking step size: the step
-    doubles down (x1.1) while the penalized mean log-loss improves and
-    halves on any overshoot. Training stops when the loss improves by
-    less than ``tol`` or after ``max_epochs`` accepted steps. The
-    intercept is not penalized.
+    Damped Newton steps, i.e. IRLS (Hastie, Tibshirani and Friedman, *ESL*
+    §4.4.1), on the mean log-loss plus ``l2/(2n)·|w|²``, the intercept not
+    penalized: one solve of ``H s = g`` per step, the step halved while the
+    loss would rise. The fit stops when the Newton decrement ``½·gᵀH⁻¹g``
+    falls below ``tol``, setting ``converged_``, or after ``max_epochs``
+    steps, counted in ``n_epochs_``. As ``|g|² <= 2·λmax(H)·decrement``, the
+    default ``tol`` keeps ``|g| < 4e-7`` for d <= 10 and l2/n <= 5. A singular
+    or non-finite solve, or a step that cannot lower the loss, ends the fit
+    at the last weights, not converged.
     """
 
-    def __init__(self, l2: float = 1.0, max_epochs: int = 1000, tol: float = 1e-8):
-        self.l2 = float(l2)
-        self.max_epochs = int(max_epochs)
-        self.tol = float(tol)
-        self.mu = None
-        self.sd = None
-        self.weights = None
-        self.bias = 0.0
-        self.kept = None
-        self.n_epochs_ = 0
-
-    def _loss_grad(self, Z, y, w, b):
-        n = len(y)
-        margin = Z @ w + b
-        # mean log(1 + exp(-s*margin)) with s = +-1, stably
-        signed = np.where(y == 1, -margin, margin)
-        loss = float(np.mean(np.logaddexp(0.0, signed)))
-        loss += 0.5 * self.l2 * float(w @ w) / n
-        p = 1.0 / (1.0 + np.exp(-np.clip(margin, -500, 500)))
-        err = p - y
-        grad_w = Z.T @ err / n + self.l2 * w / n
-        grad_b = float(np.mean(err))
-        return loss, grad_w, grad_b
+    def __init__(self, l2: float = 1.0, max_epochs: int = 50, tol: float = 1e-14):
+        for name, value in (("l2", l2), ("tol", tol)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        if max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        self.l2, self.max_epochs, self.tol = float(l2), int(max_epochs), float(tol)
+        self.mu = self.sd = self.weights = self.bias = self.kept = None
+        self.n_epochs_, self.converged_ = 0, False
 
     def fit(self, X, y):
         X, y = _validate_xy(X, y)
         X, self.kept = _drop_constant(X)
-        self.mu = X.mean(axis=0)
-        self.sd = X.std(axis=0)
-        Z = (X - self.mu) / self.sd
+        self.mu, self.sd = X.mean(axis=0), X.std(axis=0)
+        n, d = X.shape
+        A = np.column_stack([(X - self.mu) / self.sd, np.ones(n)])
+        pen = np.append(np.full(d, self.l2 / n), 0.0)
+        sign = np.where(y == 1, -1.0, 1.0)  # loss per row: log(1 + exp(sign * margin))
+        def objective(theta):
+            margin = A @ theta
+            return np.mean(np.logaddexp(0.0, sign * margin)) + 0.5 * pen @ theta**2, margin
 
-        w = np.zeros(Z.shape[1])
-        b = 0.0
-        lr = 1.0
-        loss, gw, gb = self._loss_grad(Z, y, w, b)
-        for epoch in range(self.max_epochs):
-            while True:
-                w_new = w - lr * gw
-                b_new = b - lr * gb
-                new_loss, new_gw, new_gb = self._loss_grad(Z, y, w_new, b_new)
-                if new_loss <= loss or lr < 1e-12:
-                    break
-                lr *= 0.5
-            improved = loss - new_loss
-            w, b, loss, gw, gb = w_new, b_new, new_loss, new_gw, new_gb
-            lr *= 1.1
-            self.n_epochs_ = epoch + 1
-            if abs(improved) < self.tol:
+        theta = np.zeros(d + 1)
+        loss, margin = objective(theta)
+        self.n_epochs_ = 0
+        while self.n_epochs_ < self.max_epochs:
+            # sigmoid(margin) and its derivative from one exp that cannot overflow
+            e = np.exp(-np.abs(margin))
+            p = np.where(margin >= 0, 1.0, e) / (1.0 + e)
+            g = A.T @ (p - y) / n + pen * theta
+            H = (A.T * (e / (n * (1.0 + e) ** 2))) @ A + np.diag(pen)
+            try:
+                decrement = 0.5 * g @ (step := np.linalg.solve(H, g))
+            except np.linalg.LinAlgError:
+                decrement = np.nan
+            self.converged_ = bool(decrement < self.tol)
+            if self.converged_ or not np.isfinite(decrement):
                 break
-        self.weights = w
-        self.bias = b
+            t = 1.0
+            while (trial := objective(theta - t * step))[0] > loss and t > 1e-10:
+                t *= 0.5
+            if not trial[0] <= loss:
+                break
+            theta, (loss, margin) = theta - t * step, trial
+            self.n_epochs_ += 1
+        self.weights, self.bias = theta[:d], float(theta[d])
         return self
 
     def predict_score(self, X):

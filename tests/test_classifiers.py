@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridloop.classifiers import (
     _BATCH_ROWS,
@@ -109,6 +111,98 @@ def test_logreg_l2_shrinks_weights():
     loose = LogisticRegression(l2=0.01).fit(X, y)
     tight = LogisticRegression(l2=100.0).fit(X, y)
     assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
+
+
+def test_logreg_validation():
+    for l2 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="l2"):
+            LogisticRegression(l2=l2)
+    for max_epochs in (0, -1):
+        with pytest.raises(ValueError, match="max_epochs"):
+            LogisticRegression(max_epochs=max_epochs)
+    for tol in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            LogisticRegression(tol=tol)
+
+
+def _penalized_gradient(X, y, l2, w, b):
+    """Gradient of mean log(1 + exp(-s·m)) + l2/(2n)·|w|² over (w, b), s = 2y - 1."""
+    n = len(y)
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
+    return np.append(Z.T @ (p - y) / n + l2 * w / n, np.mean(p - y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(20, 400),
+    d=st.integers(1, 10),
+    l2=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logreg_fit_reaches_the_penalized_optimum(n, d, l2, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d) + rng.normal(0.0, 5.0, d)
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-Z @ rng.normal(0.0, 2.0, d)))).astype(int)
+    assume(0 < y.sum() < n)
+    model = LogisticRegression(l2=l2).fit(X, y)
+    assert model.converged_
+    assert model.n_epochs_ < model.max_epochs
+    grad = _penalized_gradient(X, y, l2, model.weights, model.bias)
+    assert np.abs(grad).max() <= 1e-6
+
+
+def test_logreg_converges_fast_on_lagged_features():
+    X, y, _ = _lagged_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = LogisticRegression().fit(X, y)
+    assert model.converged_
+    assert model.n_epochs_ <= 20
+    grad = _penalized_gradient(X[:, model.kept], y, model.l2, model.weights, model.bias)
+    assert np.abs(grad).max() <= 1e-6
+
+
+def test_logreg_separable_data_with_a_tiny_penalty():
+    X, y = _blobs(seed=48, d=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in the fit
+        model = LogisticRegression(l2=1e-6).fit(X, y)
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    assert model.n_epochs_ <= model.max_epochs
+    assert np.all(model.weights > 0)
+    line = np.linspace(X.min(), X.max(), 41)[:, None] * np.ones(3)
+    assert np.all(np.diff(model.predict_score(line)) >= 0)
+    assert np.mean((model.predict_score(X) >= 0.5) == y) == 1.0
+
+
+def test_logreg_stops_at_max_epochs_without_converging():
+    X, y = _blobs(seed=49, gap=1.0, sd=1.5)
+    model = LogisticRegression(max_epochs=1).fit(X, y)
+    assert (model.n_epochs_, model.converged_) == (1, False)
+    assert np.all(np.isfinite(model.weights))
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_logreg_failed_solve_keeps_the_last_finite_weights(monkeypatch, failure):
+    X, y = _blobs(seed=50, gap=1.0, sd=1.5)
+    one_step = LogisticRegression(max_epochs=1).fit(X, y)
+    solve, calls = np.linalg.solve, []
+
+    def failing_solve(H, g):
+        calls.append(1)
+        if len(calls) == 1:
+            return solve(H, g)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(g, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    model = LogisticRegression().fit(X, y)
+    assert (model.n_epochs_, model.converged_) == (1, False)
+    assert np.array_equal(model.weights, one_step.weights)
+    assert model.bias == one_step.bias
 
 
 # ---------------------------------------------------------------------------
