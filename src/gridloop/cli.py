@@ -53,8 +53,11 @@ def _add_templates(sub):
 def _load_cfg(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     seed = args.seed
-    if seed is None and os.environ.get("GRIDLOOP_SEED"):
-        seed = int(os.environ["GRIDLOOP_SEED"])
+    if seed is None and (env := os.environ.get("GRIDLOOP_SEED")):
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"GRIDLOOP_SEED {env!r} is not an integer") from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg

@@ -30,8 +30,8 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
-from gridloop.tables import (BINARY, COUNT, FINITE, POSITIVE, TEXT, read_json, read_table, write_json,
-                             write_table)
+from gridloop.tables import (BINARY, COUNT, FINITE, POSITIVE, TEXT, WHOLE, read_json, read_table,
+                             write_json, write_table)
 
 __all__ = [
     "DETECTORS",
@@ -58,7 +58,7 @@ _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
 _RAMP_STEP = 5.0
 _SUDDEN_LEVEL = 150.0
 
-_DETECTION_COLUMNS = {"hour": FINITE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
+_DETECTION_COLUMNS = {"hour": WHOLE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
 _META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
               "sweep.points": COUNT, "sweep.cusum_sigmas": FINITE, "sweep.cusum_k": FINITE}

@@ -43,7 +43,7 @@ import numpy as np
 
 from gridloop.attack import inject_post_hoc
 from gridloop.loadgen import Microgrid
-from gridloop.tables import BINARY, FINITE, NON_NEGATIVE, POSITIVE, read_table, write_table
+from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, read_table, write_table
 
 __all__ = [
     "GridConfig",
@@ -56,7 +56,7 @@ __all__ = [
 
 # each trace column and what it must hold
 _TRACE_DOMAINS = {
-    "hour": FINITE,
+    "hour": WHOLE,
     "price": POSITIVE,
     **dict.fromkeys(("base_load", "forecast", "target", "lstar", "observed_load"), NON_NEGATIVE),
     "attack_truth": BINARY,

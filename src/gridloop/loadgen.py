@@ -21,7 +21,7 @@ import numpy as np
 
 from gridloop.ingest import HourlySeries
 from gridloop.seeds import stream_integers
-from gridloop.tables import FINITE, NON_NEGATIVE, read_table, write_table
+from gridloop.tables import NON_NEGATIVE, WHOLE, read_table, write_table
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
@@ -106,6 +106,6 @@ def write_microgrid(grid: Microgrid, path: str) -> None:
 
 def read_microgrid(path: str) -> Microgrid:
     """Read a micro-grid CSV; every load must be finite and non-negative."""
-    cols = read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+    cols = read_table(path, {"hour": WHOLE}, more=NON_NEGATIVE)
     homes = list(cols)[1:]
     return Microgrid(kwh=np.stack([cols[h] for h in homes], axis=1), template_ids=tuple(homes))

@@ -2,6 +2,8 @@
 
 A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
+The bytes are csv.writer's, but each distinct value of a block of rows is
+formatted once (a bootstrapped micro-grid repeats its template days).
 The readers check what they read and raise one ValueError naming
 ``path:line`` (tables) or ``path: key`` (JSON).
 """
@@ -10,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from itertools import islice
 
 import numpy as np
 
-__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT",
+__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "WHOLE",
            "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
@@ -24,6 +27,7 @@ NON_NEGATIVE = "finite and non-negative"
 POSITIVE = "finite and positive"
 BINARY = "0 or 1"
 COUNT = "a whole number >= 1"
+WHOLE = "a whole number >= 0"
 TEXT = "text"
 
 _CHECKS = {
@@ -32,26 +36,53 @@ _CHECKS = {
     POSITIVE: lambda v: np.isfinite(v) & (v > 0),
     BINARY: lambda v: (v == 0) | (v == 1),
     COUNT: lambda v: np.isfinite(v) & (v >= 1) & (v == np.floor(v)),
+    WHOLE: lambda v: np.isfinite(v) & (v >= 0) & (v == np.floor(v)),
 }
+# a cell holding one of these is quoted, its quotes doubled
+_SPECIAL = re.compile('[,"\r\n]')
 # rows are handled in blocks of about this many cells, so a wide table is
 # never held whole as text or as Python floats
 _BLOCK_CELLS = 1 << 15
 
 
 def write_table(path, header, columns) -> None:
-    """Write equal-length columns under `header`.
+    """Write equal-length columns under `header`, as csv.writer would.
 
-    A column is an integer or float array, or a list of str, int and
+    A column is an integer, bool or float array, or a list of str, int and
     float cells.
     """
+    n = len(columns[0])
+    for name, column in zip(header, columns, strict=True):
+        if len(column) != n:
+            raise ValueError(f"{path}: column {name} has {len(column)} rows, expected {n}")
+    groups = {}  # array columns by dtype; each group is formatted together
+    for j, column in enumerate(columns):
+        if isinstance(column, np.ndarray):
+            groups.setdefault(column.dtype, []).append(j)
+    texts = [j for j, column in enumerate(columns) if not isinstance(column, np.ndarray)]
+    alone = len(header) == 1  # csv quotes a row's only cell when it is empty
     step = max(1, _BLOCK_CELLS // len(header))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, len(columns[0]), step):
-            block = [c[start : start + step] for c in columns]
-            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            writer.writerows(zip(*cells, strict=True))
+        fh.write(",".join(_quoted(header, alone)) + "\r\n")
+        for start in range(0, n, step):
+            cells = np.empty((len(header), min(step, n - start)), dtype=object)
+            for dtype, js in groups.items():
+                # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
+                bits = np.stack([columns[j][start : start + step] for j in js]).view(f"u{dtype.itemsize}")
+                uniq, inv = np.unique(bits, return_inverse=True)
+                text = np.array([str(v) for v in uniq.view(dtype).tolist()], dtype=object)
+                cells[js] = text[inv.reshape(bits.shape)]  # numpy 2.0.x shapes inv unlike later releases
+            for j in texts:
+                cells[j] = _quoted(columns[j][start : start + step], alone)
+            fh.write("\r\n".join([*map(",".join, cells.T.tolist()), ""]))
+
+
+def _quoted(cells, alone: bool) -> list:
+    """Each cell as str() and quoted as csv's QUOTE_MINIMAL does, once per distinct text."""
+    texts = list(map(str, cells))
+    quote = {t: '"' + t.replace('"', '""') + '"' if _SPECIAL.search(t) or (alone and not t) else t
+             for t in set(texts)}
+    return [quote[t] for t in texts]
 
 
 def read_table(path, domains: dict, more: str | None = None) -> dict:
@@ -79,11 +110,13 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
                     raise ValueError(
                         f"{path}:{line + i}: malformed row: {len(row)} cells, expected {len(header)}"
                     )
-            for j, column in text.items():
-                column += [row[j] for row in rows]
-            cells = [[row[j] for j in numeric] for row in rows] if text else rows
+            if text:
+                cols = list(zip(*rows))
+                for j, column in text.items():
+                    column += cols[j]
             try:
-                blocks.append(np.array(cells, dtype=float))
+                blocks.append(np.array([cols[j] for j in numeric], dtype=float) if text
+                              else np.array(rows, dtype=float).T)
             except ValueError:
                 # numpy parses as float() does: name the first cell float() rejects
                 for i, row in enumerate(rows):
@@ -95,7 +128,7 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
                                              f"{header[j]} {row[j]!r} is not a number") from None
             line += len(rows)
     # one contiguous array per column
-    values = np.concatenate([b.T for b in blocks], axis=1) if blocks else np.empty((len(numeric), 0))
+    values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(numeric), 0))
     bad = np.argwhere(~np.stack([_CHECKS[kinds[j]](v) for j, v in zip(numeric, values)]).T)
     if len(bad):
         i, k = bad[0]

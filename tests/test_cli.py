@@ -93,6 +93,13 @@ def test_seed_env_beats_config(cfg_json, tmp_path, monkeypatch):
     assert via_env.read_bytes() == via_flag.read_bytes()
 
 
+def test_non_integer_seed_env_exits_2(cfg_json, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRIDLOOP_SEED", "abc")
+    assert run("synth", "--config", cfg_json, "--out", tmp_path / "grid.csv") == 2
+    assert capsys.readouterr().err == "gridloop: error: GRIDLOOP_SEED 'abc' is not an integer\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_out_directory_gets_default_name(cfg_json, tmp_path):
     out_dir = tmp_path / "stage"
     assert run("synth", "--config", cfg_json, "--out", out_dir) == 0
@@ -216,9 +223,11 @@ def _first(rows, detector, col, value):
         (lambda rows: _first(rows, "gnb", 4, "2"), "label 2.0 must be 0 or 1"),
         (lambda rows: _first(rows, "glrt", 3, "2"), "decision 2.0 must be 0 or 1"),
         (lambda rows: [r[:4] + ["1"] for r in rows], ": labels of detector 'glrt' hold one class"),
+        (lambda rows: [["0.5"] + rows[0][1:]] + rows[1:], ":2: hour 0.5 must be a whole number >= 0"),
+        (lambda rows: _first(rows, "forest", 0, "-7"), "hour -7.0 must be a whole number >= 0"),
     ],
     ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2",
-         "one-class"],
+         "one-class", "hour-half", "hour-negative"],
 )
 def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"

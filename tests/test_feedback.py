@@ -306,6 +306,8 @@ def test_trace_round_trip(tmp_path):
         ("forecast", "-1.0", "must be finite and non-negative"),
         ("price", "0.0", "must be finite and positive"),
         ("attack_truth", "7", "must be 0 or 1"),
+        ("hour", "0.5", "must be a whole number >= 0"),
+        ("hour", "-7", "must be a whole number >= 0"),
     ],
 )
 def test_read_trace_rejects_bad_values(tmp_path, column, value, rule):

@@ -113,6 +113,8 @@ def test_csv_round_trip(tmp_path):
         (["0,1.0,0.5", "1,-2.0,1.0"], ":3: home_0 -2.0"),
         (["0,1.0,0.5", "1,1.0,inf"], ":3: home_1 inf"),
         (["0,1.0,0.5", "1,1.0,x"], ":3: malformed row"),
+        (["0.5,1.0,0.5", "1,1.0,1.0"], ":2: hour 0.5 must be a whole number >= 0"),
+        (["0,1.0,0.5", "-7,1.0,1.0"], ":3: hour -7.0 must be a whole number >= 0"),
     ],
 )
 def test_read_microgrid_rejects_bad_loads(tmp_path, rows, where):

@@ -1,14 +1,20 @@
 """The on-disk formats: exact bytes of the writers, exact floats back from
 the reader, and the one error shape every reader raises."""
 
+import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gridloop import tables
 from gridloop.feedback import SimulationTrace, write_trace
-from gridloop.loadgen import Microgrid, write_microgrid
+from gridloop.loadgen import BootstrapConfig, Microgrid, read_microgrid, synthesize_microgrid, write_microgrid
+from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import (
     BINARY,
     FINITE,
@@ -77,6 +83,113 @@ def test_floats_round_trip_bit_for_bit(tmp_path):
     assert cols["x"].view(np.int64).tolist() == values.view(np.int64).tolist()
     assert cols["i"].tolist() == list(range(len(values)))
     assert set(cols["name"]) == {"a,b"}  # a comma inside a cell is quoted
+
+
+# ---------------------------------------------------------------------------
+# the writer against csv.writer: each distinct value is formatted once per
+# block, and the bytes must not show it
+
+def _csv_writer_bytes(path, header, columns) -> bytes:
+    """The reference: csv.writer over the columns' Python values, row by row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
+    return path.read_bytes()
+
+
+# cells csv must quote: commas, quotes, CR, LF, and the empty text
+_TEXT = st.text(alphabet='ab ,"\r\n', max_size=4)
+_NANS = np.array([0x7FF8000000000000, 0x7FF0000000000001, -0x0008000000000000 - 1], dtype=np.int64).view(float)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, *_NANS]
+
+
+@st.composite
+def _column(draw, n):
+    kind = draw(st.sampled_from(["distinct", "repeats", "int8", "int64", "bool", "cells"]))
+    if kind == "distinct":
+        return np.array(draw(st.lists(st.floats(), min_size=n, max_size=n, unique_by=float.hex)))
+    if kind == "repeats":
+        pool = draw(st.lists(st.floats() | st.sampled_from(_EDGES), min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    if kind == "int8":
+        return np.array(draw(st.lists(st.integers(-128, 127), min_size=n, max_size=n)), dtype=np.int8)
+    if kind == "int64":
+        return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return draw(st.lists(_TEXT | st.integers() | st.floats() | st.sampled_from(_EDGES),
+                         min_size=n, max_size=n))
+
+
+@st.composite
+def _table(draw):
+    """Up to 6 drawn columns, repeated out to a width of 1 to 300."""
+    n, width = draw(st.integers(0, 30)), draw(st.integers(1, 300))
+    drawn = draw(st.lists(_column(n), min_size=1, max_size=6))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    return header, [drawn[j % len(drawn)] for j in range(width)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_table(), block_cells=st.integers(1, 700))
+def test_write_table_matches_csv_writer(tmp_path, table, block_cells):
+    header, columns = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
+        write_table(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", header, columns)
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), _TEXT, _FINITE_FLOATS | st.sampled_from([-0.0, 5e-324])),
+                  max_size=40),
+    block_cells=st.integers(1, 100),
+)
+def test_read_table_reads_back_what_was_written(tmp_path, rows, block_cells):
+    i, name, x = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    columns = [np.array(i, dtype=np.int64), name, np.array(x, dtype=float)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_BLOCK_CELLS", block_cells)
+        write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
+        cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
+    assert cols["i"].tolist() == i
+    assert cols["name"].tolist() == name
+    assert cols["x"].view(np.int64).tolist() == columns[2].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("rows", [90, 110])
+def test_write_table_rejects_columns_of_unequal_length(tmp_path, monkeypatch, rows):
+    path = tmp_path / "t.csv"
+    monkeypatch.setattr(tables, "_BLOCK_CELLS", 100)  # a longer column once lost its tail here
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: column b has {rows} rows, expected 100")):
+        write_table(path, ["a", "b"], [np.arange(100), np.zeros(rows)])
+    assert not path.exists()
+
+
+def test_microgrid_io_memory(tmp_path):
+    """Writing a 1392 h x 200 home grid holds one block beside it, reading it little more than it."""
+    templates = synthetic_hourly_templates(7, 28, seed=0)
+    grid = synthesize_microgrid(templates, BootstrapConfig(n_homes=200, num_days=58, seed=0))
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        write_microgrid(grid, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_microgrid(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.kwh, grid.kwh)
+    assert grid.kwh.nbytes < 2.3e6
+    assert write_peak < 4e6
+    assert read_peak < 10e6
 
 
 # ---------------------------------------------------------------------------
