@@ -43,7 +43,7 @@ MODES = ("load", "price")
 KINDS = ("ramp", "sudden", "point")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AttackSchedule:
     """When, whom, and by how much to attack.
 
@@ -88,17 +88,6 @@ class AttackSchedule:
                     raise ValueError(f"point hour {t} outside window [{start}, {end})")
                 if not _finite(v):
                     raise ValueError(f"point value at hour {t} must be finite")
-
-    def __eq__(self, other):
-        if not isinstance(other, AttackSchedule):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.kind == other.kind
-            and self.window == other.window
-            and self.params == other.params
-            and self.victims == other.victims
-        )
 
     def value_at(self, t: int) -> float:
         """Aggregate attack magnitude at hour t (0 outside the window)."""

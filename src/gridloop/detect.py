@@ -137,38 +137,27 @@ class CusumResult:
     change_candidates: np.ndarray  # times with pre-reset g_t == 0
 
 
-def _cusum(x: np.ndarray, k: float, h: float):
-    """One-sided CUSUM recursion; h may be 0 (alarm on any positive g)."""
-    n = len(x)
-    scores = np.empty(n)
-    alarms = np.zeros(n, dtype=np.int8)
-    intervals = np.zeros(n, dtype=np.int8)
-    candidates = []
+def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
+    """The one-sided CUSUM recursion at the config's drift and threshold."""
+    x = np.asarray(x, dtype=float)
+    k, h = cfg.effective_k, cfg.effective_h
+    scores = np.empty(len(x))
+    alarms = np.zeros(len(x), dtype=np.int8)
+    intervals = np.zeros(len(x), dtype=np.int8)
     g = 0.0
     last_zero = -1
-    for t in range(n):
+    for t in range(len(x)):
         g = max(0.0, g + x[t] - k)
         scores[t] = g
         if g == 0.0:
-            candidates.append(t)
             last_zero = t
         elif g > h:
             alarms[t] = 1
             intervals[last_zero + 1 : t + 1] = 1
             g = 0.0
             last_zero = t
-    return scores, alarms, intervals, np.asarray(candidates, dtype=np.int64)
-
-
-def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
-    x = np.asarray(x, dtype=float)
-    scores, alarms, intervals, candidates = _cusum(x, cfg.effective_k, cfg.effective_h)
-    return CusumResult(
-        scores=scores,
-        decisions=alarms,
-        interval_decisions=intervals,
-        change_candidates=candidates,
-    )
+    return CusumResult(scores=scores, decisions=alarms, interval_decisions=intervals,
+                       change_candidates=np.flatnonzero(scores == 0.0))
 
 
 def cusum_sweep(
@@ -177,18 +166,18 @@ def cusum_sweep(
     k: float | None = None,
     n_points: int = 101,
     h_max_sigmas: float = 6.0,
-    interval: bool = False,
 ):
-    """Decisions over an alarm-threshold grid linspace(0, h_max_sigmas*sigma).
+    """Point and interval decisions over the grid hs = linspace(0, h_max_sigmas*sigma).
 
-    h = 0 is allowed inside the sweep (it alarms on any positive g) even
+    Returns (hs, alarms, intervals), both matrices (n_points, len(x)) from one
+    pass. h = 0 is allowed inside the sweep (it alarms on any positive g) even
     though user-facing configs require h > 0.
     """
     x = np.asarray(x, dtype=float)
     drift = 0.5 * sigma if k is None else k
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
     n = len(x)
-    # the _cusum recursion for every threshold at once
+    # the cusum_detect recursion for every threshold at once
     g = np.zeros(n_points)
     last_zero = np.full(n_points, -1)
     alarms = np.zeros((n_points, n), dtype=np.int8)
@@ -204,9 +193,7 @@ def cusum_sweep(
         marks[i, t + 1] -= 1
         g[i] = 0.0
         last_zero[zero | fire] = t
-    if interval:
-        return hs, (np.cumsum(marks[:, :n], axis=1) > 0).astype(np.int8)
-    return hs, alarms
+    return hs, alarms, (np.cumsum(marks[:, :n], axis=1) > 0).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

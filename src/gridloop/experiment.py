@@ -395,24 +395,18 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     sigma = float(meta["sigma"])
     sweep = meta["sweep"]
 
+    glrt = detect.glrt_sweep(residuals, sigma, window=int(meta["glrt"]["window"]),
+                             n_points=int(sweep["points"]))
+    hs, alarms, intervals = detect.cusum_sweep(
+        residuals, sigma, k=float(sweep["cusum_k"]), n_points=int(sweep["points"]),
+        h_max_sigmas=float(sweep["cusum_sigmas"]))
+    sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}
+
     curves: dict[str, evaluation.RocCurve] = {}
     entries = []
     for name in DETECTORS:
-        if name == "glrt":
-            ths, rows = detect.glrt_sweep(
-                residuals, sigma, window=int(meta["glrt"]["window"]), n_points=int(sweep["points"])
-            )
-            roc, th, ms = _sweep_best(ths, rows, labels)
-        elif name in ("cusum", "cusum_interval"):
-            ths, rows = detect.cusum_sweep(
-                residuals,
-                sigma,
-                k=float(sweep["cusum_k"]),
-                n_points=int(sweep["points"]),
-                h_max_sigmas=float(sweep["cusum_sigmas"]),
-                interval=name == "cusum_interval",
-            )
-            roc, th, ms = _sweep_best(ths, rows, labels)
+        if name in sweeps:
+            roc, th, ms = _sweep_best(*sweeps[name], labels)
         else:
             scores, labels_c = table[name]
             roc = evaluation.roc_from_scores(scores, labels_c)

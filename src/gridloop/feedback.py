@@ -42,7 +42,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from gridloop.attack import inject_post_hoc
-from gridloop.loadgen import Microgrid
 from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, read_table, write_table
 
 __all__ = [
@@ -173,7 +172,7 @@ def simulate(
 ) -> SimulationTrace:
     """Run the pricing loop over a base-load matrix.
 
-    grid: Microgrid or (hours x homes) array of base loads phi[t, i].
+    grid: (hours x homes) array of base loads phi[t, i].
     forecaster: callable mapping the history of aggregate base loads
         (phi totals for hours 0..t-1) to the forecast for hour t. Defaults
         to naive persistence. Hour 0 uses the true total (no history yet).
@@ -185,7 +184,7 @@ def simulate(
     The loop itself draws no randomness: identical inputs give bit-identical
     traces.
     """
-    base = grid.kwh if isinstance(grid, Microgrid) else np.asarray(grid, dtype=float)
+    base = np.asarray(grid, dtype=float)
     if base.ndim != 2:
         raise ValueError("grid must be a (hours x homes) matrix")
     n_hours, n_homes = base.shape

@@ -9,11 +9,12 @@ interpolated; anything longer is refused rather than guessed at.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from gridloop.tables import csv_rows
 
 __all__ = [
     "HourlySeries",
@@ -75,7 +76,7 @@ def load_template(path: str) -> TemplateHome:
     minutes: list[int] = []
     kw: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["minute", "kw"]:
             raise ValueError(f"{path}: expected header 'minute,kw'")

@@ -3,14 +3,13 @@
 Builds an (hours x homes) base-load matrix from a handful of hourly
 templates: home i is assigned template i mod K (round robin) and each of
 its simulated days is an aligned 24-hour block drawn uniformly, with
-replacement, from that template's complete days. Per-home RNG streams are
-keyed (seed, "home", i), so growing the population or re-drawing one home
-never reshuffles the others.
+replacement, from that template's complete days.
 
-Home i's day picks are ``stream(seed, "home", i).integers(0, blocks_i,
-num_days)``. ``seeds.stream_integers`` computes them for a block of homes at
-once, bit-identical to building each home's Generator, and the grid is
-filled one simulated day at a time across the block.
+Day d of home i is pick ``hash_integers((seed, "home"), [i], blocks_i,
+num_days)[0, d]``, a counter-based hash of (seed, home, day), so growing
+the population or the horizon never reshuffles a home's days. The picks
+are drawn for a block of homes at once, and the grid is filled one
+simulated day at a time across the block.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gridloop.ingest import HourlySeries
-from gridloop.seeds import stream_integers
+from gridloop.seeds import hash_integers
 from gridloop.tables import NON_NEGATIVE, WHOLE, read_table, write_table
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
@@ -88,7 +87,7 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
     for lo in range(0, cfg.n_homes, _BLOCK_HOMES):
         hi = min(lo + _BLOCK_HOMES, cfg.n_homes)
         k = which[lo:hi]
-        picks = stream_integers((cfg.seed, "home"), np.arange(lo, hi), usable[k], cfg.num_days)
+        picks = hash_integers((cfg.seed, "home"), np.arange(lo, hi), usable[k], cfg.num_days)
         picks += first[k, None]
         for d in range(cfg.num_days):
             rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)

@@ -5,7 +5,8 @@ are written as digits and floats as repr, which round-trips every float64.
 The bytes are csv.writer's, but each distinct value of a block of rows is
 formatted once (a bootstrapped micro-grid repeats its template days).
 The readers check what they read and raise one ValueError naming
-``path:line`` (tables) or ``path: key`` (JSON).
+``path:line`` (tables) or ``path: key`` (JSON), also for text that is not
+valid in the file's encoding and for rows the csv module refuses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 __all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "WHOLE",
-           "read_json", "read_table", "write_json", "write_table"]
+           "csv_rows", "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
 FINITE = "finite"
@@ -93,7 +94,7 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
     array for a TEXT column.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         header = next(reader, [])
         names = list(domains)
         if (header[: len(names)] != names or (len(header) > len(names)) != (more is not None)
@@ -146,6 +147,29 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def csv_rows(path, fh):
+    """csv.reader's rows of `fh`; a row csv or the decoder rejects raises a ValueError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:
+    """A ValueError naming the line of the first byte `exc`'s codec cannot decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as whole:  # offsets in a text stream's error are within one chunk
+        exc = whole
+    line = data.count(b"\n", 0, exc.start) + 1
+    return ValueError(f"{path}:{line}: not {exc.encoding} text: byte 0x{data[exc.start]:02x}")
+
+
 def read_json(path, required: dict | None = None) -> dict:
     """Read a JSON object holding every key of `required`.
 
@@ -158,6 +182,10 @@ def read_json(path, required: dict | None = None) -> dict:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or deep nesting
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key, domain in (required or {}).items():

@@ -283,6 +283,23 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, fragment):
     _assert_names_file(capsys, path, fragment)
 
 
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert run("synth", "--config", path, "--out", tmp_path / "g.csv") == 2
+    _assert_names_file(capsys, path, ":1: not utf-8 text: byte 0xff")
+
+
+def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    header, first, *rest = grid.read_text().splitlines()
+    grid.write_text("\n".join([header, first + "0" * 131_072, *rest]) + "\n")
+    capsys.readouterr()
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2) == 2
+    _assert_names_file(capsys, grid, ":2: malformed row: field larger than field limit (131072)")
+
+
 @pytest.mark.parametrize(
     "field, value, fragment",
     [

@@ -133,14 +133,13 @@ def test_cusum_sweep_grid_and_consistency():
     rng = np.random.default_rng(16)
     x = rng.normal(0, 1, size=60)
     x[40:] += 2.0
-    hs, decisions = cusum_sweep(x, sigma=1.0, n_points=13, h_max_sigmas=6.0)
+    hs, decisions, intervals = cusum_sweep(x, sigma=1.0, n_points=13, h_max_sigmas=6.0)
     assert hs[0] == 0.0 and hs[-1] == 6.0
     assert decisions.shape == (13, 60)
     # interior rows reproduce the point detector at that threshold
     for i in (1, 6, 12):
         res = cusum_detect(x, CusumConfig(sigma=1.0, h=float(hs[i])))
         assert np.array_equal(decisions[i], res.decisions)
-    _, intervals = cusum_sweep(x, sigma=1.0, n_points=13, interval=True)
     assert intervals[6].sum() >= decisions[6].sum()
 
 
@@ -168,9 +167,9 @@ def _glrt_sweep_loop(x, sigma, window, n_points):
     return p_fas, np.array([scores > scale * norm_isf(p) for p in p_fas], dtype=np.int8)
 
 
-def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas, interval):
+def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas):
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
-    rows = []
+    point, interval = [], []
     for h in hs:
         alarms = np.zeros(len(x), dtype=np.int8)
         intervals = np.zeros(len(x), dtype=np.int8)
@@ -183,8 +182,9 @@ def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas, interval):
                 alarms[t] = 1
                 intervals[last_zero + 1 : t + 1] = 1
                 g, last_zero = 0.0, t
-        rows.append(intervals if interval else alarms)
-    return hs, np.array(rows)
+        point.append(alarms)
+        interval.append(intervals)
+    return hs, np.array(point), np.array(interval)
 
 
 def _sweep_series(kind, seed):
@@ -194,19 +194,23 @@ def _sweep_series(kind, seed):
         x[150:] += 1.5
     elif kind == "spikes":
         x[rng.choice(240, size=8, replace=False)] += 6.0
+    elif kind == "onset":  # alarms from the first hour on
+        x[:3] += 6.0
     elif kind == "integer":
         # integer steps with k = 0 land g exactly on grid thresholds (g == h: no alarm)
         x = rng.integers(-2, 3, size=240).astype(float)
     return x
 
 
-@pytest.mark.parametrize("kind", ["noise", "shift", "spikes", "integer"])
+@pytest.mark.parametrize("kind", ["noise", "shift", "spikes", "onset", "integer"])
 @pytest.mark.parametrize("interval", [False, True])
 def test_cusum_sweep_matches_the_per_threshold_loop(kind, interval):
     x = _sweep_series(kind, seed=50)
     k, n_points = (0.0, 13) if kind == "integer" else (0.5, 101)
-    hs, rows = cusum_sweep(x, 1.0, k=k, n_points=n_points, h_max_sigmas=6.0, interval=interval)
-    ref_hs, ref_rows = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0, interval)
+    # one pass gives both outputs; `interval` picks the one a case checks
+    hs, alarms, intervals = cusum_sweep(x, 1.0, k=k, n_points=n_points, h_max_sigmas=6.0)
+    ref_hs, ref_alarms, ref_intervals = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0)
+    rows, ref_rows = (intervals, ref_intervals) if interval else (alarms, ref_alarms)
     assert hs[0] == 0.0  # h = 0 alarms on any positive g
     assert np.array_equal(hs, ref_hs)
     assert rows.dtype == np.int8 and np.array_equal(rows, ref_rows)

@@ -19,6 +19,8 @@ from gridloop.experiment import (
     run_experiment,
     scenario_dir,
 )
+from gridloop.detect import cusum_sweep
+from gridloop.evaluation import roc_from_sweep
 from gridloop.feedback import read_trace
 
 
@@ -291,6 +293,24 @@ def test_evaluate_stage_is_reproducible(tiny_run, tmp_path):
     evaluate_stage(sdir, out_dir=tmp_path)
     for name in ("metrics.json", "roc.csv"):
         assert (tmp_path / name).read_bytes() == (sdir / name).read_bytes()
+
+
+def test_evaluate_stage_scores_each_cusum_output(tiny_run):
+    # one sweep gives both curves: point alarms for "cusum", intervals for "cusum_interval"
+    sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    meta = json.loads((sdir / "detect_meta.json").read_text())
+    rows = [r for r in csv.DictReader((sdir / "detections.csv").read_text().splitlines()) if r["detector"] == "residual"]
+    residuals = np.array([float(r["score"]) for r in rows])
+    labels = np.array([int(r["label"]) for r in rows])
+    hs, alarms, intervals = cusum_sweep(residuals, meta["sigma"], k=meta["sweep"]["cusum_k"],
+                                        n_points=meta["sweep"]["points"],
+                                        h_max_sigmas=meta["sweep"]["cusum_sigmas"])
+    assert not np.array_equal(alarms, intervals)
+    curves = list(csv.DictReader((sdir / "roc.csv").read_text().splitlines()))
+    for name, decisions in (("cusum", alarms), ("cusum_interval", intervals)):
+        roc = roc_from_sweep(hs, decisions, labels)
+        written = [(float(r["fpr"]), float(r["tpr"])) for r in curves if r["detector"] == name]
+        assert written == list(zip(roc.fpr.tolist(), roc.tpr.tolist())), name
 
 
 def test_detect_stage_rejects_wrong_horizon(tiny_cfg, tiny_run, tmp_path):

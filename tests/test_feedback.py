@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -132,6 +133,40 @@ def test_full_participation_oracle_tracks_target():
     cfg = GridConfig(n_homes=5, kappa=1.0, target=60.0)
     trace = simulate(base, cfg, forecaster=_oracle(base))
     assert np.allclose(trace.observed_load, 60.0, rtol=1e-9)
+
+
+@st.composite
+def _identity_cases(draw, same_eps_hat=False):
+    """A random grid, elasticity, utility elasticity, goal and target (scalar or per hour)."""
+    hours, homes = draw(st.integers(1, 48)), draw(st.integers(1, 8))
+    base = np.random.default_rng(draw(st.integers(0, 2**31))).uniform(0.05, 5.0, size=(hours, homes))
+    eps = draw(st.floats(-3.0, -0.2))
+    eps_hat = draw(st.sampled_from([None, eps]) if same_eps_hat else st.one_of(st.none(), st.floats(-3.0, -0.2)))
+    scale = base.sum(axis=1)
+    target = draw(st.one_of(
+        st.floats(0.5, 2.0).map(lambda f: f * float(scale.mean())),
+        st.lists(st.floats(0.5, 2.0), min_size=hours, max_size=hours).map(lambda fs: tuple(fs * scale)),
+    ))
+    goal = draw(st.sampled_from(["goal1", "goal2"]))
+    return base, GridConfig(homes, 0.0, eps_dsm=eps, eps_dsm_hat=eps_hat, goal=goal, target=target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_identity_cases())
+def test_zero_participation_identity_property(case):
+    base, cfg = case
+    total = base.sum(axis=1)
+    trace = simulate(base, cfg)
+    assert np.max(np.abs(trace.observed_load - total) / total) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(_identity_cases(same_eps_hat=True))
+def test_full_participation_oracle_tracking_property(case):
+    # exact tracking needs the utility to know the elasticity (eps_hat = eps)
+    base, cfg = case
+    trace = simulate(base, dataclasses.replace(cfg, kappa=1.0), forecaster=_oracle(base))
+    assert np.max(np.abs(trace.observed_load - trace.lstar) / trace.lstar) <= 1e-6
 
 
 def test_per_hour_targets():

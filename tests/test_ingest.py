@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -105,6 +107,21 @@ def test_negative_power_rejected(tmp_path):
     path = tmp_path / "h.csv"
     _write_csv(path, [(0, 1.0), (1, -0.5)])
     with pytest.raises(ValueError, match="invalid reading"):
+        load_template(str(path))
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"minute,kw\n0,1\n1," + b"1" * 131_073 + b"\n", ":3: malformed row: field larger than field limit"),
+        (b"minute,kw\n0,1\n1,\xff\n", ":3: not utf-8 text: byte 0xff"),
+    ],
+    ids=["long-cell", "bad-byte"],
+)
+def test_unreadable_row_names_path_and_line(tmp_path, data, where):
+    path = tmp_path / "h.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
         load_template(str(path))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridloop.seeds import seed_sequence, stream, stream_integers
+from gridloop.seeds import hash_integers, seed_sequence, stream
 
 
 def test_same_keys_same_stream():
@@ -51,14 +51,19 @@ def test_rejects_unhashable_key_types():
         seed_sequence(0, [1, 2])
 
 
-def _per_stream(prefix, idx, high, size):
-    """The reference: one Generator per stream, as stream_integers' contract reads."""
-    highs = np.broadcast_to(high, np.shape(idx))
-    return np.stack([stream(*prefix, int(i)).integers(0, int(h), size) for i, h in zip(idx, highs)])
+_M64 = 2**64 - 1
 
 
-# 0 and one-word seeds fill the pool with the "home" and index words; from
-# 2**32 up the entropy outgrows SeedSequence's 4-word pool
+def _splitmix_pick(key, i, j, high):
+    """SplitMix64 (Steele, Lea and Flood 2014) on Python ints: draw j of stream i."""
+    z = (key + ((i << 32) | j) * 0x9E3779B97F4A7C15) & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    z ^= z >> 31
+    return (z >> 32) * high >> 32
+
+
+# 0, one-word seeds, two-word seeds and seeds of three words and more
 _SEEDS = st.one_of(
     st.just(0),
     st.integers(1, 2**32 - 1),
@@ -71,37 +76,49 @@ _SEEDS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     _SEEDS,
-    st.integers(0, 2**32 - 16),  # first stream index
+    st.one_of(st.integers(0, 2**20), st.integers(2**32 - 40, 2**32 - 12)),  # first stream index
     st.lists(st.integers(1, 28), min_size=1, max_size=12),  # one bound per stream
     st.sampled_from([1, 2, 7, 24, 31]),  # draws per stream
 )
-def test_stream_integers_match_numpy_streams(seed, offset, highs, size):
+def test_hash_integers_match_the_splitmix_reference(seed, offset, highs, size):
+    key = int(seed_sequence(seed, "home").generate_state(1, np.uint64)[0])
     idx = np.arange(offset, offset + len(highs))
-    got = stream_integers((seed, "home"), idx, highs, size)
-    want = _per_stream((seed, "home"), idx, highs, size)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    got = hash_integers((seed, "home"), idx, highs, size)
+    want = [[_splitmix_pick(key, int(i), j, h) for j in range(size)] for i, h in zip(idx, highs)]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stream_integers_match_numpy_through_rejections():
-    # at high = 2**31 + 1 about half of all draws land in Lemire's rejection zone
-    idx = np.arange(40)
-    got = stream_integers((5, "tree"), idx, 2**31 + 1, 5)
-    assert np.array_equal(got, _per_stream((5, "tree"), idx, 2**31 + 1, 5))
-    assert np.array_equal(stream_integers((5,), idx, 2**32 - 1, 3), _per_stream((5,), idx, 2**32 - 1, 3))
+def test_hash_integers_do_not_depend_on_their_neighbours():
+    alone = hash_integers((3, "home"), [5], 28, 4)
+    assert np.array_equal(alone, hash_integers((3, "home"), np.arange(10), 28, 7)[5:6, :4])
 
 
-def test_stream_integers_rejects_what_stream_rejects():
+def test_hash_integers_are_uniform():
+    # chi-square against uniform over 28 blocks: each draw, and each pair of successive draws
+    picks = hash_integers((20190927, "home"), np.arange(3226), 28, 31)
+    assert picks.min() == 0 and picks.max() == 27
+
+    def chi2(cells, n):
+        counts = np.bincount(cells.ravel(), minlength=n)
+        expected = cells.size / n
+        return float(((counts - expected) ** 2 / expected).sum())
+
+    # 27 and 783 degrees of freedom; each bound is about 6 standard deviations above its mean
+    assert chi2(picks, 28) < 27 + 6 * np.sqrt(2 * 27)
+    assert chi2(picks[:, :-1] * 28 + picks[:, 1:], 28 * 28) < 783 + 6 * np.sqrt(2 * 783)
+
+
+def test_hash_integers_reject_what_stream_rejects():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         stream(-1, "home", 0)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        stream_integers((-1, "home"), np.arange(3), 5, 2)
+        hash_integers((-1, "home"), np.arange(3), 5, 2)
     with pytest.raises(TypeError):
-        stream_integers((0, 1.5), np.arange(3), 5, 2)
+        hash_integers((0, 1.5), np.arange(3), 5, 2)
     for high in (0, 2**32):
         with pytest.raises(ValueError, match="high must lie in"):
-            stream_integers((0, "home"), np.arange(3), high, 2)
+            hash_integers((0, "home"), np.arange(3), high, 2)
     for idx in ([-1, 0], [2**32]):
         with pytest.raises(ValueError, match="stream indices must lie in"):
-            stream_integers((0, "home"), np.array(idx), 5, 2)
+            hash_integers((0, "home"), np.array(idx), 5, 2)

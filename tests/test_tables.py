@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridloop import tables
-from gridloop.feedback import SimulationTrace, write_trace
+from gridloop.experiment import ExperimentConfig
+from gridloop.feedback import GridConfig, SimulationTrace, read_trace, simulate, write_trace
 from gridloop.loadgen import BootstrapConfig, Microgrid, read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import (
@@ -225,13 +226,30 @@ def test_read_table_names_path_and_line(tmp_path, text, where):
         ("0,1", ":25002: malformed row: 2 cells, expected 3"),
         ("0,1,x", ":25002: malformed row: b 'x' is not a number"),
         ("0,1,-1", ":25002: b -1.0 must be finite and non-negative"),
+        ("0,1,\udcff", ":25002: not utf-8 text: byte 0xff"),  # far past the reader's first chunk
     ],
 )
 def test_line_numbers_hold_across_blocks(tmp_path, row, where):
     rows = ["0,1,1"] * 30_000
     rows[25_000] = row
     path = tmp_path / "t.csv"
-    path.write_text("\n".join(["hour,a,b"] + rows) + "\n")
+    path.write_text("\n".join(["hour,a,b"] + rows) + "\n", errors="surrogateescape")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+        read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"hour,a\n0,1\n1," + b"1" * 131_073 + b"\n", ":3: malformed row: field larger than field limit"),
+        (b"hour,a\n0,1\n1,\xff\n", ":3: not utf-8 text: byte 0xff"),
+        (b"hour,\xe9\n", ":1: not utf-8 text: byte 0xe9"),
+    ],
+    ids=["long-cell", "bad-byte", "bad-header"],
+)
+def test_read_table_names_csv_and_decoding_errors(tmp_path, data, where):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
         read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
 
@@ -269,13 +287,16 @@ def test_read_table_empty_body(tmp_path):
         ('{"a": 1, "b": {"c": -1}}', ": b.c -1 must be a number, finite and positive"),
         ('{"a": 1, "b": {"c": 1e400}}', ": b.c inf must be a number, finite and positive"),
         ('{"a": 1, "b": {"c": 1%s}}' % ("0" * 400), ": b.c 1000"),
+        ('{"a":\n "\udcff"}', ":2: not utf-8 text: byte 0xff"),
+        ('{"a": 1%s}' % ("0" * 5000), ": Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, ": maximum recursion depth exceeded"),
     ],
     ids=["truncated", "extra-data", "list", "missing", "missing-nested", "string", "bool", "nan",
-         "negative", "overflowing-float", "overflowing-int"],
+         "negative", "overflowing-float", "overflowing-int", "bad-byte", "too-many-digits", "too-deep"],
 )
 def test_read_json_names_path_and_key(tmp_path, text, where):
     path = tmp_path / "x.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
         read_json(path, {"a": None, "b.c": POSITIVE})
 
@@ -285,3 +306,41 @@ def test_read_json_returns_the_object(tmp_path):
     payload = {"a": [1, 2], "b": {"c": 0.5}}
     path.write_text(json.dumps(payload))
     assert read_json(path, {"a": None, "b.c": POSITIVE}) == payload
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a mutated file is read, or rejected with a ValueError naming it
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    grid = synthesize_microgrid(synthetic_hourly_templates(2, 2, seed=0), BootstrapConfig(3, 2))
+    write_microgrid(grid, root / "grid.csv")
+    write_trace(simulate(grid.kwh, GridConfig(n_homes=3, kappa=0.5)), root / "trace.csv")
+    ExperimentConfig().to_json(root / "cfg.json")
+    return {name: (root / name).read_bytes() for name in ("grid.csv", "trace.csv", "cfg.json")}
+
+
+_READERS = {"grid.csv": read_microgrid, "trace.csv": read_trace, "cfg.json": ExperimentConfig.from_json}
+# what a mutation splices in: random bytes, or bytes each reader must name the file for
+_SPLICES = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.sampled_from([b"x" * 131_073, b"\xff", b"7" * 5000, b"[" * 3000, b"\x00", b'"', b"\r\n", b","]),
+)
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 3), _SPLICES), min_size=1, max_size=4))
+def test_mutated_files_raise_only_a_value_error_naming_the_file(tmp_path, valid_files, name, edits):
+    data = valid_files[name]
+    for where, cut, splice in edits:
+        at = int(where * len(data))
+        data = data[:at] + splice + data[at + cut :]
+    path = tmp_path / name
+    path.write_bytes(data)
+    try:
+        _READERS[name](str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), exc
