@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from gridloop.seeds import stream
+from gridloop.seeds import hash_integers
 
 __all__ = [
     "GaussianNaiveBayes",
@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 _MAX_BINS = 256
-# (node, candidate, bin) cells per histogram and (row, candidate) keys per
-# bincount in the forest fit; keeps a level's temporaries near 1 MB however
-# many nodes are open
+# (node, candidate, bin) cells per histogram, (row, candidate) keys per
+# bincount and (node, feature) keys per candidate draw in the forest fit;
+# keeps a level's temporaries near 1 MB however many nodes are open
 _BLOCK_CELLS = 1 << 13
 # bootstrap rows grown in lockstep: a fit grows max(1, _BATCH_ROWS // n) trees at once
 _BATCH_ROWS = 1 << 15
@@ -185,7 +185,14 @@ class RandomForest:
     Each tree bootstraps rows and, at every node, examines
     ceil(sqrt(n_features)) candidate features (``mtry``); the best Gini
     split wins, with ties resolved toward the lowest feature index and then
-    the lowest cut. Split thresholds are actual training values (predicate
+    the lowest cut. Both draws go through ``seeds.hash_integers``:
+    bootstrap row j of tree t is draw j of stream t under (seed, "rows"),
+    and node n of tree t, numbered in level order within the tree, takes
+    the ``mtry`` features with the smallest keys, feature f's key being
+    draw n*d + f of stream t under (seed, "features"), ties to the lower
+    index. A tree is thus a pure function of (seed, t), whichever batch it
+    grew in, and ``n_trees=k`` gives the first k trees of any larger
+    forest with the same seed. Split thresholds are actual training values (predicate
     ``x <= value``), so predictions depend only on feature order and are
     unchanged by order-preserving transforms applied consistently to
     training and test data. Nodes stop at purity, fewer than 2 samples,
@@ -197,19 +204,15 @@ class RandomForest:
 
     Trees grow level by level, max(1, 32768 // n_rows) of them in
     lockstep: the batch is one super-tree whose first level holds every
-    tree's root and whose rows are the trees' bootstrap samples. Each tree
-    draws from its own seed stream (its bootstrap, then its open nodes'
-    candidates in level and slot order), so a tree does not depend on the
-    batch it grew in, and ``n_trees=k`` gives the first k trees of any
-    larger forest with the same seed. Each level counts the rows of the
-    batch's open nodes in a histogram over (node, candidate, bin, class);
-    cumulative sums over the bins then give every cut of every candidate,
-    and the Gini score is computed at occupied bins only. A level is
-    counted in blocks of at most 8192 (node, candidate, bin) cells and 8192
-    (row, candidate) keys, so its temporaries stay near 1 MB however many
-    nodes are open. Candidates are sorted ascending, so the first minimum
-    of a node's flattened (candidate, cut) scores follows the tie rule
-    above.
+    tree's root and whose rows are the trees' bootstrap samples. Each level
+    counts the rows of the batch's open nodes in a histogram over (node,
+    candidate, bin, class); cumulative sums over the bins then give every
+    cut of every candidate, and the Gini score is computed at occupied bins
+    only. A level is counted in blocks of at most 8192 (node, candidate,
+    bin) cells, 8192 (row, candidate) keys and 8192 (node, feature) keys,
+    so its temporaries stay near 1 MB however many nodes are open.
+    Candidates are sorted ascending, so the first minimum of a node's
+    flattened (candidate, cut) scores follows the tie rule above.
     """
 
     def __init__(self, n_trees: int = 100, mtry: int | None = None, seed: int = 0):
@@ -249,8 +252,8 @@ class RandomForest:
         self.trees = []
         batch = max(1, _BATCH_ROWS // n)
         for lo in range(0, self.n_trees, batch):
-            rngs = [stream(self.seed, "tree", t) for t in range(lo, min(lo + batch, self.n_trees))]
-            self.trees += _grow_trees(bins, y, cut_table, mtry, rngs)
+            trees = np.arange(lo, min(lo + batch, self.n_trees))
+            self.trees += _grow_trees(bins, y, cut_table, mtry, self.seed, trees)
         return self
 
     def predict_score(self, X):
@@ -275,27 +278,26 @@ class RandomForest:
         return vote[node].reshape(len(X), n_trees).sum(axis=1) / self.n_trees
 
 
-def _grow_trees(bins, y, cut_table, mtry, rngs):
-    """Grow one tree per generator in lockstep; returns per-tree flat node arrays.
+def _grow_trees(bins, y, cut_table, mtry, seed, trees):
+    """Grow the forest's trees numbered ``trees`` in lockstep; returns per-tree flat node arrays.
 
     The batch is one super-tree: level 0 holds every tree's root and the
-    rows are the trees' bootstrap samples, concatenated. Each generator
-    draws its tree's bootstrap, then the candidates of the tree's open
-    nodes in ascending slot order, level by level, as if the tree grew
-    alone. A level's slots are ordered by tree, then slot; the children of
-    the level's i-th split are the next level's slots 2i and 2i + 1, so
-    each tree's nodes, taken level by level, get their numbers in its own
-    order.
+    rows are the trees' bootstrap samples, concatenated. The children of a
+    level's i-th split are the next level's slots 2i and 2i + 1, so a
+    level's slots are ordered by tree and, within a tree, by level order.
     """
     n, d = bins.shape
     n_bins = cut_table.shape[1]
-    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-    slot = np.repeat(np.arange(len(rngs)), n)
-    tree = np.arange(len(rngs))  # tree of each slot of the level
+    rows = hash_integers((seed, "rows"), trees[:, None], np.arange(n), n).ravel()
+    slot = np.repeat(np.arange(len(trees)), n)
+    tree = np.arange(len(trees))  # batch position of each slot's tree
+    seen = np.zeros(len(trees), dtype=np.int64)  # each tree's nodes in the levels so far
     levels = []
     n_nodes = len(tree)  # nodes of all levels so far, the current one included
     while len(rows):
         n_slots = len(tree)
+        node = seen[tree] + np.arange(n_slots) - np.searchsorted(tree, tree)  # number in its tree
+        seen += np.bincount(tree, minlength=len(trees))
         per_class = np.bincount(slot * 2 + y[rows], minlength=2 * n_slots).reshape(n_slots, 2)
         counts = per_class.sum(axis=1)
         ones = per_class[:, 1]
@@ -303,8 +305,11 @@ def _grow_trees(bins, y, cut_table, mtry, rngs):
         opened = np.flatnonzero(is_open)
         k = len(opened)
         cand = np.empty((k, mtry), dtype=np.int64)
-        for i, t in enumerate(tree[opened]):
-            cand[i] = rngs[t].choice(d, size=mtry, replace=False)
+        step = max(1, _BLOCK_CELLS // d)
+        for lo in range(0, k, step):
+            o = opened[lo : lo + step, None]
+            key = hash_integers((seed, "features"), trees[tree[o]], node[o] * d + np.arange(d), 2**32 - 1)
+            cand[lo : lo + step] = np.argsort(key, axis=1, kind="stable")[:, :mtry]
         cand.sort(axis=1)
 
         # score the open slots a block at a time; rows of closed slots rank -1
@@ -314,9 +319,7 @@ def _grow_trees(bins, y, cut_table, mtry, rngs):
         for lo in range(0, k, step):
             hi = min(lo + step, k)
             in_block = (rank >= lo) & (rank < hi)
-            best[lo:hi] = _best_cuts(
-                bins, y, rows[in_block], rank[in_block] - lo, cand[lo:hi], n_bins
-            )
+            best[lo:hi] = _best_cuts(bins, y, rows[in_block], rank[in_block] - lo, cand[lo:hi], n_bins)
         found = best >= 0
 
         # open slots without a separating cut become leaves too
@@ -333,7 +336,7 @@ def _grow_trees(bins, y, cut_table, mtry, rngs):
         left = n_nodes - n_slots + np.arange(n_slots)
         left[split] = n_nodes + 2 * np.arange(len(split))
         vote = np.where(is_split, -1, 2 * ones > counts).astype(np.int8)  # tie -> 0
-        levels.append((tree, feature, threshold, left, left + is_split, vote))
+        levels.append((tree, node.astype(np.int32), feature, threshold, left, left + is_split, vote))
 
         # route the rows of split slots to their children, the next level's slots
         moving = is_split[slot]
@@ -343,17 +346,12 @@ def _grow_trees(bins, y, cut_table, mtry, rngs):
         tree = np.repeat(tree[split], 2)
         n_nodes += len(tree)
 
-    # renumber each tree's nodes from 0, in level order, and cut the batch apart
-    tree, feature, threshold, left, right, vote = (np.concatenate(c) for c in zip(*levels))
+    # renumber the children within their trees, and cut the batch apart
+    tree, node, feature, threshold, left, right, vote = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree, kind="stable")
-    sizes = np.bincount(tree, minlength=len(rngs))
-    local = np.empty(n_nodes, dtype=np.int32)
-    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cols = {"feature": feature, "threshold": threshold, "left": local[left],
-            "right": local[right], "vote": vote}
-    ends = np.cumsum(sizes)[:-1]
-    split_cols = {key: np.split(col[order], ends) for key, col in cols.items()}
-    return [{key: split_cols[key][t] for key in cols} for t in range(len(rngs))]
+    cols = (feature, threshold, node[left], node[right], vote)
+    parts = [np.split(col[order], np.cumsum(seen)[:-1]) for col in cols]
+    return [dict(zip(("feature", "threshold", "left", "right", "vote"), p)) for p in zip(*parts)]
 
 
 def _best_cuts(bins, y, rows, slot, cand, n_bins):

@@ -137,9 +137,17 @@ class CusumResult:
     change_candidates: np.ndarray  # times with pre-reset g_t == 0
 
 
+def _finite_residuals(x):
+    # a NaN would reset cusum_detect's max(0, g) but stick in cusum_sweep's np.maximum
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("CUSUM residuals must be finite (no NaN or inf)")
+    return x
+
+
 def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
     """The one-sided CUSUM recursion at the config's drift and threshold."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_residuals(x)
     k, h = cfg.effective_k, cfg.effective_h
     scores = np.empty(len(x))
     alarms = np.zeros(len(x), dtype=np.int8)
@@ -173,7 +181,7 @@ def cusum_sweep(
     pass. h = 0 is allowed inside the sweep (it alarms on any positive g) even
     though user-facing configs require h > 0.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_residuals(x)
     drift = 0.5 * sigma if k is None else k
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
     n = len(x)

@@ -71,7 +71,8 @@ def load_template(path: str) -> TemplateHome:
     """Parse one ``minute,kw`` CSV into a TemplateHome.
 
     Raises ValueError naming the offending line for malformed rows,
-    negative power, or a non-increasing minute index.
+    negative power, or a minute index that is outside [0, 2**31) or not
+    increasing.
     """
     minutes: list[int] = []
     kw: list[float] = []
@@ -90,6 +91,8 @@ def load_template(path: str) -> TemplateHome:
                 p = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
+            if not 0 <= m < 2**31:
+                raise ValueError(f"{path}:{lineno}: minute {m} outside [0, 2**31)")
             if p < 0 or not np.isfinite(p):
                 raise ValueError(f"{path}:{lineno}: invalid reading {row[1]!r}")
             if minutes and m <= minutes[-1]:

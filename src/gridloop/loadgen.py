@@ -5,11 +5,11 @@ templates: home i is assigned template i mod K (round robin) and each of
 its simulated days is an aligned 24-hour block drawn uniformly, with
 replacement, from that template's complete days.
 
-Day d of home i is pick ``hash_integers((seed, "home"), [i], blocks_i,
-num_days)[0, d]``, a counter-based hash of (seed, home, day), so growing
-the population or the horizon never reshuffles a home's days. The picks
-are drawn for a block of homes at once, and the grid is filled one
-simulated day at a time across the block.
+Day d of home i is pick ``hash_integers((seed, "home"), i, d, blocks_i)``,
+a counter-based hash of (seed, home, day), so growing the population or
+the horizon never reshuffles a home's days. The picks are drawn for a
+block of homes at once, and the grid is filled one simulated day at a
+time across the block.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
     first = np.cumsum(usable) - usable
     which = np.arange(cfg.n_homes) % len(templates)
     out = np.empty((cfg.num_days * BLOCK_HOURS, cfg.n_homes))
+    days = np.arange(cfg.num_days)
     for lo in range(0, cfg.n_homes, _BLOCK_HOMES):
         hi = min(lo + _BLOCK_HOMES, cfg.n_homes)
         k = which[lo:hi]
-        picks = hash_integers((cfg.seed, "home"), np.arange(lo, hi), usable[k], cfg.num_days)
+        picks = hash_integers((cfg.seed, "home"), np.arange(lo, hi)[:, None], days, usable[k, None])
         picks += first[k, None]
         for d in range(cfg.num_days):
             rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)

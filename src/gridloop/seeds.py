@@ -1,9 +1,11 @@
 """Deterministic, collision-free RNG streams.
 
-Every random draw in the package flows through a named stream derived from
-``numpy.random.SeedSequence`` so that runs are reproducible end to end and
-independent stages (template synthesis, per-home bootstrap, training-attack
-magnitudes, forest bagging) never share or reorder draws.
+Every random draw in the package is named by a tuple of ints and short
+strings mixed through ``numpy.random.SeedSequence``, so runs are
+reproducible end to end and independent stages never share or reorder
+draws. Template synthesis and the training attacks draw from ``stream``;
+the bootstrap's day picks and the forest's bootstrap rows and split
+candidates draw through ``hash_integers``.
 
 ``hash_integers`` is counter-based (Salmon et al. 2011): draw ``j`` of
 stream ``i`` is a pure function of (prefix, i, j), so a stream's draws do
@@ -52,22 +54,19 @@ def stream(*keys) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(*keys))
 
 
-def hash_integers(prefix: tuple, idx, high, size: int) -> np.ndarray:
-    """Draws in ``[0, high_r)``: row r holds draws 0..size-1 of stream ``idx[r]``.
+def hash_integers(prefix: tuple, i, j, high) -> np.ndarray:
+    """Draw ``j`` of stream ``i`` in ``[0, high)``, broadcast over ``i``, ``j`` and ``high``.
 
-    ``idx`` is a non-empty 1-d array of stream indices in [0, 2**32) and
-    ``high`` the exclusive bound of each stream (a scalar or one per
-    index), in [1, 2**32). Pure uint64 array arithmetic, wrapping mod 2**64.
+    Stream indices and draw counters lie in [0, 2**32), bounds in [1, 2**32);
+    any of them may be empty. Pure uint64 array arithmetic, wrapping mod 2**64.
     """
     key = seed_sequence(*prefix).generate_state(1, np.uint64)[0]
-    idx = np.asarray(idx)
-    if idx.min() < 0 or idx.max() > _MASK32:
-        raise ValueError("stream indices must lie in [0, 2**32)")
-    high = np.broadcast_to(np.asarray(high), idx.shape)
-    if high.min() < 1 or high.max() > _MASK32:
-        raise ValueError("high must lie in [1, 2**32)")
-    z = (idx.astype(np.uint64)[:, None] << 32 | np.arange(size, dtype=np.uint64)) * _GOLDEN + key
+    i, j, high = np.asarray(i), np.asarray(j), np.asarray(high)
+    for name, a, lo in (("stream indices", i, 0), ("draw counters", j, 0), ("high", high, 1)):
+        if np.any((a < lo) | (a > _MASK32)):
+            raise ValueError(f"{name} must lie in [{lo}, 2**32)")
+    z = (i.astype(np.uint64) << 32 | j.astype(np.uint64)) * _GOLDEN + key
     z = (z ^ z >> 30) * _MIX_1
     z = (z ^ z >> 27) * _MIX_2
     z = (z ^ z >> 31) >> 32
-    return (z * high.astype(np.uint64)[:, None] >> 32).view(np.int64)
+    return (z * high.astype(np.uint64) >> 32).view(np.int64)

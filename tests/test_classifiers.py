@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridloop import classifiers
 from gridloop.classifiers import (
     _BATCH_ROWS,
     GaussianNaiveBayes,
@@ -325,28 +326,28 @@ def _full_mtry_case():
 GOLDEN_FORESTS = {
     "lagged_24": (
         _lagged_case,
-        "563bf54eac13096cb10e282e7bf0585083b28ec3c2610fdea8a006a113d30176",
-        "ee40957b5c3537f2a05748b380eb9508db66cbc7792199ade3c89179a7e1894a",
+        "e5a14afb359091e905daa4181f670c87fb65850a1b02260d340b2a47e63fe6e3",
+        "12f54f5fc17ac59a78d5e5a0601254739ac4b12b3adb9c66bba1cc965c03a891",
     ),
     "many_values": (
         _many_values_case,
-        "41216e56c277e35a260f753097c3d2ed80138cf60f779ec773515adb32e6f5ce",
-        "b25e5277de34f3cd800716b3efe054578988d8e3b75e2718803ff035d046324a",
+        "a557d8f91038122e0e4fb76e4096675bdc532a731283bc23d427dd021aebfc8e",
+        "961af0b80a53028656729b483596e60fc04ef35f54a77f47240872c6d55ccc07",
     ),
     "constant_column": (
         _constant_column_case,
-        "5f0a6388686f812519aac81739c9b4e44c01f4aee518df6719c96266c102aa88",
-        "10bef42cc31d6349638932dfa1e7f890fd57b3d1357f21a90f7a4c1ea83be607",
+        "00e1471aa9fe7ee3e936eb01630ed1469c49d5dc78e88dfd29090add10688475",
+        "714f616f039ae97083b3dfb61fc7086fa0d52fd3e540f2cc017cc01e52008689",
     ),
     "single_tree": (
         _single_tree_case,
-        "e0cb0b1b075d6f49c719c41e245889aaf701404aab691caf44447a8112b1c1d7",
-        "3c583a1a6dc05ee870a2bb824f7169e8b19e58dbd8d439fee45706d7ce98b8d3",
+        "1c48675611ba030b1f7150ba762bfe357f94649a25d0891846fad29856a06363",
+        "b18512be1183535549325c707b4dae2505e00a36dbe686a05e0cdc333cba40f4",
     ),
     "full_mtry": (
         _full_mtry_case,
-        "1985cdef7afe13ae5d03898b4019a98e12f711818943255d990e91adc56b6696",
-        "911fa5c65acb50057a3adb93df5d9f3d13ba4d9bc172878773a437a16a3c3522",
+        "77cfc8891c4f5f51285599a33a987bfd1052279a7cf38a3450716bf4bbd4b6e2",
+        "875b070fdc1cd843910955b78f48f6d2c5c2e296cd8169e1eab4e6e4f63e0213",
     ),
 }
 
@@ -384,13 +385,16 @@ def _assert_same_trees(a, b):
             assert np.array_equal(ta[key], tb[key]), key
 
 
-def test_forest_first_trees_do_not_depend_on_the_batch():
+def test_forest_first_trees_do_not_depend_on_the_batch(monkeypatch):
     X, y = _blobs(n=1500, seed=44, gap=1.5, sd=1.5, d=4)
     batch = _BATCH_ROWS // len(y)
     assert batch > 2
     full = RandomForest(n_trees=batch + 3, seed=45).fit(X, y)
     for k in (1, batch - 1, batch, batch + 1):
         _assert_same_trees(RandomForest(n_trees=k, seed=45).fit(X, y).trees, full.trees[:k])
+    # every tree grown alone, in a batch of one
+    monkeypatch.setattr(classifiers, "_BATCH_ROWS", 1)
+    _assert_same_trees(RandomForest(n_trees=batch + 3, seed=45).fit(X, y).trees, full.trees)
 
 
 def test_forest_fit_memory_stays_in_budget():

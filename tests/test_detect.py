@@ -143,6 +143,17 @@ def test_cusum_sweep_grid_and_consistency():
     assert intervals[6].sum() >= decisions[6].sum()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cusum_rejects_non_finite_residuals(bad):
+    # on [3, nan, 3, 3] at k 0.5, h 2 the recursion would alarm at [1, 0, 1, 1] and
+    # the sweep's h = 2 row at [1, 0, 0, 0]; both refuse the input instead
+    x = [3.0, bad, 3.0, 3.0]
+    with pytest.raises(ValueError, match="must be finite"):
+        cusum_detect(x, CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        cusum_sweep(x, sigma=1.0, k=0.5, n_points=4, h_max_sigmas=6.0)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=60),
        st.floats(0.0, 2.0), st.floats(0.1, 5.0))

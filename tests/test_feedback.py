@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from gridloop.attack import make_ramp, make_sudden
+from gridloop.attack import equivalent_load_delta, make_point, make_ramp, make_sudden
 from gridloop.feedback import (
     TRACE_COLUMNS,
     GridConfig,
@@ -479,3 +479,51 @@ def test_loop_matches_per_home_reference(case):
     np.testing.assert_allclose(trace.lstar, lstar, rtol=1e-12)
     assert trace.attack_truth.tolist() == truth.tolist()
     assert trace.clamped == clamped
+
+
+# ---------------------------------------------------------------------------
+# a price attack inside the loop equals the load attack it converts to
+
+
+@st.composite
+def _price_attacks(draw):
+    """A random grid and loop, and a sudden price offset on some victims over a window."""
+    hours, homes = draw(st.integers(2, 24)), draw(st.integers(1, 6))
+    base = np.random.default_rng(draw(st.integers(0, 2**31))).uniform(0.2, 3.0, size=(hours, homes))
+    cfg = GridConfig(
+        n_homes=homes,
+        kappa=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        eps_dsm=draw(st.floats(-3.0, -0.2)),
+        goal=draw(st.sampled_from(["goal1", "goal2"])),
+        target=draw(st.floats(0.5, 2.0)) * float(base.sum(axis=1).mean()),
+        lstar_floor=0.1,
+    )
+    victims = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, homes - 1), min_size=1, max_size=homes, unique=True).map(tuple),
+    ))
+    start = draw(st.integers(0, hours - 1))
+    window = (start, draw(st.integers(start + 1, hours)))
+    return base, cfg, make_sudden(window, draw(st.floats(-2.0, 2.0)), mode="price", victims=victims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_price_attacks())
+def test_closed_loop_price_attack_equals_its_load_equivalent(case):
+    base, cfg, attack = case
+    try:
+        price_run = simulate(base, cfg, schedule=attack)
+    except ValueError as exc:  # an offset below -P leaves a victim no positive price
+        assert "non-physical price" in str(exc)
+        reject()
+    # each hour, the victims' load deltas at the price the price run posted
+    level, (start, end) = attack.params["level"], attack.window
+    values = {
+        t: sum(equivalent_load_delta(level, base[t, v], cfg.kappa, price_run.price[t], cfg.eps_dsm)
+               for v in attack.victim_indices(cfg.n_homes))
+        for t in range(start, end)
+    }
+    load_run = simulate(base, cfg, schedule=make_point(values, attack.window, victims=attack.victims))
+    assume(load_run.clamped == 0)
+    np.testing.assert_allclose(load_run.price, price_run.price, rtol=1e-9)
+    np.testing.assert_allclose(load_run.observed_load, price_run.observed_load, rtol=1e-9)

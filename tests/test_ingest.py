@@ -115,8 +115,10 @@ def test_negative_power_rejected(tmp_path):
     [
         (b"minute,kw\n0,1\n1," + b"1" * 131_073 + b"\n", ":3: malformed row: field larger than field limit"),
         (b"minute,kw\n0,1\n1,\xff\n", ":3: not utf-8 text: byte 0xff"),
+        (b"minute,kw\n99999999999999999999,1\n", ":2: minute 99999999999999999999 outside [0, 2**31)"),
+        (b"minute,kw\n-3,1\n-2,1\n", ":2: minute -3 outside [0, 2**31)"),
     ],
-    ids=["long-cell", "bad-byte"],
+    ids=["long-cell", "bad-byte", "huge-minute", "negative-minute"],
 )
 def test_unreadable_row_names_path_and_line(tmp_path, data, where):
     path = tmp_path / "h.csv"

@@ -83,20 +83,20 @@ _SEEDS = st.one_of(
 def test_hash_integers_match_the_splitmix_reference(seed, offset, highs, size):
     key = int(seed_sequence(seed, "home").generate_state(1, np.uint64)[0])
     idx = np.arange(offset, offset + len(highs))
-    got = hash_integers((seed, "home"), idx, highs, size)
+    got = hash_integers((seed, "home"), idx[:, None], np.arange(size), np.array(highs)[:, None])
     want = [[_splitmix_pick(key, int(i), j, h) for j in range(size)] for i, h in zip(idx, highs)]
     assert got.dtype == np.int64
     assert got.tolist() == want
 
 
 def test_hash_integers_do_not_depend_on_their_neighbours():
-    alone = hash_integers((3, "home"), [5], 28, 4)
-    assert np.array_equal(alone, hash_integers((3, "home"), np.arange(10), 28, 7)[5:6, :4])
+    alone = hash_integers((3, "home"), 5, np.arange(4), 28)
+    assert np.array_equal(alone, hash_integers((3, "home"), np.arange(10)[:, None], np.arange(7), 28)[5, :4])
 
 
 def test_hash_integers_are_uniform():
     # chi-square against uniform over 28 blocks: each draw, and each pair of successive draws
-    picks = hash_integers((20190927, "home"), np.arange(3226), 28, 31)
+    picks = hash_integers((20190927, "home"), np.arange(3226)[:, None], np.arange(31), 28)
     assert picks.min() == 0 and picks.max() == 27
 
     def chi2(cells, n):
@@ -113,12 +113,23 @@ def test_hash_integers_reject_what_stream_rejects():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         stream(-1, "home", 0)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        hash_integers((-1, "home"), np.arange(3), 5, 2)
+        hash_integers((-1, "home"), np.arange(3), 0, 5)
     with pytest.raises(TypeError):
-        hash_integers((0, 1.5), np.arange(3), 5, 2)
+        hash_integers((0, 1.5), np.arange(3), 0, 5)
     for high in (0, 2**32):
         with pytest.raises(ValueError, match="high must lie in"):
-            hash_integers((0, "home"), np.arange(3), high, 2)
+            hash_integers((0, "home"), np.arange(3), 0, high)
     for idx in ([-1, 0], [2**32]):
         with pytest.raises(ValueError, match="stream indices must lie in"):
-            hash_integers((0, "home"), np.array(idx), 5, 2)
+            hash_integers((0, "home"), np.array(idx), 0, 5)
+    for j in ([-1, 0], [2**32]):
+        with pytest.raises(ValueError, match="draw counters must lie in"):
+            hash_integers((0, "home"), 0, np.array(j), 5)
+
+
+def test_hash_integers_broadcast_and_take_empty_arrays():
+    grid = hash_integers((4, "x"), np.arange(3)[:, None], np.arange(5), [[2], [9], [30]])
+    assert grid.shape == (3, 5)
+    assert grid[1, 3] == hash_integers((4, "x"), [1], [3], 9)[0]
+    empty = hash_integers((4, "x"), np.zeros((0, 1), dtype=int), np.arange(5), 7)
+    assert empty.shape == (0, 5) and empty.dtype == np.int64

@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridloop import tables
-from gridloop.experiment import ExperimentConfig
+from gridloop.attack import read_schedule
+from gridloop.experiment import _META_KEYS, ExperimentConfig, _read_detections, scenario_dir
 from gridloop.feedback import GridConfig, SimulationTrace, read_trace, simulate, write_trace
+from gridloop.ingest import load_template
 from gridloop.loadgen import BootstrapConfig, Microgrid, read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import (
@@ -313,16 +315,32 @@ def test_read_json_returns_the_object(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
+def valid_files(tmp_path_factory, tiny_run, tiny_cfg):
     root = tmp_path_factory.mktemp("valid")
     grid = synthesize_microgrid(synthetic_hourly_templates(2, 2, seed=0), BootstrapConfig(3, 2))
     write_microgrid(grid, root / "grid.csv")
     write_trace(simulate(grid.kwh, GridConfig(n_homes=3, kappa=0.5)), root / "trace.csv")
     ExperimentConfig().to_json(root / "cfg.json")
-    return {name: (root / name).read_bytes() for name in ("grid.csv", "trace.csv", "cfg.json")}
+    files = {name: (root / name).read_bytes() for name in ("grid.csv", "trace.csv", "cfg.json")}
+    sdir = scenario_dir(tiny_run[0], tiny_cfg.kappas[0], tiny_cfg.attacks[0], 0)
+    files.update({name: (sdir / name).read_bytes() for name in ("detections.csv", "detect_meta.json")})
+    files["schedule.json"] = json.dumps({
+        "mode": "load", "kind": "point", "window": [4, 12], "victims": [0, 2],
+        "params": {"values": {"5": 1.5, "9": -2}},
+    }).encode()
+    files["template.csv"] = ("minute,kw\r\n" + "".join(f"{m},{m % 7 / 4}\r\n" for m in range(0, 180, 3))).encode()
+    return files
 
 
-_READERS = {"grid.csv": read_microgrid, "trace.csv": read_trace, "cfg.json": ExperimentConfig.from_json}
+_READERS = {
+    "grid.csv": read_microgrid,
+    "trace.csv": read_trace,
+    "cfg.json": ExperimentConfig.from_json,
+    "detections.csv": _read_detections,
+    "detect_meta.json": lambda path: read_json(path, _META_KEYS),
+    "schedule.json": read_schedule,
+    "template.csv": load_template,
+}
 # what a mutation splices in: random bytes, or bytes each reader must name the file for
 _SPLICES = st.one_of(
     st.binary(min_size=1, max_size=3),
