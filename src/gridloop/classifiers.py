@@ -12,6 +12,10 @@ z-scoring and likelihoods and can never carry a split.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -190,8 +194,8 @@ class RandomForest:
     and node n of tree t, numbered in level order within the tree, takes
     the ``mtry`` features with the smallest keys, feature f's key being
     draw n*d + f of stream t under (seed, "features"), ties to the lower
-    index. A tree is thus a pure function of (seed, t), whichever batch it
-    grew in, and ``n_trees=k`` gives the first k trees of any larger
+    index. A tree is thus a pure function of (seed, t), whichever batch or
+    process grew it, and ``n_trees=k`` gives the first k trees of any larger
     forest with the same seed. Split thresholds are actual training values (predicate
     ``x <= value``), so predictions depend only on feature order and are
     unchanged by order-preserving transforms applied consistently to
@@ -202,17 +206,11 @@ class RandomForest:
     Features with more than 256 distinct values are binned to 256
     quantile-spaced cut points (still actual observed values).
 
-    Trees grow level by level, max(1, 32768 // n_rows) of them in
-    lockstep: the batch is one super-tree whose first level holds every
-    tree's root and whose rows are the trees' bootstrap samples. Each level
-    counts the rows of the batch's open nodes in a histogram over (node,
-    candidate, bin, class); cumulative sums over the bins then give every
-    cut of every candidate, and the Gini score is computed at occupied bins
-    only. A level is counted in blocks of at most 8192 (node, candidate,
-    bin) cells, 8192 (row, candidate) keys and 8192 (node, feature) keys,
-    so its temporaries stay near 1 MB however many nodes are open.
-    Candidates are sorted ascending, so the first minimum of a node's
-    flattened (candidate, cut) scores follows the tie rule above.
+    The trees are split into one share per usable core, at most one per
+    batch of max(1, 32768 // n_rows) trees. The fit grows the first share
+    and forked children the others, and gets the trees of a serial fit, in
+    order; it grows them all in-process without ``os.fork``, beside other
+    threads or under ``taskset -c 0``. A batch grows as one super-tree.
     """
 
     def __init__(self, n_trees: int = 100, mtry: int | None = None, seed: int = 0):
@@ -249,11 +247,38 @@ class RandomForest:
         cut_table = cut_table[:, : int(bins.max()) + 1]
         del X  # the trees see only the bins
 
-        self.trees = []
         batch = max(1, _BATCH_ROWS // n)
-        for lo in range(0, self.n_trees, batch):
-            trees = np.arange(lo, min(lo + batch, self.n_trees))
-            self.trees += _grow_trees(bins, y, cut_table, mtry, self.seed, trees)
+        def grow(share):  # in batches of at most `batch` trees
+            parts = np.array_split(share, -(-len(share) // batch))
+            return [tree for p in parts for tree in _grow_trees(bins, y, cut_table, mtry, self.seed, p)]
+        workers = min(_usable_cores(), -(-self.n_trees // batch))
+        can_fork = hasattr(os, "fork") and threading.active_count() == 1  # a fork beside threads can deadlock
+        shares = np.array_split(np.arange(self.n_trees), workers if can_fork else 1)
+        children = []
+        try:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                if (pid := os.fork()) == 0:  # the child sends its trees, or its error, and exits
+                    try:
+                        with os.fdopen(write, "wb") as pipe:
+                            try:
+                                pickle.dump(grow(share), pipe)
+                            except BaseException as exc:
+                                pickle.dump(exc, pipe)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                children.append((pid, os.fdopen(read, "rb")))
+            self.trees = grow(shares[0])
+            for _, pipe in children:
+                if isinstance(out := pickle.load(pipe), BaseException):
+                    raise out
+                self.trees += out
+        finally:
+            for pid, pipe in children:  # a child that is still growing is not waited for
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         return self
 
     def predict_score(self, X):
@@ -276,6 +301,10 @@ class RandomForest:
             node[pending] = np.where(go_left, left[cur], right[cur])
             pending = pending[vote[node[pending]] == -1]
         return vote[node].reshape(len(X), n_trees).sum(axis=1) / self.n_trees
+
+
+def _usable_cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _grow_trees(bins, y, cut_table, mtry, seed, trees):

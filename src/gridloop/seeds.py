@@ -58,15 +58,21 @@ def hash_integers(prefix: tuple, i, j, high) -> np.ndarray:
     """Draw ``j`` of stream ``i`` in ``[0, high)``, broadcast over ``i``, ``j`` and ``high``.
 
     Stream indices and draw counters lie in [0, 2**32), bounds in [1, 2**32);
-    any of them may be empty. Pure uint64 array arithmetic, wrapping mod 2**64.
+    any of them may be empty. Pure uint64 array arithmetic in place, wrapping mod 2**64.
     """
     key = seed_sequence(*prefix).generate_state(1, np.uint64)[0]
     i, j, high = np.asarray(i), np.asarray(j), np.asarray(high)
     for name, a, lo in (("stream indices", i, 0), ("draw counters", j, 0), ("high", high, 1)):
         if np.any((a < lo) | (a > _MASK32)):
             raise ValueError(f"{name} must lie in [{lo}, 2**32)")
-    z = (i.astype(np.uint64) << 32 | j.astype(np.uint64)) * _GOLDEN + key
-    z = (z ^ z >> 30) * _MIX_1
-    z = (z ^ z >> 27) * _MIX_2
-    z = (z ^ z >> 31) >> 32
-    return (z * high.astype(np.uint64) >> 32).view(np.int64)
+    z = np.empty(np.broadcast_shapes(i.shape, j.shape, high.shape), dtype=np.uint64)
+    np.bitwise_or(i.astype(np.uint64) << 32, j.astype(np.uint64), out=z)
+    z *= _GOLDEN
+    z += key
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        z ^= z >> shift
+        z *= mix
+    z ^= z >> 31
+    np.multiply(z >> 32, high.astype(np.uint64), out=z)
+    z >>= 32
+    return z.view(np.int64)

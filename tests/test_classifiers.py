@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -300,6 +302,12 @@ def _lagged_case():
     return X, y, dict(n_trees=20, seed=33)
 
 
+def _lagged_two_batches_case():
+    X, y, params = _lagged_case()
+    assert 60 > _BATCH_ROWS // len(y)  # more than one batch, so more than one worker may grow it
+    return X, y, dict(params, n_trees=60)
+
+
 def _many_values_case():
     rng = np.random.default_rng(34)
     X = rng.normal(size=(2000, 2))
@@ -328,6 +336,12 @@ GOLDEN_FORESTS = {
         _lagged_case,
         "e5a14afb359091e905daa4181f670c87fb65850a1b02260d340b2a47e63fe6e3",
         "12f54f5fc17ac59a78d5e5a0601254739ac4b12b3adb9c66bba1cc965c03a891",
+    ),
+    # computed by a serial fit, before the forest's trees were split among processes
+    "lagged_24_two_batches": (
+        _lagged_two_batches_case,
+        "73c252545df2de8315cdb0b68f51d5b7d05a7339acabfb0a36178e7583988a00",
+        "1686efba0b04a2f381c1e999df11f04fbc0d747e51f2944c14b8fbe346d5b8c1",
     ),
     "many_values": (
         _many_values_case,
@@ -397,7 +411,9 @@ def test_forest_first_trees_do_not_depend_on_the_batch(monkeypatch):
     _assert_same_trees(RandomForest(n_trees=batch + 3, seed=45).fit(X, y).trees, full.trees)
 
 
-def test_forest_fit_memory_stays_in_budget():
+def test_forest_fit_memory_stays_in_budget(monkeypatch):
+    # tracemalloc sees only this process, so the whole fit grows here
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 1)
     # noisy labels grow deep, bushy trees: many open nodes per level
     rng = np.random.default_rng(46)
     X = rng.normal(size=(5000, 24))
@@ -413,3 +429,98 @@ def test_forest_fit_memory_stays_in_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the trees split among forked workers: the same trees, and no child left
+
+
+def _worker_case():
+    X, y = _blobs(n=1500, seed=44, gap=1.5, sd=1.5, d=4)
+    n_trees = 2 * (_BATCH_ROWS // len(y)) + 3  # three batches, the last shorter; 2 and 3 do not divide it
+    return X, y, n_trees
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the fit's calls of ``os.fork``."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_forest_worker_count_does_not_change_a_tree(monkeypatch, forks, cores):
+    X, y, n_trees = _worker_case()
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: cores)
+    model = RandomForest(n_trees=n_trees, seed=45).fit(X, y)
+    assert len(forks) == cores - 1
+    _assert_no_child()
+    # every tree grown alone, in a batch of one, in this process
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(classifiers, "_BATCH_ROWS", 1)
+    _assert_same_trees(model.trees, RandomForest(n_trees=n_trees, seed=45).fit(X, y).trees)
+
+
+def test_forest_one_batch_never_forks(monkeypatch, forks):
+    X, y, _ = _worker_case()
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 4)
+    RandomForest(n_trees=_BATCH_ROWS // len(y), seed=45).fit(X, y)
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_forest_worker_error_reraises_and_leaves_no_child(monkeypatch, failing):
+    X, y, n_trees = _worker_case()
+    parent, real_grow = os.getpid(), classifiers._grow_trees
+
+    def grow(*args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise FloatingPointError(f"{failing} share failed")
+        return real_grow(*args)
+
+    monkeypatch.setattr(classifiers, "_grow_trees", grow)
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 2)
+    with pytest.raises(FloatingPointError) as excinfo:
+        RandomForest(n_trees=n_trees, seed=45).fit(X, y)
+    assert excinfo.type is FloatingPointError
+    assert str(excinfo.value) == f"{failing} share failed"
+    _assert_no_child()
+
+
+def test_forest_grows_in_process_without_fork(monkeypatch):
+    X, y, n_trees = _worker_case()
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 1)
+    serial = RandomForest(n_trees=n_trees, seed=45).fit(X, y)
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    _assert_same_trees(RandomForest(n_trees=n_trees, seed=45).fit(X, y).trees, serial.trees)
+
+
+def test_forest_grows_in_process_beside_a_thread(monkeypatch, forks):
+    X, y, n_trees = _worker_case()
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 1)
+    serial = RandomForest(n_trees=n_trees, seed=45).fit(X, y)
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        model = RandomForest(n_trees=n_trees, seed=45).fit(X, y)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    _assert_same_trees(model.trees, serial.trees)
