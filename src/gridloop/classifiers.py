@@ -258,7 +258,13 @@ class RandomForest:
         try:
             for share in shares[1:]:
                 read, write = os.pipe()
-                if (pid := os.fork()) == 0:  # the child sends its trees, or its error, and exits
+                try:
+                    pid = os.fork()
+                except BaseException:  # e.g. EAGAIN: no child owns the pipe
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:  # the child sends its trees, or its error, and exits
                     try:
                         with os.fdopen(write, "wb") as pipe:
                             try:

@@ -10,7 +10,8 @@ Subcommands mirror the pipeline stages:
     run_experiment  full protocol sweep into an output tree
 
 Every stage but evaluate reads one experiment config JSON (defaults apply
-when --config is omitted). Seed precedence: --seed flag, then the
+when --config is omitted); evaluate accepts --config and ignores it, and
+takes no --seed. Seed precedence: --seed flag, then the
 GRIDLOOP_SEED environment variable, then the config value. synth and
 run_experiment take --templates DIR of minute-level meter CSVs in place of
 the synthetic templates. Chaining subcommands with matching
@@ -204,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="score a detections directory")
-    _add_common(p)
+    p.add_argument("--config", help="accepted so one config can go to every stage; not read")
+    p.add_argument("--out", help="output directory (default: the detections directory)")
     p.add_argument("--detections", required=True, help="directory from detect")
     p.set_defaults(func=cmd_evaluate)
 

@@ -7,6 +7,7 @@ GLRT: the score at time t is the mean residual over the trailing window
 (shorter prefix windows are used until the window fills); an alarm fires
 when the score exceeds sqrt(sigma^2 / n) * Qinv(p_fa), the threshold that
 holds the per-window false-alarm probability at p_fa for white residuals.
+Qinv is the upper-tail normal quantile from statistics.NormalDist (AS241).
 
 CUSUM: g_t = max(0, g_{t-1} + x_t - k) accumulates drift-corrected
 evidence; crossing h raises an alarm and resets g. Times where the
@@ -23,10 +24,9 @@ copies so the classifiers see both classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-
-from gridloop.normal import norm_isf
 
 __all__ = [
     "CusumConfig",
@@ -79,12 +79,20 @@ def sliding_means(x, window: int) -> np.ndarray:
     return (csum[t + 1] - csum[lo]) / (t + 1 - lo)
 
 
+def _upper_quantile(p: float) -> float:
+    """Q^{-1}(p), the x with P(Z > x) = p; p = 0 gives +inf and p = 1 gives -inf."""
+    if p in (0.0, 1.0):  # the sweep's never- and always-alarm corners
+        return np.inf if p == 0.0 else -np.inf
+    # the exact reflection of the lower quantile; inv_cdf(1 - p) would cancel for tiny p
+    return -NormalDist().inv_cdf(p)
+
+
 def glrt_detect(x, cfg: GlrtConfig) -> GlrtResult:
     """Window-mean detector with an exact-false-alarm threshold."""
     x = np.asarray(x, dtype=float)
     scores = sliding_means(x, cfg.window)
     n_eff = np.minimum(np.arange(len(x)) + 1, cfg.window)
-    thresholds = np.sqrt(cfg.sigma**2 / n_eff) * norm_isf(cfg.p_fa)
+    thresholds = np.sqrt(cfg.sigma**2 / n_eff) * _upper_quantile(cfg.p_fa)
     decisions = (scores > thresholds).astype(np.int8)
     return GlrtResult(scores=scores, thresholds=thresholds, decisions=decisions)
 
@@ -100,7 +108,8 @@ def glrt_sweep(x, sigma: float, window: int = 24, n_points: int = 101):
     n_eff = np.minimum(np.arange(len(x)) + 1, window)
     scale = np.sqrt(sigma**2 / n_eff)
     p_fas = np.linspace(0.0, 1.0, n_points)
-    decisions = (scores > scale * norm_isf(p_fas)[:, None]).astype(np.int8)
+    quantiles = np.array([_upper_quantile(p) for p in p_fas])
+    decisions = (scores > scale * quantiles[:, None]).astype(np.int8)
     return p_fas, decisions
 
 
@@ -134,7 +143,6 @@ class CusumResult:
     scores: np.ndarray  # pre-reset statistic g_t
     decisions: np.ndarray  # alarm at t (point-wise)
     interval_decisions: np.ndarray  # attacked interval per alarm
-    change_candidates: np.ndarray  # times with pre-reset g_t == 0
 
 
 def _finite_residuals(x):
@@ -164,8 +172,7 @@ def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
             intervals[last_zero + 1 : t + 1] = 1
             g = 0.0
             last_zero = t
-    return CusumResult(scores=scores, decisions=alarms, interval_decisions=intervals,
-                       change_candidates=np.flatnonzero(scores == 0.0))
+    return CusumResult(scores=scores, decisions=alarms, interval_decisions=intervals)
 
 
 def cusum_sweep(

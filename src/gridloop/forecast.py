@@ -16,10 +16,9 @@ honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-
-from gridloop.normal import norm_ppf
 
 __all__ = [
     "SeasonalARModel",
@@ -51,7 +50,6 @@ class SeasonalARModel:
     sigma: float
     y_tail: np.ndarray  # last `period` training observations
     d_tail: np.ndarray  # last `order` training differences
-    n_train: int
 
 
 def fit_seasonal_ar(y, order: int = 2, period: int = 24) -> SeasonalARModel:
@@ -90,7 +88,6 @@ def fit_seasonal_ar(y, order: int = 2, period: int = 24) -> SeasonalARModel:
         sigma=max(sigma, SIGMA_FLOOR),
         y_tail=y[-period:].copy(),
         d_tail=d[len(d) - p :].copy() if p else np.empty(0),
-        n_train=len(y),
     )
 
 
@@ -203,5 +200,5 @@ def qq_points(x) -> tuple[np.ndarray, np.ndarray]:
     n = len(c)
     sd = float(np.sqrt(np.mean(c**2)))
     sample = np.sort(c / sd)
-    theory = norm_ppf((np.arange(1, n + 1) - 0.5) / n)
+    theory = np.array([NormalDist().inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     return theory, sample

@@ -54,7 +54,6 @@ class Microgrid:
     """Base loads for a simulated population: kwh[t, i] for hour t, home i."""
 
     kwh: np.ndarray
-    template_ids: tuple[str, ...]
 
     @property
     def n_hours(self) -> int:
@@ -93,9 +92,7 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
         for d in range(cfg.num_days):
             rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)
             np.take(day_rows, picks[:, d], axis=1, out=out[rows, lo:hi])
-    ids = [t.home_id for t in templates]
-    assigned = [ids[k] for k in which]
-    return Microgrid(kwh=out, template_ids=tuple(assigned))
+    return Microgrid(kwh=out)
 
 
 def write_microgrid(grid: Microgrid, path: str) -> None:
@@ -107,5 +104,4 @@ def write_microgrid(grid: Microgrid, path: str) -> None:
 def read_microgrid(path: str) -> Microgrid:
     """Read a micro-grid CSV; every load must be finite and non-negative."""
     cols = read_table(path, {"hour": WHOLE}, more=NON_NEGATIVE)
-    homes = list(cols)[1:]
-    return Microgrid(kwh=np.stack([cols[h] for h in homes], axis=1), template_ids=tuple(homes))
+    return Microgrid(kwh=np.stack(list(cols.values())[1:], axis=1))

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import threading
@@ -497,6 +498,20 @@ def test_forest_worker_error_reraises_and_leaves_no_child(monkeypatch, failing):
     assert excinfo.type is FloatingPointError
     assert str(excinfo.value) == f"{failing} share failed"
     _assert_no_child()
+
+
+def test_forest_failed_fork_raises_and_closes_its_pipe(monkeypatch):
+    X, y, _ = _worker_case()
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(classifiers, "_usable_cores", lambda: 2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        RandomForest(n_trees=2 * (_BATCH_ROWS // len(y)), seed=45).fit(X, y)  # two batches
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_forest_grows_in_process_without_fork(monkeypatch):

@@ -183,6 +183,17 @@ def test_templates_flag_only_where_read(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_evaluate_has_no_seed_flag(capsys):
+    # evaluate reads no config value, so a seed could change nothing
+    with pytest.raises(SystemExit) as exc:
+        run("evaluate", "--detections", "det", "--seed", 1)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gridloop")
+    assert err.splitlines()[-1] == "gridloop: error: unrecognized arguments: --seed 1"
+    assert "Traceback" not in err
+
+
 def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     schedule = tmp_path / "s.json"

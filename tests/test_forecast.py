@@ -82,7 +82,7 @@ def test_forecast_recursion_closed_form():
     # first forecast. Powers of two are exact in floats.
     model = SeasonalARModel(
         period=24, order=1, coeffs=np.array([0.5]), sigma=1.0,
-        y_tail=np.zeros(24), d_tail=np.array([1.0]), n_train=100,
+        y_tail=np.zeros(24), d_tail=np.array([1.0]),
     )
     out = forecast(model, 26)
     assert out[0] == 0.5

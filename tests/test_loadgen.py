@@ -28,6 +28,17 @@ def _day_blocks(kwh):
     return kwh[: blocks * 24].reshape(blocks, 24)
 
 
+def _days_follow_round_robin(grid, templates):
+    """Every day of home i is a day block of template i mod len(templates)."""
+    days = grid.kwh.reshape(-1, 24, grid.n_homes)  # (day, hour, home)
+    for k, tpl in enumerate(templates):
+        homes = days[:, None, :, k :: len(templates)]  # (day, 1, hour, home)
+        blocks = _day_blocks(tpl.kwh)[None, :, :, None]  # (1, block, hour, 1)
+        if not (homes == blocks).all(axis=2).any(axis=1).all():
+            return False
+    return True
+
+
 def test_single_day_template_tiles():
     # one complete day available -> every simulated day is that day
     tpl = HourlySeries("t", np.arange(24), np.arange(24, dtype=float) + 1)
@@ -50,7 +61,7 @@ def test_output_days_are_verbatim_template_days():
 def test_round_robin_assignment():
     tpls = [_template("a", 2, base=1.0), _template("b", 2, base=5.0)]
     grid = synthesize_microgrid(tpls, BootstrapConfig(n_homes=5, num_days=2, seed=1))
-    assert grid.template_ids == ("a", "b", "a", "b", "a")
+    assert _days_follow_round_robin(grid, tpls)
     # homes on template b sit at the higher base level
     assert grid.kwh[:, 1].mean() > grid.kwh[:, 0].mean() + 3
 
@@ -171,7 +182,7 @@ def test_golden_microgrid_bytes(n_homes, num_days, seed, digest):
     # digests of the grid built home by home from pure-Python SplitMix64 picks
     grid = synthesize_microgrid(_uneven_templates(), BootstrapConfig(n_homes, num_days, seed=seed))
     assert hashlib.sha256(grid.kwh.tobytes()).hexdigest() == digest
-    assert grid.template_ids == tuple("abc"[i % 3] for i in range(n_homes))
+    assert _days_follow_round_robin(grid, _uneven_templates())
 
 
 def test_golden_grid_spans_a_block_seam():

@@ -1,9 +1,15 @@
+"""The standard-normal quantile the detectors and diagnostics take from
+statistics.NormalDist, checked through the functions that call it."""
+
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridloop.normal import norm_isf, norm_ppf
+from gridloop.detect import GlrtConfig, glrt_detect, glrt_sweep
+from gridloop.forecast import qq_points
 
 # Reference quantiles (Wichura AS241 to full double precision).
 REFERENCE = [
@@ -16,52 +22,59 @@ REFERENCE = [
 ]
 
 
+def _upper_quantile(p_fa):
+    # at sigma 1 and window 1 the GLRT threshold is Q^{-1}(p_fa) itself
+    return float(glrt_detect(np.zeros(1), GlrtConfig(sigma=1.0, window=1, p_fa=p_fa)).thresholds[0])
+
+
 @pytest.mark.parametrize("p,expected", REFERENCE)
 def test_reference_quantiles(p, expected):
-    assert norm_ppf(p) == pytest.approx(expected, abs=1e-6)
+    assert _upper_quantile(p) == pytest.approx(-expected, abs=1e-12)
 
 
 def test_upper_tail_inverse():
     # Q(2.0) = 0.02275013194817921, so the inverse survival at that mass is 2
-    assert norm_isf(0.02275013194817921) == pytest.approx(2.0, abs=1e-6)
-    assert norm_isf(0.5) == 0.0
+    assert _upper_quantile(0.02275013194817921) == pytest.approx(2.0, abs=1e-12)
+    assert _upper_quantile(0.5) == 0.0
 
 
 def test_symmetry():
     for p in (0.01, 0.2, 0.45):
-        assert norm_ppf(p) == pytest.approx(-norm_ppf(1 - p), abs=1e-12)
-        assert norm_isf(p) == pytest.approx(-norm_ppf(p), abs=0)
+        assert _upper_quantile(p) == pytest.approx(-_upper_quantile(1 - p), abs=1e-12)
+        # the exact reflection, not inv_cdf(1 - p), which cancels for tiny p
+        assert _upper_quantile(p) == -NormalDist().inv_cdf(p)
 
 
 def test_endpoints_are_infinite():
-    assert norm_ppf(0.0) == -np.inf
-    assert norm_ppf(1.0) == np.inf
-    assert norm_isf(0.0) == np.inf
+    # p_fa 0 never alarms and 1 always does, however far out the window mean lies
+    x = np.array([1e300, -1e300, 0.0])
+    p_fas, decisions = glrt_sweep(x, sigma=1.0, window=1, n_points=2)
+    assert p_fas.tolist() == [0.0, 1.0]
+    assert decisions.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 def test_out_of_range_rejected():
-    for bad in (-0.1, 1.1, np.nan):
-        with pytest.raises(ValueError):
-            norm_ppf(bad)
+    for bad in (-0.1, 1.1, np.nan, 0.0, 1.0):
+        with pytest.raises(ValueError, match="p_fa"):
+            GlrtConfig(sigma=1.0, p_fa=bad)
 
 
 def test_array_input():
-    p = np.array([0.25, 0.5, 0.75])
-    q = norm_ppf(p)
-    assert q.shape == (3,)
-    assert q[1] == 0.0
-    assert q[0] == pytest.approx(-q[2], abs=1e-12)
+    # qq_points evaluates Phi^{-1} at (i - 0.5) / n: 1/6, 1/2 and 5/6 here
+    theory, _ = qq_points(np.array([0.0, 1.0, 5.0]))
+    assert theory.shape == (3,)
+    assert theory[1] == 0.0
+    assert theory[0] == pytest.approx(-theory[2], abs=1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_bulk_quantiles_finite(p):
-    q = norm_ppf(p)
+    q = _upper_quantile(p)
     assert np.isfinite(q)
-    assert abs(q) < 5.0  # |ppf(1e-6)| ~ 4.7534
+    assert abs(q) < 5.0  # |Q^{-1}(1e-6)| ~ 4.7534
 
 
 @given(st.lists(st.floats(min_value=1e-5, max_value=1 - 1e-5), min_size=2, max_size=10))
 def test_monotone(ps):
-    ps = sorted(ps)
-    qs = norm_ppf(np.array(ps))
-    assert np.all(np.diff(qs) >= 0)
+    qs = [_upper_quantile(p) for p in sorted(ps)]
+    assert np.all(np.diff(qs) <= 0)

@@ -55,7 +55,7 @@ def test_trace_bytes(tmp_path):
 
 
 def test_microgrid_bytes(tmp_path):
-    grid = Microgrid(kwh=np.array([[0.1, 1 / 3], [1e-300, 2.0]]), template_ids=("a", "b"))
+    grid = Microgrid(kwh=np.array([[0.1, 1 / 3], [1e-300, 2.0]]))
     path = tmp_path / "grid.csv"
     write_microgrid(grid, path)
     assert path.read_bytes() == (
