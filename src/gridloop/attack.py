@@ -1,12 +1,12 @@
-"""Integrity attacks on the pricing loop: schedules, equivalence, injection.
+"""Integrity attacks on the pricing loop: schedules, equivalence, the schedule file.
 
 Two attack surfaces exist. A *price* attack perturbs the price signal a
 set of victim homes receives (their meters see P + a and respond to it,
 and P + a must stay positive); a *load* attack adds energy directly to
 victim loads, each truncated at zero. An AttackSchedule says when, whom
 and by how much; feedback.simulate applies it inside the closed loop,
-while inject_post_hoc adds a load schedule to the recorded aggregate of a
-finished run. Because households respond to price
+while feedback.inject_post_hoc adds a load schedule to the recorded
+aggregate of a finished run. Because households respond to price
 deterministically, the two surfaces are interchangeable whenever some load
 is price-responsive: a price offset a_P moves a household's load by
 
@@ -22,7 +22,7 @@ sudden (constant level), point (isolated spikes at chosen hours).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "AttackSchedule",
     "equivalent_load_delta",
     "equivalent_price_delta",
-    "inject_post_hoc",
     "make_point",
     "make_ramp",
     "make_sudden",
@@ -188,29 +187,7 @@ def equivalent_price_delta(
 
 
 # ---------------------------------------------------------------------------
-# post-hoc injection and the schedule file
-
-def inject_post_hoc(trace, schedule: AttackSchedule):
-    """Tamper the recorded aggregate of a finished run (no feedback).
-
-    Only load-mode schedules make sense here: households already responded
-    to the genuine price, so a price schedule has nothing to act on. The
-    attack forges the aggregate record, not the physical behavior. Negative
-    results truncate to zero and are counted in ``clamped``.
-    """
-    if schedule.mode != "load":
-        raise ValueError("price attacks require closed_loop injection")
-    values = np.array([schedule.value_at(int(t)) for t in trace.hour])
-    observed = trace.observed_load + values
-    neg = observed < 0
-    truth = np.where(values != 0.0, 1, trace.attack_truth).astype(np.int8)
-    return replace(
-        trace,
-        observed_load=np.where(neg, 0.0, observed),
-        attack_truth=truth,
-        clamped=trace.clamped + int(neg.sum()),
-    )
-
+# the schedule file
 
 def read_schedule(path: str) -> AttackSchedule:
     """Read a schedule JSON; a missing key or an invalid field names the file."""

@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from gridloop.attack import inject_post_hoc, read_schedule
+from gridloop.attack import read_schedule
 from gridloop.experiment import (
     ExperimentConfig,
     detect_stage,
@@ -35,7 +35,7 @@ from gridloop.experiment import (
     protocol_schedule,
     run_experiment,
 )
-from gridloop.feedback import read_trace, simulate, write_trace
+from gridloop.feedback import inject_post_hoc, read_trace, simulate, write_trace
 from gridloop.ingest import load_template_dir, resample_hourly
 from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     # the grid file, not the config, says how many homes there are
     gcfg = dataclasses.replace(cfg.grid_config(args.kappa), n_homes=grid.n_homes)
     schedule = read_schedule(args.schedule) if args.schedule else None
-    trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule, injection=args.injection)
+    trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule)
     out = _out_file(args, "trace.csv")
     write_trace(trace, str(out))
     print(f"wrote {len(trace)}h trace to {out}")
@@ -115,7 +115,10 @@ def cmd_attack(args) -> int:
         schedule = protocol_schedule(args.kind, cfg)
     else:
         raise ValueError("attack needs --schedule FILE or --kind ramp|sudden|point")
-    attacked = inject_post_hoc(trace, schedule)
+    try:
+        attacked = inject_post_hoc(trace, schedule)
+    except ValueError as exc:  # protocol schedules are load schedules; only a file's can fail
+        raise ValueError(f"{args.schedule}: {exc}") from None
     out = _out_file(args, "attacked.csv")
     write_trace(attacked, str(out))
     print(f"wrote attacked trace to {out}")
@@ -183,10 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grid", required=True, help="microgrid CSV from synth")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--schedule", help="attack schedule JSON")
-    p.add_argument(
-        "--injection", choices=("closed_loop", "post_hoc"), default="closed_loop"
-    )
+    p.add_argument("--schedule", help="attack schedule JSON, applied inside the loop")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("attack", help="inject a post-hoc attack into a trace")

@@ -19,6 +19,9 @@ Supervised detection reuses the same residual-free series directly: each
 row's features are the previous `lags` observations (strictly past, never
 the current one), and training data is doubled with synthetic attacked
 copies so the classifiers see both classes.
+
+The functions take plain values; ExperimentConfig holds the protocol's
+settings (window, p_fa, k and h as multiples of sigma, sweep sizes, lags).
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from statistics import NormalDist
 import numpy as np
 
 __all__ = [
-    "CusumConfig",
     "CusumResult",
-    "GlrtConfig",
     "GlrtResult",
     "build_training_set",
     "cusum_detect",
@@ -41,24 +42,6 @@ __all__ = [
     "make_features",
     "sliding_means",
 ]
-
-FEATURE_LAGS = 24
-
-
-@dataclass(frozen=True)
-class GlrtConfig:
-    sigma: float
-    window: int = 24
-    p_fa: float = 0.05
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must lie strictly inside (0, 1)")
-
 
 @dataclass
 class GlrtResult:
@@ -79,6 +62,11 @@ def sliding_means(x, window: int) -> np.ndarray:
     return (csum[t + 1] - csum[lo]) / (t + 1 - lo)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < np.inf:  # NaN fails too
+        raise ValueError("sigma must be finite and positive")
+
+
 def _upper_quantile(p: float) -> float:
     """Q^{-1}(p), the x with P(Z > x) = p; p = 0 gives +inf and p = 1 gives -inf."""
     if p in (0.0, 1.0):  # the sweep's never- and always-alarm corners
@@ -87,22 +75,26 @@ def _upper_quantile(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
-def glrt_detect(x, cfg: GlrtConfig) -> GlrtResult:
+def glrt_detect(x, sigma: float, window: int, p_fa: float) -> GlrtResult:
     """Window-mean detector with an exact-false-alarm threshold."""
+    _check_sigma(sigma)
+    if not 0.0 < p_fa < 1.0:
+        raise ValueError("p_fa must lie strictly inside (0, 1)")
     x = np.asarray(x, dtype=float)
-    scores = sliding_means(x, cfg.window)
-    n_eff = np.minimum(np.arange(len(x)) + 1, cfg.window)
-    thresholds = np.sqrt(cfg.sigma**2 / n_eff) * _upper_quantile(cfg.p_fa)
+    scores = sliding_means(x, window)
+    n_eff = np.minimum(np.arange(len(x)) + 1, window)
+    thresholds = np.sqrt(sigma**2 / n_eff) * _upper_quantile(p_fa)
     decisions = (scores > thresholds).astype(np.int8)
     return GlrtResult(scores=scores, thresholds=thresholds, decisions=decisions)
 
 
-def glrt_sweep(x, sigma: float, window: int = 24, n_points: int = 101):
+def glrt_sweep(x, sigma: float, window: int, n_points: int):
     """Decisions for a grid of false-alarm rates spanning [0, 1].
 
     Returns (p_fa grid, decisions matrix of shape (n_points, len(x))).
     The endpoints 0 and 1 give the never/always-alarm corners.
     """
+    _check_sigma(sigma)
     x = np.asarray(x, dtype=float)
     scores = sliding_means(x, window)
     n_eff = np.minimum(np.arange(len(x)) + 1, window)
@@ -111,31 +103,6 @@ def glrt_sweep(x, sigma: float, window: int = 24, n_points: int = 101):
     quantiles = np.array([_upper_quantile(p) for p in p_fas])
     decisions = (scores > scale * quantiles[:, None]).astype(np.int8)
     return p_fas, decisions
-
-
-@dataclass(frozen=True)
-class CusumConfig:
-    """Drift k defaults to sigma/2, alarm threshold h to 2*sigma."""
-
-    sigma: float
-    k: float | None = None
-    h: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.effective_k < 0:
-            raise ValueError("drift k must be non-negative")
-        if self.effective_h <= 0:
-            raise ValueError("threshold h must be positive")
-
-    @property
-    def effective_k(self) -> float:
-        return 0.5 * self.sigma if self.k is None else self.k
-
-    @property
-    def effective_h(self) -> float:
-        return 2.0 * self.sigma if self.h is None else self.h
 
 
 @dataclass
@@ -153,10 +120,13 @@ def _finite_residuals(x):
     return x
 
 
-def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
-    """The one-sided CUSUM recursion at the config's drift and threshold."""
+def cusum_detect(x, k: float, h: float) -> CusumResult:
+    """The one-sided CUSUM recursion at drift k and alarm threshold h."""
+    if not 0.0 <= k < np.inf:
+        raise ValueError("drift k must be finite and >= 0")
+    if not 0.0 < h < np.inf:
+        raise ValueError("threshold h must be finite and > 0")
     x = _finite_residuals(x)
-    k, h = cfg.effective_k, cfg.effective_h
     scores = np.empty(len(x))
     alarms = np.zeros(len(x), dtype=np.int8)
     intervals = np.zeros(len(x), dtype=np.int8)
@@ -175,21 +145,15 @@ def cusum_detect(x, cfg: CusumConfig) -> CusumResult:
     return CusumResult(scores=scores, decisions=alarms, interval_decisions=intervals)
 
 
-def cusum_sweep(
-    x,
-    sigma: float,
-    k: float | None = None,
-    n_points: int = 101,
-    h_max_sigmas: float = 6.0,
-):
-    """Point and interval decisions over the grid hs = linspace(0, h_max_sigmas*sigma).
+def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
+    """Point and interval decisions at drift k over hs = linspace(0, h_max_sigmas*sigma).
 
     Returns (hs, alarms, intervals), both matrices (n_points, len(x)) from one
     pass. h = 0 is allowed inside the sweep (it alarms on any positive g) even
-    though user-facing configs require h > 0.
+    though cusum_detect requires h > 0.
     """
+    _check_sigma(sigma)
     x = _finite_residuals(x)
-    drift = 0.5 * sigma if k is None else k
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
     n = len(x)
     # the cusum_detect recursion for every threshold at once
@@ -199,7 +163,7 @@ def cusum_sweep(
     # +1 where an alarm's interval starts, -1 just after it ends; intervals never overlap
     marks = np.zeros((n_points, n + 1), dtype=np.int64)
     for t in range(n):
-        g = np.maximum(0.0, g + x[t] - drift)
+        g = np.maximum(0.0, g + x[t] - k)
         zero = g == 0.0
         fire = ~zero & (g > hs)
         alarms[:, t] = fire
@@ -214,7 +178,7 @@ def cusum_sweep(
 # ---------------------------------------------------------------------------
 # supervised feature pipeline
 
-def make_features(values, labels, lags: int = FEATURE_LAGS):
+def make_features(values, labels, lags: int):
     """Lagged-window design matrix.
 
     Row for index t (t = lags .. n-1) holds values[t-lags .. t-1] -- only

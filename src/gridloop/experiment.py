@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from gridloop import classifiers, detect, evaluation, forecast
-from gridloop.attack import AttackSchedule, inject_post_hoc, make_point, make_ramp, make_sudden
-from gridloop.feedback import GridConfig, SimulationTrace, simulate, write_trace
+from gridloop.attack import AttackSchedule, make_point, make_ramp, make_sudden
+from gridloop.feedback import GridConfig, SimulationTrace, inject_post_hoc, simulate, write_trace
 from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
@@ -290,16 +290,8 @@ def detect_stage(
     test_labels = labels[cfg.train_hours :]
     residuals = test - shared.predictions
 
-    glrt_res = detect.glrt_detect(
-        residuals,
-        detect.GlrtConfig(sigma=sigma, window=cfg.glrt_window, p_fa=cfg.glrt_p_fa),
-    )
-    cusum_res = detect.cusum_detect(
-        residuals,
-        detect.CusumConfig(
-            sigma=sigma, k=cfg.cusum_k_sigma * sigma, h=cfg.cusum_h_sigma * sigma
-        ),
-    )
+    glrt_res = detect.glrt_detect(residuals, sigma, cfg.glrt_window, cfg.glrt_p_fa)
+    cusum_res = detect.cusum_detect(residuals, cfg.cusum_k_sigma * sigma, cfg.cusum_h_sigma * sigma)
 
     X_all, _ = detect.make_features(observed, labels, cfg.feature_lags)
     X_test = X_all[cfg.train_hours - cfg.feature_lags :]
@@ -395,11 +387,9 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     sigma = float(meta["sigma"])
     sweep = meta["sweep"]
 
-    glrt = detect.glrt_sweep(residuals, sigma, window=int(meta["glrt"]["window"]),
-                             n_points=int(sweep["points"]))
+    glrt = detect.glrt_sweep(residuals, sigma, int(meta["glrt"]["window"]), int(sweep["points"]))
     hs, alarms, intervals = detect.cusum_sweep(
-        residuals, sigma, k=float(sweep["cusum_k"]), n_points=int(sweep["points"]),
-        h_max_sigmas=float(sweep["cusum_sigmas"]))
+        residuals, sigma, float(sweep["cusum_k"]), int(sweep["points"]), float(sweep["cusum_sigmas"]))
     sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}
 
     curves: dict[str, evaluation.RocCurve] = {}

@@ -23,7 +23,8 @@ assumed elasticity it posts
 where L* is the (possibly history-corrected) adjusted target. Because the
 posted price shapes the very loads the utility observes next, the two form
 a closed loop -- which is exactly the surface the attack and detection
-modules probe.
+modules probe. simulate applies an attack schedule inside that loop;
+inject_post_hoc instead forges the recorded aggregate of a finished run.
 
 Targeting goals
 ---------------
@@ -36,19 +37,18 @@ price stays physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from gridloop.attack import inject_post_hoc
 from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, read_table, write_table
 
 __all__ = [
     "GridConfig",
     "SimulationTrace",
+    "inject_post_hoc",
     "read_trace",
-    "set_price",
     "simulate",
     "write_trace",
 ]
@@ -61,45 +61,6 @@ _TRACE_DOMAINS = {
     "attack_truth": BINARY,
 }
 TRACE_COLUMNS = list(_TRACE_DOMAINS)
-
-
-def set_price(
-    target: float,
-    phi_hat: float,
-    eps_hat: float,
-    goal: str = "goal1",
-    prev_target: float | None = None,
-    prev_load: float | None = None,
-    lstar_floor: float = 10.0,
-) -> tuple[float, float]:
-    """Posted price and adjusted target for one pricing step.
-
-    goal1 tracks the raw target; goal2 additionally folds in the previous
-    step's tracking error (prev_target - prev_load). On the first step,
-    where no history exists, goal2 degenerates to goal1. An adjusted
-    target <= 0 is replaced by ``lstar_floor``.
-
-    Returns (price, lstar).
-    """
-    if goal not in ("goal1", "goal2"):
-        raise ValueError(f"unknown goal {goal!r}")
-    if not np.isfinite(phi_hat) or phi_hat <= 0:
-        raise ValueError("invalid forecast: base-load forecast must be positive")
-    if eps_hat >= 0:
-        raise ValueError("elasticity must be negative")
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if lstar_floor <= 0:
-        raise ValueError("lstar_floor must be positive")
-
-    if goal == "goal2" and prev_target is not None and prev_load is not None:
-        lstar = target + (prev_target - prev_load)
-    else:
-        lstar = target
-    if lstar <= 0:
-        lstar = lstar_floor
-    price = (lstar / phi_hat) ** (1.0 / eps_hat)
-    return float(price), float(lstar)
 
 
 @dataclass(frozen=True)
@@ -124,17 +85,18 @@ class GridConfig:
             raise ValueError("n_homes must be >= 1")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
-        if self.eps_dsm >= 0:
-            raise ValueError("eps_dsm must be negative")
-        if self.eps_dsm_hat is not None and self.eps_dsm_hat >= 0:
-            raise ValueError("eps_dsm_hat must be negative")
+        # range checks, which NaN fails too
+        if not -np.inf < self.eps_dsm < 0:
+            raise ValueError("eps_dsm must be finite and negative")
+        if self.eps_dsm_hat is not None and not -np.inf < self.eps_dsm_hat < 0:
+            raise ValueError("eps_dsm_hat must be finite and negative")
         if self.goal not in ("goal1", "goal2"):
             raise ValueError(f"unknown goal {self.goal!r}")
         t = np.asarray(self.target, dtype=float)
         if np.any(t <= 0) or not np.all(np.isfinite(t)):
             raise ValueError("target must be positive")
-        if self.lstar_floor <= 0:
-            raise ValueError("lstar_floor must be positive")
+        if not 0 < self.lstar_floor < np.inf:
+            raise ValueError("lstar_floor must be finite and positive")
 
     @property
     def effective_eps_hat(self) -> float:
@@ -168,7 +130,6 @@ def simulate(
     cfg: GridConfig,
     forecaster: Callable[[np.ndarray], float] | None = None,
     schedule=None,
-    injection: str = "closed_loop",
 ) -> SimulationTrace:
     """Run the pricing loop over a base-load matrix.
 
@@ -176,10 +137,8 @@ def simulate(
     forecaster: callable mapping the history of aggregate base loads
         (phi totals for hours 0..t-1) to the forecast for hour t. Defaults
         to naive persistence. Hour 0 uses the true total (no history yet).
-    schedule: optional AttackSchedule.
-    injection: "closed_loop" applies the schedule inside the loop, where
-        its effect feeds back through prices and history; "post_hoc" runs
-        the loop clean and tampers only the recorded aggregate afterwards.
+    schedule: optional AttackSchedule, applied inside the loop, where its
+        effect feeds back through prices and history.
 
     The loop itself draws no randomness: identical inputs give bit-identical
     traces.
@@ -190,8 +149,6 @@ def simulate(
     n_hours, n_homes = base.shape
     if n_homes != cfg.n_homes:
         raise ValueError(f"grid has {n_homes} homes but config says {cfg.n_homes}")
-    if injection not in ("closed_loop", "post_hoc"):
-        raise ValueError(f"unknown injection mode {injection!r}")
 
     targets = np.broadcast_to(np.asarray(cfg.target, dtype=float).ravel(), (n_hours,)) \
         if np.ndim(cfg.target) == 0 else np.asarray(cfg.target, dtype=float)
@@ -200,13 +157,13 @@ def simulate(
 
     if forecaster is None:
         forecaster = _naive
-    eps = cfg.eps_dsm
-    eps_hat = cfg.effective_eps_hat
+    # the pricing step stays on Python floats, whose ** raises on overflow
+    eps, eps_hat = float(cfg.eps_dsm), float(cfg.effective_eps_hat)
+    goal2, lstar_floor = cfg.goal == "goal2", float(cfg.lstar_floor)
 
-    in_loop = schedule is not None and injection == "closed_loop"
-    victims = schedule.victim_indices(n_homes) if in_loop else None
+    victims = schedule.victim_indices(n_homes) if schedule is not None else None
     # a victim set that names every home spares none: its base load is the total
-    subset = in_loop and len(victims) < n_homes
+    subset = schedule is not None and len(victims) < n_homes
     kappa = cfg.kappa
 
     base_total = base.sum(axis=1)
@@ -225,16 +182,14 @@ def simulate(
         if not np.isfinite(phi_hat) or phi_hat <= 0:
             raise ValueError("invalid forecast: base-load forecast must be positive")
 
+        # goal2 adds last hour's miss to the target; a non-positive L* takes the floor
+        l_t = float(targets[t])
+        if goal2 and t > 0:
+            l_t = l_t + (float(targets[t - 1]) - float(observed[t - 1]))
+        if l_t <= 0:
+            l_t = lstar_floor
         try:
-            p_t, l_t = set_price(
-                float(targets[t]),
-                phi_hat,
-                eps_hat,
-                goal=cfg.goal,
-                prev_target=float(targets[t - 1]) if t > 0 else None,
-                prev_load=float(observed[t - 1]) if t > 0 else None,
-                lstar_floor=cfg.lstar_floor,
-            )
+            p_t = (l_t / phi_hat) ** (1.0 / eps_hat)
             # every home serves c_t of its need at the posted price
             c_t = (1.0 - kappa) + kappa * p_t**eps
         except (OverflowError, ZeroDivisionError):
@@ -244,7 +199,7 @@ def simulate(
         forecast[t] = phi_hat
         lstar[t] = l_t
 
-        delta = schedule.value_at(t) if in_loop else 0.0
+        delta = schedule.value_at(t) if schedule is not None else 0.0
         if delta == 0.0:
             observed[t] = c_t * base_total[t]
             continue
@@ -271,7 +226,7 @@ def simulate(
         observed[t] = c_t * max(base_total[t] - phi_v_total, 0.0) + hit
         truth[t] = 1
 
-    trace = SimulationTrace(
+    return SimulationTrace(
         hour=np.arange(n_hours),
         price=price,
         base_load=base_total,
@@ -282,9 +237,30 @@ def simulate(
         attack_truth=truth,
         clamped=clamped,
     )
-    if schedule is not None and injection == "post_hoc":
-        trace = inject_post_hoc(trace, schedule)
-    return trace
+
+
+def inject_post_hoc(trace: SimulationTrace, schedule) -> SimulationTrace:
+    """Tamper the recorded aggregate of a finished run (no feedback).
+
+    Only load-mode schedules make sense here: households already responded
+    to the genuine price, so a price schedule has nothing to act on. The
+    attack forges the aggregate record, not the physical behavior. Negative
+    results truncate to zero and are counted in ``clamped``.
+    """
+    if schedule.mode != "load":
+        raise ValueError(
+            "a price schedule acts only inside the loop (gridloop simulate --schedule)"
+        )
+    values = np.array([schedule.value_at(int(t)) for t in trace.hour])
+    observed = trace.observed_load + values
+    neg = observed < 0
+    truth = np.where(values != 0.0, 1, trace.attack_truth).astype(np.int8)
+    return replace(
+        trace,
+        observed_load=np.where(neg, 0.0, observed),
+        attack_truth=truth,
+        clamped=trace.clamped + int(neg.sum()),
+    )
 
 
 def _naive(history: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from gridloop import evaluation
 from gridloop.attack import equivalent_load_delta, equivalent_price_delta
-from gridloop.detect import CusumConfig, GlrtConfig, cusum_detect, glrt_detect
+from gridloop.detect import cusum_detect, glrt_detect
 from gridloop.experiment import (
     TABLE_DETECTORS,
     ExperimentConfig,
@@ -132,7 +132,7 @@ def test_criterion_05_glrt_false_alarm_calibration():
     x = rng.normal(0.0, sigma, size=n_windows * window)
     gaps = []
     for p_fa in (0.01, 0.05, 0.1):
-        res = glrt_detect(x, GlrtConfig(sigma=sigma, window=window, p_fa=p_fa))
+        res = glrt_detect(x, sigma, window, p_fa)
         # every window-th decision looks back over one disjoint block
         rate = float(np.mean(res.decisions[window - 1 :: window]))
         gaps.append((p_fa, rate, abs(rate - p_fa)))
@@ -143,13 +143,13 @@ def test_criterion_05_glrt_false_alarm_calibration():
 
 
 def test_criterion_06_cusum_hand_oracle():
-    res = cusum_detect([1.0, -2.0, 1.0], CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    res = cusum_detect([1.0, -2.0, 1.0], k=0.5, h=2.0)
     quiet_ok = res.scores.tolist() == [0.5, 0.0, 0.5] and not res.decisions.any()
 
-    res = cusum_detect([0.6, 0.6], CusumConfig(sigma=1.0, k=0.0, h=1.0))
+    res = cusum_detect([0.6, 0.6], k=0.0, h=1.0)
     alarm_ok = res.decisions.tolist() == [0, 1] and res.scores.tolist() == [0.6, 1.2]
     # the alarm resets the statistic: a third identical sample climbs from 0
-    res = cusum_detect([0.6, 0.6, 0.6], CusumConfig(sigma=1.0, k=0.0, h=1.0))
+    res = cusum_detect([0.6, 0.6, 0.6], k=0.0, h=1.0)
     reset_ok = res.scores.tolist() == [0.6, 1.2, 0.6] and res.decisions.tolist() == [0, 1, 0]
 
     _report(6, "CUSUM hand oracle", quiet_ok and alarm_ok and reset_ok,

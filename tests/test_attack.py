@@ -10,13 +10,12 @@ from gridloop.attack import (
     AttackSchedule,
     equivalent_load_delta,
     equivalent_price_delta,
-    inject_post_hoc,
     make_point,
     make_ramp,
     make_sudden,
     read_schedule,
 )
-from gridloop.feedback import GridConfig, simulate
+from gridloop.feedback import GridConfig, inject_post_hoc, simulate
 
 # ---------------------------------------------------------------------------
 # schedule values
@@ -165,7 +164,7 @@ def test_post_hoc_clamps_and_counts():
 def test_post_hoc_rejects_price_mode():
     base = np.full((3, 1), 5.0)
     trace = simulate(base, GridConfig(n_homes=1, kappa=0.0))
-    with pytest.raises(ValueError, match="closed_loop"):
+    with pytest.raises(ValueError, match=r"acts only inside the loop \(gridloop simulate --schedule\)"):
         inject_post_hoc(trace, make_sudden((0, 2), 1.0, mode="price"))
 
 

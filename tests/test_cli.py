@@ -328,6 +328,13 @@ def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
         ("cusum_h_sigma", float("nan"), ": cusum_h_sigma must be finite and > 0"),
         ("cusum_sweep_sigmas", -1, ": cusum_sweep_sigmas must be finite and > 0"),
         ("cusum_sweep_sigmas", 0.0, ": cusum_sweep_sigmas must be finite and > 0"),
+        # json writes and reads the NaN and Infinity literals
+        ("eps_dsm", float("nan"), ": eps_dsm must be finite and negative"),
+        ("eps_dsm", -float("inf"), ": eps_dsm must be finite and negative"),
+        ("eps_dsm_hat", float("nan"), ": eps_dsm_hat must be finite and negative"),
+        ("eps_dsm_hat", -float("inf"), ": eps_dsm_hat must be finite and negative"),
+        ("lstar_floor", float("nan"), ": lstar_floor must be finite and positive"),
+        ("lstar_floor", float("inf"), ": lstar_floor must be finite and positive"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):
@@ -363,3 +370,17 @@ def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
                "--schedule", path, "--out", tmp_path / "t.csv") == 2
     _assert_names_file(capsys, path, fragment)
+
+
+def test_attack_with_a_price_schedule_exits_2(cfg_json, tmp_path, capsys):
+    grid, trace = tmp_path / "grid.csv", tmp_path / "trace.csv"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace) == 0
+    path = tmp_path / "price.json"
+    path.write_text(_SUDDEN.replace('"load"', '"price"'))
+    capsys.readouterr()
+    out = tmp_path / "attacked.csv"
+    assert run("attack", "--config", cfg_json, "--trace", trace, "--schedule", path, "--out", out) == 2
+    _assert_names_file(capsys, path,
+                       ": a price schedule acts only inside the loop (gridloop simulate --schedule)")
+    assert not out.exists()

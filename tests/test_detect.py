@@ -7,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridloop.detect import (
-    FEATURE_LAGS,
-    CusumConfig,
-    GlrtConfig,
     build_training_set,
     cusum_detect,
     cusum_sweep,
@@ -18,6 +15,7 @@ from gridloop.detect import (
     make_features,
     sliding_means,
 )
+from gridloop.experiment import ExperimentConfig
 
 # ---------------------------------------------------------------------------
 # window means / GLRT
@@ -35,8 +33,7 @@ def test_sliding_means_window_wider_than_series():
 def test_glrt_threshold_formula():
     # Q(2.0) = 0.02275...: with sigma 1 and 25 samples the threshold is
     # sqrt(1/25) * 2 = 0.4 once the window fills
-    cfg = GlrtConfig(sigma=1.0, window=25, p_fa=0.02275013194817921)
-    res = glrt_detect(np.zeros(30), cfg)
+    res = glrt_detect(np.zeros(30), sigma=1.0, window=25, p_fa=0.02275013194817921)
     assert res.thresholds[-1] == pytest.approx(0.4, abs=1e-6)
     # prefix windows scale the threshold up: 1 sample -> sigma * 2
     assert res.thresholds[0] == pytest.approx(2.0, abs=1e-6)
@@ -45,8 +42,7 @@ def test_glrt_threshold_formula():
 
 def test_glrt_decision_is_strict():
     # at p_fa = 0.5 the threshold is exactly zero
-    cfg = GlrtConfig(sigma=1.0, window=1, p_fa=0.5)
-    res = glrt_detect(np.array([0.0, 0.1, -0.1]), cfg)
+    res = glrt_detect(np.array([0.0, 0.1, -0.1]), sigma=1.0, window=1, p_fa=0.5)
     assert res.thresholds.tolist() == [0.0, 0.0, 0.0]
     assert res.decisions.tolist() == [0, 1, 0]
 
@@ -55,7 +51,7 @@ def test_glrt_flags_a_shift():
     rng = np.random.default_rng(14)
     x = rng.normal(0, 1, size=200)
     x[100:] += 3.0
-    res = glrt_detect(x, GlrtConfig(sigma=1.0, window=24, p_fa=0.01))
+    res = glrt_detect(x, sigma=1.0, window=24, p_fa=0.01)
     assert res.decisions[:100].mean() < 0.05
     assert res.decisions[130:].mean() > 0.9
 
@@ -67,44 +63,52 @@ def test_glrt_sweep_corners_and_consistency():
     assert decisions.shape == (11, 50)
     assert not decisions[0].any()   # p_fa = 0 never alarms
     assert decisions[-1].all()      # p_fa = 1 always alarms
-    mid = glrt_detect(x, GlrtConfig(sigma=1.0, window=24, p_fa=float(p_fas[5])))
+    mid = glrt_detect(x, sigma=1.0, window=24, p_fa=float(p_fas[5]))
     assert np.array_equal(decisions[5], mid.decisions)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_sigma_must_be_finite_and_positive(bad):
+    x = np.zeros(5)
+    for call in (lambda: glrt_detect(x, bad, 24, 0.05), lambda: glrt_sweep(x, bad, 24, 11),
+                 lambda: cusum_sweep(x, bad, 0.5, 11, 6.0)):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            call()
+
+
 def test_glrt_config_validation():
-    with pytest.raises(ValueError):
-        GlrtConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        GlrtConfig(sigma=1.0, window=0)
-    for bad in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
-            GlrtConfig(sigma=1.0, p_fa=bad)
+    x = np.zeros(5)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        glrt_detect(x, 1.0, 0, 0.05)
+    for bad in (0.0, 1.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="p_fa"):
+            glrt_detect(x, 1.0, 24, bad)
 
 
 # ---------------------------------------------------------------------------
 # CUSUM
 
 def test_cusum_recursion_hand_case():
-    res = cusum_detect([1.0, -2.0, 1.0], CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    res = cusum_detect([1.0, -2.0, 1.0], k=0.5, h=2.0)
     assert res.scores.tolist() == [0.5, 0.0, 0.5]
     assert res.decisions.sum() == 0
 
 
 def test_cusum_alarm_and_reset():
-    res = cusum_detect([0.6, 0.6, 0.3], CusumConfig(sigma=1.0, k=0.0, h=1.0))
+    res = cusum_detect([0.6, 0.6, 0.3], k=0.0, h=1.0)
     assert res.scores.tolist() == [0.6, pytest.approx(1.2), 0.3]
     assert res.decisions.tolist() == [0, 1, 0]  # reset: 0.3 starts from zero
 
 
 def test_cusum_interval_marks_back_to_last_zero():
-    res = cusum_detect([1.0, -1.0, 3.0, 0.0, 0.5], CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    res = cusum_detect([1.0, -1.0, 3.0, 0.0, 0.5], k=0.5, h=2.0)
     assert res.scores.tolist() == [0.5, 0.0, 2.5, 0.0, 0.0]
     assert res.decisions.tolist() == [0, 0, 1, 0, 0]
     assert res.interval_decisions.tolist() == [0, 0, 1, 0, 0]
 
 
 def test_cusum_interval_spans_the_climb():
-    res = cusum_detect([1.5, 1.0, 0.2, 2.0], CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    res = cusum_detect([1.5, 1.0, 0.2, 2.0], k=0.5, h=2.0)
     assert res.decisions.tolist() == [0, 0, 0, 1]
     # g never touched zero, so the whole climb is implicated
     assert res.interval_decisions.tolist() == [1, 1, 1, 1]
@@ -113,32 +117,31 @@ def test_cusum_interval_spans_the_climb():
 def test_cusum_detection_delay():
     x = np.zeros(16)
     x[10:] = 1.5  # drift-adjusted growth of 1.0 per step
-    res = cusum_detect(x, CusumConfig(sigma=1.0, k=0.5, h=2.0))
+    res = cusum_detect(x, k=0.5, h=2.0)
     assert res.decisions.tolist() == [0] * 12 + [1, 0, 0, 1]
 
 
-def test_cusum_defaults_scale_with_sigma():
-    cfg = CusumConfig(sigma=2.0)
-    assert cfg.effective_k == 1.0
-    assert cfg.effective_h == 4.0
-    with pytest.raises(ValueError):
-        CusumConfig(sigma=1.0, h=0.0)
-    with pytest.raises(ValueError):
-        CusumConfig(sigma=1.0, k=-0.1)
-    with pytest.raises(ValueError):
-        CusumConfig(sigma=-1.0)
+def test_cusum_config_validation():
+    x = np.zeros(5)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="drift k must be finite and >= 0"):
+            cusum_detect(x, k=bad, h=2.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="threshold h must be finite and > 0"):
+            cusum_detect(x, k=0.5, h=bad)
+    assert not cusum_detect(x, k=0.0, h=1e-300).decisions.any()  # the edges are allowed
 
 
 def test_cusum_sweep_grid_and_consistency():
     rng = np.random.default_rng(16)
     x = rng.normal(0, 1, size=60)
     x[40:] += 2.0
-    hs, decisions, intervals = cusum_sweep(x, sigma=1.0, n_points=13, h_max_sigmas=6.0)
+    hs, decisions, intervals = cusum_sweep(x, sigma=1.0, k=0.5, n_points=13, h_max_sigmas=6.0)
     assert hs[0] == 0.0 and hs[-1] == 6.0
     assert decisions.shape == (13, 60)
     # interior rows reproduce the point detector at that threshold
     for i in (1, 6, 12):
-        res = cusum_detect(x, CusumConfig(sigma=1.0, h=float(hs[i])))
+        res = cusum_detect(x, k=0.5, h=float(hs[i]))
         assert np.array_equal(decisions[i], res.decisions)
     assert intervals[6].sum() >= decisions[6].sum()
 
@@ -149,7 +152,7 @@ def test_cusum_rejects_non_finite_residuals(bad):
     # the sweep's h = 2 row at [1, 0, 0, 0]; both refuse the input instead
     x = [3.0, bad, 3.0, 3.0]
     with pytest.raises(ValueError, match="must be finite"):
-        cusum_detect(x, CusumConfig(sigma=1.0, k=0.5, h=2.0))
+        cusum_detect(x, k=0.5, h=2.0)
     with pytest.raises(ValueError, match="must be finite"):
         cusum_sweep(x, sigma=1.0, k=0.5, n_points=4, h_max_sigmas=6.0)
 
@@ -158,7 +161,7 @@ def test_cusum_rejects_non_finite_residuals(bad):
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=60),
        st.floats(0.0, 2.0), st.floats(0.1, 5.0))
 def test_cusum_invariants(xs, k, h):
-    res = cusum_detect(np.array(xs), CusumConfig(sigma=1.0, k=k, h=h))
+    res = cusum_detect(np.array(xs), k=k, h=h)
     assert np.all(res.scores >= 0)
     alarm_at = res.decisions == 1
     assert np.all(res.scores[alarm_at] > h)
@@ -244,7 +247,7 @@ def test_golden_glrt_thresholds():
     # changes them, or another approximation in its place, fails here
     x = _sweep_series("shift", seed=52)
     thresholds = np.concatenate(
-        [glrt_detect(x, GlrtConfig(sigma=1.3, window=24, p_fa=p)).thresholds for p in (0.05, 0.01, 1e-9)]
+        [glrt_detect(x, sigma=1.3, window=24, p_fa=p).thresholds for p in (0.05, 0.01, 1e-9)]
     )
     assert hashlib.sha256(thresholds.tobytes()).hexdigest() == (
         "5df07454eaf96ce0236d35430e53de1c8839da17dd00e3905bb90f7a60e46a88"
@@ -254,7 +257,7 @@ def test_golden_glrt_thresholds():
 def test_golden_glrt_sweep_rows():
     # computed with Acklam's rational approximation; the stdlib quantile keeps every decision
     x = _sweep_series("shift", seed=52)
-    _, rows = glrt_sweep(x, sigma=1.3, window=24)
+    _, rows = glrt_sweep(x, sigma=1.3, window=24, n_points=101)
     assert rows.shape == (101, 240)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "03a9d9640b2f68b1bb7030588416a46cc21b0785603ad50f2e1471ecbdaaea24"
@@ -275,9 +278,10 @@ def test_make_features_uses_strictly_past_values():
 
 
 def test_make_features_default_lag_count():
-    values = np.zeros(1344)
-    X, y = make_features(values, np.zeros(1344, dtype=int))
-    assert FEATURE_LAGS == 24
+    # the lag count lives in ExperimentConfig alone
+    lags = ExperimentConfig().feature_lags
+    assert lags == 24
+    X, y = make_features(np.zeros(1344), np.zeros(1344, dtype=int), lags)
     assert X.shape == (1320, 24)
 
 
@@ -287,7 +291,7 @@ def test_make_features_validation():
     with pytest.raises(ValueError, match="more than"):
         make_features(np.zeros(10), np.zeros(10), lags=24)
     with pytest.raises(ValueError, match="equal length"):
-        make_features(np.zeros(30), np.zeros(29))
+        make_features(np.zeros(30), np.zeros(29), lags=24)
 
 
 def test_training_set_doubling_layout():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -10,8 +11,8 @@ from gridloop.attack import equivalent_load_delta, make_point, make_ramp, make_s
 from gridloop.feedback import (
     TRACE_COLUMNS,
     GridConfig,
+    inject_post_hoc,
     read_trace,
-    set_price,
     simulate,
     write_trace,
 )
@@ -60,49 +61,38 @@ def test_household_load_validation():
 
 
 # ---------------------------------------------------------------------------
-# pricing rule
+# pricing rule, on one- and two-hour grids of one unresponsive home
+# (kappa = 0 serves the whole need); the forecast is the true total at
+# hour 0 and hour 0's total (persistence) at hour 1
+
+def _price_step(totals, targets, goal="goal1", lstar_floor=10.0):
+    """(price, L*) of the grid's last hour."""
+    base = np.asarray(totals, dtype=float)[:, None]
+    cfg = GridConfig(n_homes=1, kappa=0.0, eps_dsm=-1.0, goal=goal, target=targets,
+                     lstar_floor=lstar_floor)
+    trace = simulate(base, cfg)
+    return float(trace.price[-1]), float(trace.lstar[-1])
+
 
 def test_price_tracks_target():
-    price, lstar = set_price(200.0, phi_hat=400.0, eps_hat=-1.0)
-    assert (price, lstar) == (2.0, 200.0)
-    price, _ = set_price(400.0, phi_hat=400.0, eps_hat=-1.0)
-    assert price == 1.0
+    assert _price_step([400.0], [200.0]) == (2.0, 200.0)
+    assert _price_step([400.0], [400.0]) == (1.0, 400.0)
 
 
 def test_goal2_folds_in_tracking_error():
-    # overshoot by 100 last hour -> aim 100 lower now
-    price, lstar = set_price(
-        200.0, phi_hat=400.0, eps_hat=-1.0, goal="goal2",
-        prev_target=200.0, prev_load=300.0,
-    )
-    assert lstar == 100.0
-    assert price == 4.0
+    # hour 0 overshoots its target of 300 by 100 -> aim 100 below 200 at hour 1
+    assert _price_step([400.0, 400.0], [300.0, 200.0], goal="goal2") == (4.0, 100.0)
+    assert _price_step([400.0, 400.0], [300.0, 200.0], goal="goal1") == (2.0, 200.0)
 
 
 def test_goal2_without_history_matches_goal1():
-    g2 = set_price(200.0, 400.0, -1.0, goal="goal2")
-    g1 = set_price(200.0, 400.0, -1.0, goal="goal1")
-    assert g2 == g1
+    assert _price_step([400.0], [200.0], goal="goal2") == _price_step([400.0], [200.0])
 
 
 def test_adjusted_target_floor():
-    price, lstar = set_price(
-        50.0, phi_hat=100.0, eps_hat=-1.0, goal="goal2",
-        prev_target=50.0, prev_load=200.0, lstar_floor=10.0,
-    )
-    assert lstar == 10.0
-    assert price == 10.0
-
-
-def test_set_price_validation():
-    with pytest.raises(ValueError, match="unknown goal"):
-        set_price(1.0, 1.0, -1.0, goal="goal3")
-    with pytest.raises(ValueError, match="invalid forecast"):
-        set_price(1.0, 0.0, -1.0)
-    with pytest.raises(ValueError, match="invalid forecast"):
-        set_price(1.0, float("nan"), -1.0)
-    with pytest.raises(ValueError):
-        set_price(-1.0, 1.0, -1.0)
+    # 40 + (40 - 160) < 0 -> the floor, against a forecast of 160
+    assert _price_step([160.0, 160.0], [40.0, 40.0], goal="goal2") == (16.0, 10.0)
+    assert _price_step([160.0, 160.0], [40.0, 40.0], goal="goal2", lstar_floor=20.0) == (8.0, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +201,9 @@ def test_forecaster_sees_base_history():
 
 def test_bad_forecast_rejected():
     base = _flat_grid(4, 2)
-    with pytest.raises(ValueError, match="invalid forecast"):
-        simulate(base, GridConfig(n_homes=2, kappa=0.5), forecaster=lambda h: -1.0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="invalid forecast"):
+            simulate(base, GridConfig(n_homes=2, kappa=0.5), forecaster=lambda h: bad)
 
 
 def test_price_attack_in_the_loop():
@@ -281,26 +272,10 @@ def test_load_attack_on_every_home_listed_out_of_order():
     assert trace.clamped == 3
 
 
-def test_post_hoc_leaves_the_loop_clean():
-    rng = np.random.default_rng(2)
-    base = rng.uniform(0.5, 2.0, size=(6, 3))
-    cfg = GridConfig(n_homes=3, kappa=0.5, target=4.0)
-    clean = simulate(base, cfg)
-    schedule = make_sudden((3, 6), level=25.0)
-    tampered = simulate(base, cfg, schedule=schedule, injection="post_hoc")
-    assert np.array_equal(tampered.price, clean.price)
-    assert np.array_equal(
-        tampered.observed_load, clean.observed_load + [0, 0, 0, 25, 25, 25]
-    )
-    assert tampered.attack_truth.tolist() == [0, 0, 0, 1, 1, 1]
-
-
 def test_simulate_validation():
     base = _flat_grid(3, 2)
     with pytest.raises(ValueError, match="config says"):
         simulate(base, GridConfig(n_homes=3, kappa=0.5))
-    with pytest.raises(ValueError, match="unknown injection"):
-        simulate(base, GridConfig(n_homes=2, kappa=0.5), injection="sideways")
     with pytest.raises(ValueError, match="matrix"):
         simulate(np.ones(5), GridConfig(n_homes=1, kappa=0.5))
     with pytest.raises(ValueError, match="target length"):
@@ -315,8 +290,20 @@ def test_grid_config_validation():
         GridConfig(n_homes=0, kappa=0.5)
     with pytest.raises(ValueError):
         GridConfig(n_homes=1, kappa=0.5, eps_dsm=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown goal"):
         GridConfig(n_homes=1, kappa=0.5, goal="goal9")
+    for target in (-1.0, 0.0, float("nan"), [1.0, -1.0]):
+        with pytest.raises(ValueError, match="target must be positive"):
+            GridConfig(n_homes=1, kappa=0.5, target=target)
+    # NaN fails every comparison; each check rejects it and the infinities
+    for bad in (float("nan"), float("-inf"), float("inf")):
+        with pytest.raises(ValueError, match="eps_dsm must be finite and negative"):
+            GridConfig(n_homes=1, kappa=0.5, eps_dsm=bad)
+        with pytest.raises(ValueError, match="eps_dsm_hat must be finite and negative"):
+            GridConfig(n_homes=1, kappa=0.5, eps_dsm_hat=bad)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lstar_floor must be finite and positive"):
+            GridConfig(n_homes=1, kappa=0.5, lstar_floor=bad)
     assert GridConfig(n_homes=1, kappa=0.5, eps_dsm_hat=-2.0).effective_eps_hat == -2.0
     assert GridConfig(n_homes=1, kappa=0.5).effective_eps_hat == -1.0
 
@@ -324,8 +311,8 @@ def test_grid_config_validation():
 def test_trace_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     base = rng.uniform(0.5, 2.0, size=(5, 2))
-    trace = simulate(base, GridConfig(n_homes=2, kappa=0.7, target=3.0),
-                     schedule=make_sudden((3, 5), 9.0), injection="post_hoc")
+    trace = inject_post_hoc(simulate(base, GridConfig(n_homes=2, kappa=0.7, target=3.0)),
+                            make_sudden((3, 5), 9.0))
     path = tmp_path / "trace.csv"
     write_trace(trace, str(path))
     back = read_trace(str(path))
@@ -398,17 +385,13 @@ def _per_home_loop(base, cfg, schedule):
     truth = np.zeros(n_hours, dtype=np.int8)
     clamped, well_posed = 0, True
     for t in range(n_hours):
-        price[t], lstar[t] = set_price(
-            float(targets[t]), float(total[max(t - 1, 0)]), cfg.effective_eps_hat,
-            goal=cfg.goal,
-            prev_target=float(targets[t - 1]) if t else None,
-            prev_load=float(observed[t - 1]) if t else None,
-            lstar_floor=cfg.lstar_floor,
-        )
+        raw = targets[t]
         if cfg.goal == "goal2" and t:
             terms = targets[t] + targets[t - 1] + observed[t - 1]
             raw = targets[t] + (targets[t - 1] - observed[t - 1])
             well_posed &= abs(raw) > 0.05 * terms
+        lstar[t] = raw if raw > 0 else cfg.lstar_floor
+        price[t] = (lstar[t] / total[max(t - 1, 0)]) ** (1.0 / cfg.effective_eps_hat)
         delta = schedule.value_at(t) if schedule is not None else 0.0
         seen = np.full(n_homes, price[t])
         if delta != 0.0 and schedule.mode == "price":
@@ -527,3 +510,45 @@ def test_closed_loop_price_attack_equals_its_load_equivalent(case):
     assume(load_run.clamped == 0)
     np.testing.assert_allclose(load_run.price, price_run.price, rtol=1e-9)
     np.testing.assert_allclose(load_run.observed_load, price_run.observed_load, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the closed loop's bytes on paths run_experiment never takes: goal2, kappa
+# 0 and 1, a mismatched utility elasticity, and schedules inside the loop
+
+_GOLDEN_SCHEDULES = (
+    None,
+    make_sudden((5, 11), -10.0, victims=(1, 3)),  # a load subset that clamps
+    make_ramp((6, 18), step=0.5),  # a load ramp on every home
+    make_sudden((4, 12), 0.3, mode="price", victims=(0, 2, 4)),  # a price subset
+)
+
+
+def test_golden_closed_loop_traces():
+    rng = np.random.default_rng(20190927)
+    base = rng.uniform(0.2, 3.0, size=(24, 5))
+    # per-hour targets off the binary grid, so goal2's association shows in the last bits
+    target = tuple(rng.uniform(6.0, 10.0, size=24))
+    runs = [
+        (GridConfig(n_homes=5, kappa=kappa, eps_dsm=-0.8, eps_dsm_hat=eps_hat, goal=goal,
+                    target=target), schedule)
+        for goal in ("goal1", "goal2")
+        for kappa in (0.0, 0.5, 1.0)
+        for eps_hat in (None, -1.3)
+        for schedule in _GOLDEN_SCHEDULES
+    ]
+    # goal2 keeps over-correcting for a ramp it cannot see coming: L* takes the floor
+    floor_cfg = GridConfig(n_homes=5, kappa=0.5, eps_dsm=-0.8, goal="goal2", target=4.0,
+                           lstar_floor=0.5)
+    runs.append((floor_cfg, make_ramp((2, 20), step=1.0)))
+    digest = hashlib.sha256()
+    clamped = 0
+    for cfg, schedule in runs:
+        trace = simulate(base, cfg, schedule=schedule)
+        for col in ("price", "lstar", "forecast", "observed_load", "attack_truth"):
+            digest.update(getattr(trace, col).tobytes())
+        digest.update(str(trace.clamped).encode())
+        clamped += trace.clamped
+    assert clamped > 0
+    assert np.sum(trace.lstar == floor_cfg.lstar_floor) > 0
+    assert digest.hexdigest() == "f3732e4f413aff68ce8fb10b45c8f1b336f73e1f059d6167bea1f2ae41ddafd6"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridloop.detect import GlrtConfig, glrt_detect, glrt_sweep
+from gridloop.detect import glrt_detect, glrt_sweep
 from gridloop.forecast import qq_points
 
 # Reference quantiles (Wichura AS241 to full double precision).
@@ -24,7 +24,7 @@ REFERENCE = [
 
 def _upper_quantile(p_fa):
     # at sigma 1 and window 1 the GLRT threshold is Q^{-1}(p_fa) itself
-    return float(glrt_detect(np.zeros(1), GlrtConfig(sigma=1.0, window=1, p_fa=p_fa)).thresholds[0])
+    return float(glrt_detect(np.zeros(1), 1.0, 1, p_fa).thresholds[0])
 
 
 @pytest.mark.parametrize("p,expected", REFERENCE)
@@ -56,7 +56,7 @@ def test_endpoints_are_infinite():
 def test_out_of_range_rejected():
     for bad in (-0.1, 1.1, np.nan, 0.0, 1.0):
         with pytest.raises(ValueError, match="p_fa"):
-            GlrtConfig(sigma=1.0, p_fa=bad)
+            glrt_detect(np.zeros(1), 1.0, 1, bad)
 
 
 def test_array_input():
