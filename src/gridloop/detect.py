@@ -120,10 +120,14 @@ def _finite_residuals(x):
     return x
 
 
+def _check_drift(k: float) -> None:
+    if not 0.0 <= k < np.inf:  # NaN fails too
+        raise ValueError("drift k must be finite and >= 0")
+
+
 def cusum_detect(x, k: float, h: float) -> CusumResult:
     """The one-sided CUSUM recursion at drift k and alarm threshold h."""
-    if not 0.0 <= k < np.inf:
-        raise ValueError("drift k must be finite and >= 0")
+    _check_drift(k)
     if not 0.0 < h < np.inf:
         raise ValueError("threshold h must be finite and > 0")
     x = _finite_residuals(x)
@@ -153,6 +157,9 @@ def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
     though cusum_detect requires h > 0.
     """
     _check_sigma(sigma)
+    _check_drift(k)
+    if not 0.0 < h_max_sigmas < np.inf:
+        raise ValueError("h_max_sigmas must be finite and > 0")
     x = _finite_residuals(x)
     hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
     n = len(x)

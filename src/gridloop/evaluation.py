@@ -1,60 +1,33 @@
-"""Detector scoring: confusion metrics, ROC curves, operating points.
+"""Detector scoring: ROC curves, operating points and their metrics.
 
 Score-based detectors get the standard ROC construction (thresholds are
 the descending unique scores behind a +inf sentinel, decision is
 score >= threshold); sweep-based detectors (GLRT over its false-alarm
 grid, CUSUM over its alarm-threshold grid) get a curve built from their
 per-threshold decision rows, completed with the never/always-alarm corner
-points when the grid does not reach them. AUC is the trapezoid under
-either curve. The preferred operating point minimizes the Euclidean
-distance to the ideal corner (0, 1); metrics whose denominator is empty
-come back as NaN together with an explicit flag naming them.
+points when the grid does not reach them. Each point of a curve keeps its
+true- and false-alarm counts; the rates, the AUC (trapezoid) and the
+metrics at a point are all read off those counts. The preferred operating
+point minimizes the Euclidean distance to the ideal corner (0, 1); metrics
+whose denominator is empty come back as NaN together with an explicit flag
+naming them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "ConfusionCounts",
     "MetricSet",
     "RocCurve",
     "auc_trapezoid",
     "best_operating_index",
-    "best_threshold",
-    "confusion",
-    "metrics_at_threshold",
-    "metrics_from_confusion",
+    "metrics_at",
     "roc_from_scores",
     "roc_from_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(labels, decisions) -> ConfusionCounts:
-    labels = np.asarray(labels).astype(bool)
-    decisions = np.asarray(decisions).astype(bool)
-    if labels.shape != decisions.shape:
-        raise ValueError("labels and decisions must have equal length")
-    return ConfusionCounts(
-        tp=int(np.sum(decisions & labels)),
-        fp=int(np.sum(decisions & ~labels)),
-        tn=int(np.sum(~decisions & ~labels)),
-        fn=int(np.sum(~decisions & labels)),
-    )
 
 
 @dataclass(frozen=True)
@@ -66,46 +39,29 @@ class MetricSet:
     undefined: tuple[str, ...] = ()
 
 
-def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:
-    if den == 0:
-        undefined.append(name)
-        return float("nan")
-    return num / den
-
-
-def metrics_from_confusion(c: ConfusionCounts) -> MetricSet:
-    """Accuracy, precision, recall, false-positive rate.
-
-    A 0/0 ratio (e.g. precision with no positive predictions) is NaN and
-    the metric's name lands in ``undefined``.
-    """
-    undefined: list[str] = []
-    accuracy = _ratio(c.tp + c.tn, c.total, "accuracy", undefined)
-    precision = _ratio(c.tp, c.tp + c.fp, "precision", undefined)
-    recall = _ratio(c.tp, c.tp + c.fn, "recall", undefined)
-    fpr = _ratio(c.fp, c.fp + c.tn, "fpr", undefined)
-    return MetricSet(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        fpr=fpr,
-        undefined=tuple(undefined),
-    )
-
-
 @dataclass
 class RocCurve:
     """Operating points sorted by (fpr, tpr), spanning (0,0) to (1,1).
 
-    thresholds[i] is the detector parameter that produced point i; corner
-    points synthesized to complete a sweep curve carry +inf (never alarm)
-    or -inf (always alarm).
+    Point i alarms on tp[i] of the positives and fp[i] of the negatives;
+    thresholds[i] is the detector parameter that produced it. Corner points
+    synthesized to complete a sweep curve carry +inf (never alarm) or -inf
+    (always alarm).
     """
 
     thresholds: np.ndarray
-    fpr: np.ndarray
-    tpr: np.ndarray
-    auc: float
+    tp: np.ndarray
+    fp: np.ndarray
+    positives: int
+    negatives: int
+    tpr: np.ndarray = field(init=False)
+    fpr: np.ndarray = field(init=False)
+    auc: float = field(init=False)
+
+    def __post_init__(self):
+        self.tpr = self.tp / self.positives
+        self.fpr = self.fp / self.negatives
+        self.auc = auc_trapezoid(self.fpr, self.tpr)
 
 
 def auc_trapezoid(fpr, tpr) -> float:
@@ -114,11 +70,13 @@ def auc_trapezoid(fpr, tpr) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def _check_labels(labels) -> np.ndarray:
+def _check_labels(labels) -> tuple[np.ndarray, int, int]:
+    """Labels as bools, with their positive and negative counts."""
     labels = np.asarray(labels).astype(bool)
-    if labels.all() or not labels.any():
+    positives = int(np.count_nonzero(labels))
+    if positives in (0, len(labels)):
         raise ValueError("labels must contain both classes for a ROC curve")
-    return labels
+    return labels, positives, len(labels) - positives
 
 
 def roc_from_scores(scores, labels) -> RocCurve:
@@ -128,7 +86,7 @@ def roc_from_scores(scores, labels) -> RocCurve:
     threshold to the next distinct score adds the rows tied at that score
     to the true- or false-positive count.
     """
-    labels = _check_labels(labels)
+    labels, pos, neg = _check_labels(labels)
     scores = np.asarray(scores, dtype=float)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
@@ -138,30 +96,26 @@ def roc_from_scores(scores, labels) -> RocCurve:
     # rows tied at each distinct score, highest score first
     tp = np.cumsum(np.bincount(group[labels], minlength=len(uniq))[::-1])
     fp = np.cumsum(np.bincount(group[~labels], minlength=len(uniq))[::-1])
-    thresholds = np.concatenate(([np.inf], uniq[::-1]))
-    tpr = np.concatenate(([0.0], tp / np.count_nonzero(labels)))
-    fpr = np.concatenate(([0.0], fp / np.count_nonzero(~labels)))
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc_trapezoid(fpr, tpr))
+    return RocCurve(thresholds=np.concatenate(([np.inf], uniq[::-1])), tp=np.concatenate(([0], tp)),
+                    fp=np.concatenate(([0], fp)), positives=pos, negatives=neg)
 
 
 def roc_from_sweep(thresholds, decision_rows, labels) -> RocCurve:
     """ROC from explicit per-threshold decision rows of a detector sweep."""
-    labels = _check_labels(labels)
+    labels, pos, neg = _check_labels(labels)
     thresholds = np.asarray(thresholds, dtype=float)
     decision_rows = np.asarray(decision_rows)
     if decision_rows.shape != (len(thresholds), len(labels)):
         raise ValueError("decision matrix must be (n_thresholds x n_samples)")
     decisions = decision_rows.astype(bool)
-    tpr = np.count_nonzero(decisions & labels, axis=1) / np.count_nonzero(labels)
-    fpr = np.count_nonzero(decisions & ~labels, axis=1) / np.count_nonzero(~labels)
-    if not np.any((fpr == 0.0) & (tpr == 0.0)):
-        thresholds, fpr, tpr = np.append(thresholds, np.inf), np.append(fpr, 0.0), np.append(tpr, 0.0)
-    if not np.any((fpr == 1.0) & (tpr == 1.0)):
-        thresholds, fpr, tpr = np.append(thresholds, -np.inf), np.append(fpr, 1.0), np.append(tpr, 1.0)
-    # stable, so points tied on (fpr, tpr) keep the grid order, corners last
-    order = np.lexsort((tpr, fpr))
-    fpr, tpr = fpr[order], tpr[order]
-    return RocCurve(thresholds=thresholds[order], fpr=fpr, tpr=tpr, auc=auc_trapezoid(fpr, tpr))
+    tp = np.count_nonzero(decisions & labels, axis=1)
+    fp = np.count_nonzero(decisions & ~labels, axis=1)
+    for th, tp_c, fp_c in ((np.inf, 0, 0), (-np.inf, pos, neg)):
+        if not np.any((tp == tp_c) & (fp == fp_c)):
+            thresholds, tp, fp = np.append(thresholds, th), np.append(tp, tp_c), np.append(fp, fp_c)
+    # stable, so points tied on (fp, tp) keep the grid order, corners last
+    order = np.lexsort((tp, fp))
+    return RocCurve(thresholds=thresholds[order], tp=tp[order], fp=fp[order], positives=pos, negatives=neg)
 
 
 def best_operating_index(roc: RocCurve) -> int:
@@ -182,11 +136,26 @@ def best_operating_index(roc: RocCurve) -> int:
     return best
 
 
-def best_threshold(roc: RocCurve) -> float:
-    return float(roc.thresholds[best_operating_index(roc)])
+def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:
+    if den == 0:
+        undefined.append(name)
+        return float("nan")
+    return num / den
 
 
-def metrics_at_threshold(scores, labels, threshold: float) -> MetricSet:
-    """Metrics of the decision rule score >= threshold."""
-    scores = np.asarray(scores, dtype=float)
-    return metrics_from_confusion(confusion(labels, scores >= threshold))
+def metrics_at(roc: RocCurve, i: int) -> MetricSet:
+    """Accuracy, precision, recall, false-positive rate at point i of a curve.
+
+    A 0/0 ratio (e.g. precision at the never-alarm point) is NaN and the
+    metric's name lands in ``undefined``.
+    """
+    tp, fp = int(roc.tp[i]), int(roc.fp[i])
+    pos, neg = roc.positives, roc.negatives
+    undefined: list[str] = []
+    return MetricSet(
+        accuracy=_ratio(tp + neg - fp, pos + neg, "accuracy", undefined),
+        precision=_ratio(tp, tp + fp, "precision", undefined),
+        recall=_ratio(tp, pos, "recall", undefined),
+        fpr=_ratio(fp, neg, "fpr", undefined),
+        undefined=tuple(undefined),
+    )

@@ -3,12 +3,12 @@
 A full run sweeps participation levels x attack kinds over seeded
 replications. Each replication bootstraps a fresh micro-grid, simulates
 the nominal pricing loop per participation level, injects each attack
-kind post-hoc into the recorded aggregate of the final day, runs every
-detector over the test window, and scores them at their ROC-selected
-operating points. Per-scenario artifacts (trace.csv, detections.csv,
-metrics.json, roc.csv) land in kappa_*/<attack>/rep_*/ directories under
-the output root, plus summary.json / summary.csv aggregated over
-replications.
+kind post-hoc into the recorded aggregate over the last attack_hours of
+the horizon, runs every detector over the test window, and scores each
+at the operating point picked on its own ROC curve. Per-scenario
+artifacts (trace.csv, detections.csv, metrics.json, roc.csv) land in
+kappa_*/<attack>/rep_*/ directories under the output root, plus
+summary.json / summary.csv aggregated over replications.
 
 The detect/evaluate stage functions here are exactly what the CLI
 subcommands call, so chaining the subcommands by hand reproduces a
@@ -30,8 +30,8 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
-from gridloop.tables import (BINARY, COUNT, FINITE, POSITIVE, TEXT, WHOLE, read_json, read_table,
-                             write_json, write_table)
+from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT, WHOLE, read_json,
+                             read_table, write_json, write_table)
 
 __all__ = [
     "DETECTORS",
@@ -61,7 +61,7 @@ _SUDDEN_LEVEL = 150.0
 _DETECTION_COLUMNS = {"hour": WHOLE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
 _META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
-              "sweep.points": COUNT, "sweep.cusum_sigmas": FINITE, "sweep.cusum_k": FINITE}
+              "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE, "sweep.cusum_k": NON_NEGATIVE}
 
 _NUMBER = (int, float)
 # config field type -> (what its JSON value must be, the check); bools are no numbers
@@ -357,26 +357,14 @@ def _json_float(x: float):
     return x
 
 
-def _sweep_best(thresholds, rows, labels):
-    """ROC + metrics at the distance-optimal threshold of a sweep."""
-    roc = evaluation.roc_from_sweep(thresholds, rows, labels)
-    th = evaluation.best_threshold(roc)
-    if np.isposinf(th):
-        decisions = np.zeros(len(labels), dtype=np.int8)
-    elif np.isneginf(th):
-        decisions = np.ones(len(labels), dtype=np.int8)
-    else:
-        decisions = rows[int(np.nonzero(thresholds == th)[0][0])]
-    ms = evaluation.metrics_from_confusion(evaluation.confusion(labels, decisions))
-    return roc, th, ms
-
-
 def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     """Score a detect-stage directory into metrics.json and roc.csv.
 
     Classifier-style detectors are evaluated from their stored scores;
     GLRT and CUSUM threshold sweeps are rebuilt from the stored residuals
-    and noise scale. Returns the metrics entries (one per detector).
+    and noise scale. Every metric is read off the curve point that
+    best_operating_index picks. Returns the metrics entries (one per
+    detector).
     """
     det_dir = Path(det_dir)
     out_dir = det_dir if out_dir is None else Path(out_dir)
@@ -391,32 +379,20 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     hs, alarms, intervals = detect.cusum_sweep(
         residuals, sigma, float(sweep["cusum_k"]), int(sweep["points"]), float(sweep["cusum_sigmas"]))
     sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}
+    curves = {name: evaluation.roc_from_sweep(*sweeps[name], labels) if name in sweeps
+              else evaluation.roc_from_scores(*table[name]) for name in DETECTORS}
 
-    curves: dict[str, evaluation.RocCurve] = {}
     entries = []
-    for name in DETECTORS:
-        if name in sweeps:
-            roc, th, ms = _sweep_best(*sweeps[name], labels)
-        else:
-            scores, labels_c = table[name]
-            roc = evaluation.roc_from_scores(scores, labels_c)
-            th = evaluation.best_threshold(roc)
-            ms = evaluation.metrics_at_threshold(scores, labels_c, th)
-        curves[name] = roc
-        entries.append(
-            {
-                "detector": name,
-                "kappa": meta["kappa"],
-                "attack_type": meta["attack_type"],
-                "accuracy": _json_float(ms.accuracy),
-                "precision": _json_float(ms.precision),
-                "recall": _json_float(ms.recall),
-                "fpr": _json_float(ms.fpr),
-                "auc": _json_float(roc.auc),
-                "best_threshold": _json_float(th),
-                "undefined": list(ms.undefined),
-            }
-        )
+    for name, roc in curves.items():
+        i = evaluation.best_operating_index(roc)
+        ms = evaluation.metrics_at(roc, i)
+        entries.append({
+            "detector": name, "kappa": meta["kappa"], "attack_type": meta["attack_type"],
+            **{key: _json_float(getattr(ms, key)) for key in ("accuracy", "precision", "recall", "fpr")},
+            "auc": _json_float(roc.auc),
+            "best_threshold": _json_float(float(roc.thresholds[i])),
+            "undefined": list(ms.undefined),
+        })
 
     write_json(out_dir / "metrics.json", entries)
     write_table(out_dir / "roc.csv", ["detector", "threshold", "fpr", "tpr"], [
@@ -463,7 +439,7 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
             row = {"kappa": kappa, "attack_type": attack, "detector": detector,
                    "replications": len(reps)}
             for key in ("accuracy", "precision", "recall", "fpr", "auc"):
-                # as float, an undefined metric (null) is nan and "Infinity" is inf
+                # as float, an undefined metric (null) is nan
                 vals = np.array(
                     [next(e for e in rep_entries if e["detector"] == detector)[key] for rep_entries in reps],
                     dtype=float,

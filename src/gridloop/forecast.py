@@ -1,11 +1,12 @@
 """Load forecasting and residual diagnostics for the detectors.
 
 Demand is modeled as a daily-seasonal AR process: seasonally difference
-at period 24, fit AR(p) to the differenced series by conditional least
-squares (no intercept), and forecast by recursing the AR over the
+at PERIOD = 24 hours, fit AR(p) to the differenced series by conditional
+least squares (no intercept), and forecast by recursing the AR over the
 differences and re-adding the level from 24 hours back. One-step-ahead
 residuals on the training window give the noise scale sigma that
-calibrates the sequential detectors. (The utility's own in-loop forecast
+calibrates the sequential detectors; the fit, sigma and
+one_step_residuals build them from the same lag matrix. (The utility's own in-loop forecast
 is plain persistence inside feedback.simulate.)
 
 Diagnostics (sample ACF, Jarque-Bera, normal Q-Q coordinates) verify
@@ -31,12 +32,13 @@ __all__ = [
     "qq_points",
 ]
 
+PERIOD = 24  # hours in the seasonal cycle
 SIGMA_FLOOR = 1e-6
 
 
 @dataclass
 class SeasonalARModel:
-    """AR(p) over the period-differenced series.
+    """AR(p) over the PERIOD-differenced series.
 
     coeffs may be shorter than the requested order when degenerate training
     data forced a fallback to a smaller model (order 0 = pure seasonal
@@ -44,15 +46,14 @@ class SeasonalARModel:
     training residuals, floored at 1e-6.
     """
 
-    period: int
     order: int
     coeffs: np.ndarray
     sigma: float
-    y_tail: np.ndarray  # last `period` training observations
+    y_tail: np.ndarray  # last PERIOD training observations
     d_tail: np.ndarray  # last `order` training differences
 
 
-def fit_seasonal_ar(y, order: int = 2, period: int = 24) -> SeasonalARModel:
+def fit_seasonal_ar(y, order: int) -> SeasonalARModel:
     """Fit by conditional least squares on the differenced series.
 
     Needs at least 3 periods plus `order` observations. If the normal
@@ -61,48 +62,47 @@ def fit_seasonal_ar(y, order: int = 2, period: int = 24) -> SeasonalARModel:
     does.
     """
     y = np.asarray(y, dtype=float)
-    if order < 0 or period < 1:
-        raise ValueError("order must be >= 0 and period >= 1")
-    if len(y) < 3 * period + order:
-        raise ValueError(f"need at least {3 * period + order} observations, got {len(y)}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if len(y) < 3 * PERIOD + order:
+        raise ValueError(f"need at least {3 * PERIOD + order} observations, got {len(y)}")
 
-    d = y[period:] - y[:-period]
+    d = y[PERIOD:] - y[:-PERIOD]
     p = order
-    while True:
-        coeffs = _fit_ar(d, p)
-        if coeffs is not None:
-            break
+    while (coeffs := _fit_ar(d, p)) is None:
         p -= 1
-
-    if p == 0:
-        resid = d
-    else:
-        cols = [d[p - 1 - j : len(d) - 1 - j] for j in range(p)]
-        pred = np.column_stack(cols) @ coeffs
-        resid = d[p:] - pred
+    resid = _residuals(d, coeffs)
     sigma = float(np.std(resid, ddof=1)) if len(resid) > 1 else 0.0
     return SeasonalARModel(
-        period=period,
         order=p,
         coeffs=coeffs,
         sigma=max(sigma, SIGMA_FLOOR),
-        y_tail=y[-period:].copy(),
+        y_tail=y[-PERIOD:].copy(),
         d_tail=d[len(d) - p :].copy() if p else np.empty(0),
     )
+
+
+def _lags(d: np.ndarray, p: int) -> np.ndarray:
+    """AR(p) design matrix: the row for target d[t] (t = p .. len(d)-1) holds d[t-1] ... d[t-p]."""
+    return np.column_stack([d[p - 1 - j : len(d) - 1 - j] for j in range(p)])
+
+
+def _residuals(d: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """d[p:] minus its AR(p) one-step predictions, p = len(coeffs)."""
+    p = len(coeffs)
+    return d[p:] - _lags(d, p) @ coeffs if p else d
 
 
 def _fit_ar(d: np.ndarray, p: int):
     """Least-squares AR(p) coefficients on d, or None if singular."""
     if p == 0:
         return np.empty(0)
-    # row t predicts d[t] from d[t-1] ... d[t-p]
-    X = np.column_stack([d[p - 1 - j : len(d) - 1 - j] for j in range(p)])
-    target = d[p:]
+    X = _lags(d, p)
     gram = X.T @ X
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
         return None
     try:
-        coeffs = np.linalg.solve(gram, X.T @ target)
+        coeffs = np.linalg.solve(gram, X.T @ d[p:])
     except np.linalg.LinAlgError:
         return None
     return coeffs
@@ -118,7 +118,7 @@ def forecast(model: SeasonalARModel, steps: int) -> np.ndarray:
         raise ValueError("steps must be >= 1")
     p = model.order
     d_hist = list(model.d_tail)
-    # levels at lag `period`: observed tail first, then our own forecasts
+    # levels at lag PERIOD: observed tail first, then our own forecasts
     levels = list(model.y_tail)
     out = np.empty(steps)
     for k in range(steps):
@@ -138,15 +138,9 @@ def one_step_residuals(model: SeasonalARModel, y) -> np.ndarray:
     are meant to run on this output.
     """
     y = np.asarray(y, dtype=float)
-    period, p = model.period, model.order
-    if len(y) < period + p + 1:
-        raise ValueError(f"need at least {period + p + 1} observations, got {len(y)}")
-    d = y[period:] - y[:-period]
-    if p == 0:
-        return d.copy()
-    cols = [d[p - 1 - j : len(d) - 1 - j] for j in range(p)]
-    pred = np.column_stack(cols) @ model.coeffs
-    return d[p:] - pred
+    if len(y) < PERIOD + model.order + 1:
+        raise ValueError(f"need at least {PERIOD + model.order + 1} observations, got {len(y)}")
+    return _residuals(y[PERIOD:] - y[:-PERIOD], model.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def test_criterion_08_roc_properties():
     labels = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
     sep = evaluation.roc_from_scores([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], labels)
     sep_ok = sep.auc == 1.0
-    th = evaluation.best_threshold(sep)
-    i = int(np.nonzero(sep.thresholds == th)[0][0])
+    i = evaluation.best_operating_index(sep)
     dist = math.hypot(sep.fpr[i], 1.0 - sep.tpr[i])
     best_ok = dist == 0.0
 

@@ -274,6 +274,30 @@ def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragmen
 
 
 @pytest.mark.parametrize(
+    "key, value, domain",
+    [
+        ("cusum_k", -1e6, "finite and non-negative"),
+        ("cusum_k", -0.5, "finite and non-negative"),
+        ("cusum_sigmas", -6.0, "finite and positive"),
+        ("cusum_sigmas", 0.0, "finite and positive"),
+    ],
+    ids=["k-huge-negative", "k-negative", "sigmas-negative", "sigmas-zero"],
+)
+def test_out_of_range_cusum_sweep_exits_2(tiny_run, tmp_path, capsys, key, value, domain):
+    # no config can write these: ExperimentConfig rejects a negative cusum_k_sigma and a
+    # non-positive cusum_sweep_sigmas, and sigma is positive
+    sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    shutil.copy(sdir / "detections.csv", tmp_path / "detections.csv")
+    meta = json.loads((sdir / "detect_meta.json").read_text())
+    meta["sweep"][key] = value
+    path = tmp_path / "detect_meta.json"
+    path.write_text(json.dumps(meta))
+    assert run("evaluate", "--detections", tmp_path) == 2
+    _assert_names_file(capsys, path, f": sweep.{key} {value!r} must be a number, {domain}")
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
     "text, fragment",
     [
         ("[1, 2]", ": expected a JSON object"),

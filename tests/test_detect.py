@@ -132,6 +132,19 @@ def test_cusum_config_validation():
     assert not cusum_detect(x, k=0.0, h=1e-300).decisions.any()  # the edges are allowed
 
 
+def test_cusum_sweep_config_validation():
+    # the same drift check as cusum_detect, plus a finite, positive sweep span
+    x = np.zeros(5)
+    for bad in (-0.1, -1e6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="drift k must be finite and >= 0"):
+            cusum_sweep(x, sigma=1.0, k=bad, n_points=4, h_max_sigmas=6.0)
+    for bad in (0.0, -6.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="h_max_sigmas must be finite and > 0"):
+            cusum_sweep(x, sigma=1.0, k=0.5, n_points=4, h_max_sigmas=bad)
+    hs, alarms, _ = cusum_sweep(x, sigma=1.0, k=0.0, n_points=4, h_max_sigmas=1e-300)  # the edges
+    assert hs[-1] == 1e-300 and not alarms.any()
+
+
 def test_cusum_sweep_grid_and_consistency():
     rng = np.random.default_rng(16)
     x = rng.normal(0, 1, size=60)

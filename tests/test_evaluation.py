@@ -4,37 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridloop.evaluation import (
-    ConfusionCounts,
     RocCurve,
     auc_trapezoid,
     best_operating_index,
-    best_threshold,
-    confusion,
-    metrics_at_threshold,
-    metrics_from_confusion,
+    metrics_at,
     roc_from_scores,
     roc_from_sweep,
 )
 
 # ---------------------------------------------------------------------------
-# confusion counts and point metrics
+# metrics at one point of a curve
 
 def test_confusion_hand_case():
-    c = confusion([1, 1, 0, 0], [1, 0, 1, 0])
-    assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-    m = metrics_from_confusion(c)
+    roc = roc_from_scores([0.9, 0.2, 0.8, 0.1], [1, 1, 0, 0])
+    assert roc.thresholds[2] == 0.8
+    assert (roc.tp[2], roc.fp[2], roc.positives, roc.negatives) == (1, 1, 2, 2)
+    m = metrics_at(roc, 2)
     assert (m.accuracy, m.precision, m.recall, m.fpr) == (0.5, 0.5, 0.5, 0.5)
     assert m.undefined == ()
 
 
 def test_perfect_predictions():
-    m = metrics_from_confusion(confusion([0, 1, 1], [0, 1, 1]))
+    roc = roc_from_scores([0.1, 0.9, 0.8], [0, 1, 1])
+    m = metrics_at(roc, 2)  # threshold 0.8
     assert (m.accuracy, m.precision, m.recall, m.fpr) == (1.0, 1.0, 1.0, 0.0)
 
 
 def test_undefined_precision_flagged():
-    # never alarming: no positive predictions -> precision is 0/0
-    m = metrics_from_confusion(confusion([1, 1, 0], [0, 0, 0]))
+    # the never-alarm point: no positive predictions -> precision is 0/0
+    m = metrics_at(roc_from_scores([0.2, 0.7, 0.4], [1, 1, 0]), 0)
     assert np.isnan(m.precision)
     assert "precision" in m.undefined
     assert m.recall == 0.0
@@ -42,17 +40,22 @@ def test_undefined_precision_flagged():
 
 
 def test_undefined_recall_and_fpr_flagged():
-    m = metrics_from_confusion(confusion([0, 0], [0, 1]))
+    # the curve builders refuse one-class labels; hand-built curves show the flags
+    th = np.array([np.inf, 0.5])
+    with np.errstate(invalid="ignore"):  # the curves' own 0/0 rates
+        no_pos = RocCurve(th, tp=np.array([0, 0]), fp=np.array([0, 1]), positives=0, negatives=2)
+        no_neg = RocCurve(th, tp=np.array([0, 1]), fp=np.array([0, 0]), positives=2, negatives=0)
+    m = metrics_at(no_pos, 1)
     assert np.isnan(m.recall)
     assert "recall" in m.undefined
-    m = metrics_from_confusion(confusion([1, 1], [0, 1]))
+    m = metrics_at(no_neg, 1)
     assert np.isnan(m.fpr)
     assert "fpr" in m.undefined
 
 
 def test_confusion_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        confusion([1, 0], [1])
+    with pytest.raises(ValueError, match="n_samples"):
+        roc_from_sweep([1.0], [[1, 0, 1]], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def test_roc_separable_is_perfect():
     # the operating point (0, 1) is reachable at threshold 0.8
     i = best_operating_index(roc)
     assert (roc.fpr[i], roc.tpr[i]) == (0.0, 1.0)
-    assert best_threshold(roc) == 0.8
+    assert roc.thresholds[i] == 0.8
 
 
 def test_roc_constant_scores_is_chance():
@@ -112,15 +115,15 @@ def test_roc_rejects_non_finite_scores_and_length_mismatch():
 
 
 def _brute_force_roc(scores, labels):
-    """One confusion matrix per threshold: the definition the fast path keeps."""
+    """One count of alarms per threshold: the definition the fast path keeps."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(bool)
     thresholds = np.concatenate(([np.inf], np.unique(scores)[::-1]))
     fpr, tpr = [], []
     for th in thresholds:
-        c = confusion(labels, scores >= th)
-        fpr.append(c.fp / (c.fp + c.tn))
-        tpr.append(c.tp / (c.tp + c.fn))
+        alarms = scores >= th
+        fpr.append(np.count_nonzero(alarms & ~labels) / np.count_nonzero(~labels))
+        tpr.append(np.count_nonzero(alarms & labels) / np.count_nonzero(labels))
     return thresholds, np.array(fpr), np.array(tpr), auc_trapezoid(fpr, tpr)
 
 
@@ -143,12 +146,14 @@ def test_roc_matches_brute_force_bit_for_bit(tied, seed):
 
 
 def test_decision_rule_is_score_at_least_threshold():
-    m = metrics_at_threshold([0.3, 0.5, 0.7], [0, 1, 1], 0.5)
-    assert m.recall == 1.0 and m.fpr == 0.0
-    m = metrics_at_threshold([0.3, 0.5, 0.7], [0, 1, 1], np.inf)
+    roc = roc_from_scores([0.3, 0.5, 0.7], [0, 1, 1])
+    assert roc.thresholds.tolist() == [np.inf, 0.7, 0.5, 0.3]
+    m = metrics_at(roc, 2)
+    assert m.recall == 1.0 and m.fpr == 0.0  # 0.5 itself alarms
+    m = metrics_at(roc, 0)
     assert m.recall == 0.0  # +inf: never alarm
-    m = metrics_at_threshold([0.3, 0.5, 0.7], [0, 1, 1], -np.inf)
-    assert m.recall == 1.0 and m.fpr == 1.0  # -inf: always alarm
+    m = metrics_at(roc, 3)
+    assert m.recall == 1.0 and m.fpr == 1.0  # the lowest score: always alarm
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +188,9 @@ def _roc_from_sweep_loop(thresholds, rows, labels):
     labels = np.asarray(labels).astype(bool)
     pts = []
     for th, row in zip(thresholds, rows):
-        c = confusion(labels, row)
-        pts.append((c.fp / (c.fp + c.tn), c.tp / (c.tp + c.fn), th))
+        row = np.asarray(row).astype(bool)
+        pts.append((np.count_nonzero(row & ~labels) / np.count_nonzero(~labels),
+                    np.count_nonzero(row & labels) / np.count_nonzero(labels), th))
     if not any(f == 0.0 and t == 0.0 for f, t, _ in pts):
         pts.append((0.0, 0.0, np.inf))
     if not any(f == 1.0 and t == 1.0 for f, t, _ in pts):
@@ -221,29 +227,35 @@ def test_roc_from_sweep_matches_the_per_threshold_loop(corners, seed):
 def test_best_point_minimizes_distance_to_ideal():
     roc = RocCurve(
         thresholds=np.array([np.inf, 3.0, 2.0, -np.inf]),
-        fpr=np.array([0.0, 0.1, 0.6, 1.0]),
-        tpr=np.array([0.0, 0.8, 0.9, 1.0]),
-        auc=0.9,
+        tp=np.array([0, 8, 9, 10]),
+        fp=np.array([0, 1, 6, 10]),
+        positives=10,
+        negatives=10,
     )
-    assert best_operating_index(roc) == 1  # sqrt(0.01+0.04) beats the rest
-    assert best_threshold(roc) == 3.0
+    assert roc.fpr.tolist() == [0.0, 0.1, 0.6, 1.0]
+    assert roc.tpr.tolist() == [0.0, 0.8, 0.9, 1.0]
+    i = best_operating_index(roc)
+    assert i == 1  # sqrt(0.01+0.04) beats the rest
+    assert roc.thresholds[i] == 3.0
 
 
 def test_best_point_tie_breaks():
     # exact distance tie (0.5 and 0.25 are binary-exact): prefer higher tpr
     roc = RocCurve(
         thresholds=np.array([np.inf, 4.0, 3.0]),
-        fpr=np.array([0.0, 0.0, 0.5]),
-        tpr=np.array([0.0, 0.5, 1.0]),
-        auc=0.75,
+        tp=np.array([0, 1, 2]),
+        fp=np.array([0, 0, 1]),
+        positives=2,
+        negatives=2,
     )
     assert best_operating_index(roc) == 2  # both at distance 0.5
     # equal (fpr, tpr): prefer the lower threshold
     roc = RocCurve(
         thresholds=np.array([5.0, 3.0]),
-        fpr=np.array([0.3, 0.3]),
-        tpr=np.array([0.8, 0.8]),
-        auc=0.75,
+        tp=np.array([8, 8]),
+        fp=np.array([3, 3]),
+        positives=10,
+        negatives=10,
     )
     assert best_operating_index(roc) == 1
 
@@ -287,3 +299,58 @@ def test_auc_invariant_under_monotone_transform(n, seed):
     assert np.array_equal(a.fpr, b.fpr)
     assert np.array_equal(a.tpr, b.tpr)
     assert a.auc == b.auc
+
+
+def _metrics_by_counting(decisions, labels):
+    """The four metrics of one decision row, from its own confusion counts (None: 0/0)."""
+    d = np.asarray(decisions).astype(bool)
+    y = np.asarray(labels).astype(bool)
+    tp, fp = np.count_nonzero(d & y), np.count_nonzero(d & ~y)
+    tn, fn = np.count_nonzero(~d & ~y), np.count_nonzero(~d & y)
+    ratios = {"accuracy": (tp + tn, tp + fp + tn + fn), "precision": (tp, tp + fp),
+              "recall": (tp, tp + fn), "fpr": (fp, fp + tn)}
+    return {name: num / den if den else None for name, (num, den) in ratios.items()}
+
+
+def _metrics_at(roc, i):
+    m = metrics_at(roc, i)
+    got = {name: getattr(m, name) for name in ("accuracy", "precision", "recall", "fpr")}
+    assert sorted(m.undefined) == sorted(name for name, v in got.items() if np.isnan(v))
+    return {name: None if name in m.undefined else v for name, v in got.items()}
+
+
+# seeded loops rather than hypothesis, so a failure under -W error reports the test by name
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_metrics_at_matches_counting_on_score_curves(tied, seed):
+    rng = np.random.default_rng(seed)
+    for n in rng.integers(2, 60, size=8):
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        scores = rng.integers(0, 4, size=n) / 4.0 if tied else rng.normal(size=n)
+        roc = roc_from_scores(scores, labels)
+        for i, th in enumerate(roc.thresholds):
+            assert _metrics_at(roc, i) == _metrics_by_counting(scores >= th, labels), (n, i, th)
+
+
+@pytest.mark.parametrize("corners", ["none", "never", "always", "both"])
+@pytest.mark.parametrize("seed", range(5))
+def test_metrics_at_matches_counting_on_sweeps(corners, seed):
+    rng = np.random.default_rng(seed)
+    for n, n_rows in rng.integers((2, 1), (40, 12), size=(8, 2)):
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        rows = (rng.random((n_rows, n)) < rng.random((n_rows, 1))).astype(np.int8)
+        if corners in ("never", "both"):
+            rows[rng.integers(n_rows)] = 0
+        if corners in ("always", "both"):
+            rows[rng.integers(n_rows)] = 1
+        # distinct thresholds, as on the p_fa and h grids
+        thresholds = np.sort(rng.choice(1000, size=n_rows, replace=False))[::-1] / 100.0
+        roc = roc_from_sweep(thresholds, rows, labels)
+        for i, th in enumerate(roc.thresholds):
+            if np.isinf(th):  # a synthesized corner: never (+inf) or always (-inf) alarm
+                row = np.full(n, th < 0)
+            else:
+                row = rows[np.flatnonzero(thresholds == th)[0]]
+            assert _metrics_at(roc, i) == _metrics_by_counting(row, labels), (n, i, th)

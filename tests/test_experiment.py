@@ -3,6 +3,7 @@ the on-disk layout of a full run, and the detect/evaluate stage contracts."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -311,6 +312,56 @@ def test_evaluate_stage_scores_each_cusum_output(tiny_run):
         roc = roc_from_sweep(hs, decisions, labels)
         written = [(float(r["fpr"]), float(r["tpr"])) for r in curves if r["detector"] == name]
         assert written == list(zip(roc.fpr.tolist(), roc.tpr.tolist())), name
+
+
+def _write_falling_attack_scenario(det_dir):
+    """A detect-stage directory whose residuals fall, never rise, in the attack window.
+
+    CUSUM then alarms only on nominal hours, so every sweep row sits at tpr 0; the
+    never-alarm corner and the always-alarm corner tie at distance 1 from (0, 1), and
+    the higher tpr wins: the best CUSUM point is the -inf corner.
+    """
+    residuals = [3.0, -1.0, 4.0, 0.5, 6.0, -2.0, 2.5, 5.0, -0.5, 1.5, -6.0, -9.0, -7.0, -8.0, -10.0, -6.0]
+    labels = [0] * 10 + [1] * 6
+    scores = {
+        "glrt": [0.5 * r for r in residuals],
+        "cusum": [max(r, 0.0) for r in residuals],
+        "cusum_interval": [max(r, 0.0) for r in residuals],
+        "logreg": [0.1, 0.4, 0.35, 0.8, 0.2, 0.7, 0.3, 0.05, 0.6, 0.45, 0.9, 0.4, 0.55, 0.75, 0.3, 0.95],
+        "gnb": [0.5] * 8 + [0.25, 0.75] * 4,
+        "forest": [0.0] * 10 + [1.0] * 6,
+        "residual": residuals,
+    }
+    det_dir.mkdir()
+    lines = ["hour,detector,score,decision,label"]
+    for name, values in scores.items():
+        lines += [f"{100 + t},{name},{v!r},0,{y}" for t, (v, y) in enumerate(zip(values, labels))]
+    (det_dir / "detections.csv").write_text("\n".join(lines) + "\n")
+    meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "glrt": {"window": 4},
+            "sweep": {"points": 7, "cusum_sigmas": 3.0, "cusum_k": 1.0}}
+    (det_dir / "detect_meta.json").write_text(json.dumps(meta))
+    return det_dir
+
+
+# sha256 of metrics.json + roc.csv as evaluate_stage writes them, pinned across commits
+_GOLDEN_EVALUATE = {
+    "tiny": "26fb77ba2f0a3ede10b23e92cb995d2fe6d582b9d68b1f2bc4841a4352d8ab64",
+    "falling_attack": "f0a428c01ee80dfd739d18288349469fd2a3d5958dff887b0ce2368ce8de2280",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_EVALUATE))
+def test_golden_evaluate_stage(case, tiny_run, tmp_path):
+    if case == "tiny":
+        det_dir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    else:
+        det_dir = _write_falling_attack_scenario(tmp_path / "in")
+    entries = evaluate_stage(det_dir, out_dir=tmp_path / "out")
+    if case == "falling_attack":
+        best = {e["detector"]: e["best_threshold"] for e in entries}
+        assert best["cusum"] == best["cusum_interval"] == "-Infinity"
+    blob = b"".join((tmp_path / "out" / name).read_bytes() for name in ("metrics.json", "roc.csv"))
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_EVALUATE[case]
 
 
 def test_detect_stage_rejects_wrong_horizon(tiny_cfg, tiny_run, tmp_path):

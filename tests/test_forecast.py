@@ -81,7 +81,7 @@ def test_forecast_recursion_closed_form():
     # is 0.5^(k+1), and one period out the re-added level is itself the
     # first forecast. Powers of two are exact in floats.
     model = SeasonalARModel(
-        period=24, order=1, coeffs=np.array([0.5]), sigma=1.0,
+        order=1, coeffs=np.array([0.5]), sigma=1.0,
         y_tail=np.zeros(24), d_tail=np.array([1.0]),
     )
     out = forecast(model, 26)
