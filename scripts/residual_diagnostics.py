@@ -1,7 +1,8 @@
 """Check whether the seasonal-AR residuals on a training window are white.
 
-Builds one protocol scenario (bootstrap grid + pricing loop), fits the
-daily-seasonal AR to the training window, and prints sigma, the
+Builds one protocol scenario (bootstrap grid + pricing loop) from the
+experiment config (defaults if --config is omitted), fits the config's
+daily-seasonal AR(ar_order) to the training window, and prints sigma, the
 Jarque-Bera statistic, and the residual ACF at lags 1..24 with the
 95% white-noise band. The sequential detectors assume roughly white
 Gaussian residuals, so this is the thing to look at before trusting a
@@ -23,20 +24,19 @@ from gridloop.synth import synthetic_hourly_templates
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", help="experiment config JSON (defaults if omitted)")
     ap.add_argument("--kappa", type=float, default=0.1)
     ap.add_argument("--rep", type=int, default=0)
-    ap.add_argument("--order", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--plot", metavar="PREFIX", help="save PREFIX_acf.png and PREFIX_qq.png")
     args = ap.parse_args(argv)
 
-    proto = ExperimentConfig(seed=args.seed)
-    templates = synthetic_hourly_templates(proto.template_homes, proto.template_days, seed=proto.seed)
-    grid = synthesize_microgrid(templates, proto.bootstrap_config(args.rep))
-    trace = simulate(grid.kwh[: proto.horizon], proto.grid_config(args.kappa))
-    train = trace.observed_load[: proto.train_hours]
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    templates = synthetic_hourly_templates(cfg.template_homes, cfg.template_days, seed=cfg.seed)
+    grid = synthesize_microgrid(templates, cfg.bootstrap_config(args.rep))
+    trace = simulate(grid.kwh[: cfg.horizon], cfg.grid_config(args.kappa))
+    train = trace.observed_load[: cfg.train_hours]
 
-    model = fit_seasonal_ar(train, order=args.order)
+    model = fit_seasonal_ar(train, order=cfg.ar_order)
     resid = one_step_residuals(model, train)
     band = acf_band(len(resid))
     r = acf(resid, 24)

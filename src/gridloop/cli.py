@@ -10,11 +10,10 @@ Subcommands mirror the pipeline stages:
     run_experiment  full protocol sweep into an output tree
 
 Every stage but evaluate reads one experiment config JSON (defaults apply
-when --config is omitted); evaluate accepts --config and ignores it, and
-takes no --seed. Seed precedence: --seed flag, then the
-GRIDLOOP_SEED environment variable, then the config value. synth and
-run_experiment take --templates DIR of minute-level meter CSVs in place of
-the synthetic templates. Chaining subcommands with matching
+when --config is omitted), and its --seed flag overrides the config's
+seed; evaluate accepts --config and ignores it, and takes no --seed. synth
+and run_experiment take --templates DIR of minute-level meter CSVs in
+place of the synthetic templates. Chaining subcommands with matching
 --rep/--kappa/--attack reproduces the corresponding run_experiment
 scenario byte for byte.
 """
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -53,15 +51,7 @@ def _add_templates(sub):
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    seed = args.seed
-    if seed is None and (env := os.environ.get("GRIDLOOP_SEED")):
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"GRIDLOOP_SEED {env!r} is not an integer") from None
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _hourly_templates(args, cfg):
@@ -99,6 +89,11 @@ def cmd_simulate(args) -> int:
     # the grid file, not the config, says how many homes there are
     gcfg = dataclasses.replace(cfg.grid_config(args.kappa), n_homes=grid.n_homes)
     schedule = read_schedule(args.schedule) if args.schedule else None
+    if schedule is not None:
+        try:
+            schedule.victim_indices(grid.n_homes)
+        except ValueError as exc:
+            raise ValueError(f"{args.schedule}: {exc}") from None
     trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule)
     out = _out_file(args, "trace.csv")
     write_trace(trace, str(out))
@@ -165,11 +160,7 @@ def cmd_run_experiment(args) -> int:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "nan"
-    if isinstance(v, str):
-        return v
-    return f"{v:.3f}"
+    return "nan" if v is None else f"{v:.3f}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,6 +213,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "rep", 0) < 0:
+            raise ValueError(f"--rep {args.rep} must be >= 0")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"gridloop: error: {exc}", file=sys.stderr)

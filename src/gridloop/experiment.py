@@ -115,10 +115,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown attack kind {a!r}")
         if self.train_days < 4:
             raise ValueError("train_days must be >= 4")
-        if not 1 <= self.attack_hours <= self.test_hours:
-            raise ValueError("need 1 <= attack_hours <= test_hours")
-        if self.attack_hours >= self.test_hours:
-            raise ValueError("test window needs nominal hours before the attack")
+        if not 1 <= self.attack_hours < self.test_hours:
+            raise ValueError("need 1 <= attack_hours < test_hours: the test window needs "
+                             "nominal hours before the attack")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.sweep_points < 2:
@@ -167,9 +166,6 @@ class ExperimentConfig:
             target=self.target,
             lstar_floor=self.lstar_floor,
         )
-
-    def to_json(self, path) -> None:
-        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -2,9 +2,12 @@
 pipeline (bootstrap -> pricing loop -> attack -> detect -> evaluate)
 runnable in a couple of seconds, plus one completed run of it."""
 
+import dataclasses
+
 import pytest
 
 from gridloop.experiment import ExperimentConfig, run_experiment
+from gridloop.tables import write_json
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +28,14 @@ def tiny_cfg():
         forest_trees=10,
         sweep_points=21,
     )
+
+
+@pytest.fixture()
+def cfg_json(tiny_cfg, tmp_path):
+    """tiny_cfg written as a config JSON file; its path as a string."""
+    path = tmp_path / "cfg.json"
+    write_json(path, dataclasses.asdict(tiny_cfg))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,7 @@ import pytest
 from gridloop.cli import main
 from gridloop.experiment import run_experiment
 from gridloop.loadgen import read_microgrid
-
-
-@pytest.fixture()
-def cfg_json(tiny_cfg, tmp_path):
-    path = tmp_path / "cfg.json"
-    tiny_cfg.to_json(path)
-    return str(path)
+from gridloop.tables import write_json
 
 
 def run(*argv) -> int:
@@ -57,7 +51,7 @@ def test_pipeline_matches_run_experiment_with_non_default_loop(tiny_cfg, tmp_pat
     # goal, eps_dsm_hat and lstar_floor off their defaults: a path that drops one fails
     cfg = dataclasses.replace(tiny_cfg, goal="goal2", eps_dsm_hat=-1.5, lstar_floor=5.0)
     cfg_json = tmp_path / "cfg.json"
-    cfg.to_json(cfg_json)
+    write_json(cfg_json, dataclasses.asdict(cfg))
     root = tmp_path / "runs"
     run_experiment(cfg, root)
     _assert_chain_matches(cfg_json, root, tmp_path)
@@ -74,30 +68,27 @@ def test_run_experiment_command(cfg_json, tiny_run, tmp_path, capsys):
     assert sum("detector" not in ln and "kappa=" in ln for ln in lines) == 6
 
 
-def test_seed_flag_beats_env(cfg_json, tmp_path, monkeypatch):
-    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-    run("synth", "--config", cfg_json, "--seed", 5, "--out", a)
-    monkeypatch.setenv("GRIDLOOP_SEED", "7")
-    run("synth", "--config", cfg_json, "--seed", 5, "--out", b)
-    run("synth", "--config", cfg_json, "--out", c)
-    assert b.read_bytes() == a.read_bytes()  # flag wins over env
-    assert c.read_bytes() != a.read_bytes()  # env wins over config seed 3
+def test_seed_flag_beats_config(tiny_cfg, cfg_json, tmp_path):
+    flag, config, seed_5 = (tmp_path / n for n in ("flag.csv", "config.csv", "seed_5.json"))
+    write_json(seed_5, dataclasses.asdict(dataclasses.replace(tiny_cfg, seed=5)))
+    assert run("synth", "--config", cfg_json, "--seed", 5, "--out", flag) == 0
+    assert run("synth", "--config", seed_5, "--out", config) == 0
+    assert flag.read_bytes() == config.read_bytes()
+    # without the flag, the config's seed 3 draws another grid
+    assert run("synth", "--config", cfg_json, "--out", config) == 0
+    assert flag.read_bytes() != config.read_bytes()
 
 
-def test_seed_env_beats_config(cfg_json, tmp_path, monkeypatch):
-    via_flag = tmp_path / "flag.csv"
-    via_env = tmp_path / "env.csv"
-    run("synth", "--config", cfg_json, "--seed", 7, "--out", via_flag)
-    monkeypatch.setenv("GRIDLOOP_SEED", "7")
-    run("synth", "--config", cfg_json, "--out", via_env)
-    assert via_env.read_bytes() == via_flag.read_bytes()
-
-
-def test_non_integer_seed_env_exits_2(cfg_json, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRIDLOOP_SEED", "abc")
-    assert run("synth", "--config", cfg_json, "--out", tmp_path / "grid.csv") == 2
-    assert capsys.readouterr().err == "gridloop: error: GRIDLOOP_SEED 'abc' is not an integer\n"
-    assert not (tmp_path / "grid.csv").exists()
+@pytest.mark.parametrize(
+    "argv",
+    [["synth"], ["detect", "--trace", "t.csv", "--kappa", 0.2, "--attack", "sudden"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_rep_exits_2(argv, cfg_json, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*argv, "--config", cfg_json, "--rep", -1, "--out", out) == 2
+    assert capsys.readouterr().err == "gridloop: error: --rep -1 must be >= 0\n"
+    assert not out.exists()
 
 
 def test_out_directory_gets_default_name(cfg_json, tmp_path):
@@ -382,8 +373,10 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
         ('{"mode": "load", "kind": "point", "window": [0, 4], "params": {"values": [1, 2]}}',
          ": point needs a non-empty 'values' map"),
         ("{", ":1: Expecting property name"),
+        (_SUDDEN.replace("}}", '}, "victims": [0, 6]}'), ": victim index out of range for 6 homes"),
     ],
-    ids=["window-number", "victims-number", "level-string", "point-values-list", "truncated"],
+    ids=["window-number", "victims-number", "level-string", "point-values-list", "truncated",
+         "victim-out-of-range"],
 )
 def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     grid = tmp_path / "grid.csv"

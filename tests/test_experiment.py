@@ -23,6 +23,7 @@ from gridloop.experiment import (
 from gridloop.detect import cusum_sweep
 from gridloop.evaluation import roc_from_sweep
 from gridloop.feedback import read_trace
+from gridloop.tables import write_json
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +37,7 @@ def test_config_defaults_windows():
 
 def test_config_json_round_trip(tiny_cfg, tmp_path):
     path = tmp_path / "cfg.json"
-    tiny_cfg.to_json(path)
+    write_json(path, dataclasses.asdict(tiny_cfg))
     again = ExperimentConfig.from_json(path)
     assert again == tiny_cfg
     # tuples must come back as tuples, not lists, or the frozen dataclass

@@ -1,7 +1,15 @@
-"""Smoke tests: each script's main(argv) runs at a tiny size and prints its table."""
+"""Smoke tests: each script's main(argv) runs at a tiny size and prints its table.
+
+The scripts build their grids and loops from an ExperimentConfig, so on
+the tiny config they meet the run_experiment scenario's own numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from gridloop.experiment import scenario_dir
+from gridloop.feedback import read_trace
+from gridloop.tables import FINITE, read_table
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -16,12 +24,22 @@ def _load(name):
 def test_kappa_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     main = _load("kappa_sweep").main
-    assert main(["--reps", "1", "--homes", "20", "--days", "5",
-                 "--kappas", "0", "0.5", "--csv", str(out)]) == 0
+    assert main(["--reps", "1", "--kappas", "0", "0.5", "--csv", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "base load (no DSM)" in printed
     assert out.read_text().splitlines()[0] == "kappa,mean_load_kwh,std_load_kwh,mean_price"
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_kappa_sweep_runs_the_protocol_loop(cfg_json, tiny_run, tmp_path):
+    # the scenario's trace.csv carries an attack on its load, not on its price
+    out = tmp_path / "sweep.csv"
+    assert _load("kappa_sweep").main(["--config", cfg_json, "--kappas", "0.2", "--reps", "1",
+                                      "--csv", str(out)]) == 0
+    table = read_table(out, dict.fromkeys(["kappa", "mean_load_kwh", "std_load_kwh", "mean_price"], FINITE))
+    trace = read_trace(scenario_dir(tiny_run[0], 0.2, "sudden", 0) / "trace.csv")
+    assert table["kappa"].tolist() == [0.2]
+    assert table["mean_price"].tolist() == [trace.price.mean()]
 
 
 def test_residual_diagnostics(capsys):
@@ -31,13 +49,7 @@ def test_residual_diagnostics(capsys):
     assert "lags inside the band" in printed
 
 
-def test_run_detection_experiments(tiny_cfg, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    tiny_cfg.to_json(cfg)
-    out = tmp_path / "runs"
-    main = _load("run_detection_experiments").main
-    assert main(["--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "summary.json").is_file()
-    table = capsys.readouterr().out.splitlines()
-    # one row per detector for the single (kappa, attack) pair
-    assert sum(line.startswith(" 0.20 sudden") for line in table) == 6
+def test_residual_diagnostics_fits_the_protocol_ar(cfg_json, tiny_run, capsys):
+    assert _load("residual_diagnostics").main(["--config", cfg_json, "--kappa", "0.2"]) == 0
+    meta = json.loads((scenario_dir(tiny_run[0], 0.2, "sudden", 0) / "detect_meta.json").read_text())
+    assert f"sigma = {meta['sigma']:.4f} kWh" in capsys.readouterr().out.splitlines()[1]

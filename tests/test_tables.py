@@ -2,6 +2,7 @@
 the reader, and the one error shape every reader raises."""
 
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -320,7 +321,7 @@ def valid_files(tmp_path_factory, tiny_run, tiny_cfg):
     grid = synthesize_microgrid(synthetic_hourly_templates(2, 2, seed=0), BootstrapConfig(3, 2))
     write_microgrid(grid, root / "grid.csv")
     write_trace(simulate(grid.kwh, GridConfig(n_homes=3, kappa=0.5)), root / "trace.csv")
-    ExperimentConfig().to_json(root / "cfg.json")
+    write_json(root / "cfg.json", dataclasses.asdict(ExperimentConfig()))
     files = {name: (root / name).read_bytes() for name in ("grid.csv", "trace.csv", "cfg.json")}
     sdir = scenario_dir(tiny_run[0], tiny_cfg.kappas[0], tiny_cfg.attacks[0], 0)
     files.update({name: (sdir / name).read_bytes() for name in ("detections.csv", "detect_meta.json")})
