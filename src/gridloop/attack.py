@@ -124,11 +124,9 @@ def make_sudden(window, level: float, mode: str = "load", victims=None) -> Attac
     )
 
 
-def make_point(values: dict, window=None, mode: str = "load", victims=None) -> AttackSchedule:
-    """Isolated spikes: {hour: magnitude}. Window defaults to the hull."""
+def make_point(values: dict, window, mode: str = "load", victims=None) -> AttackSchedule:
+    """Isolated spikes {hour: magnitude}, each hour inside the window."""
     values = {int(t): float(v) for t, v in values.items()}
-    if window is None:
-        window = (min(values), max(values) + 1)
     return AttackSchedule(
         mode=mode, kind="point", window=tuple(window), params={"values": values},
         victims=None if victims is None else tuple(victims),

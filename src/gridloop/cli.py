@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages:
 
     synth           hourly templates -> bootstrapped micro-grid CSV
     simulate        micro-grid -> closed-loop trace CSV
-    attack          trace -> post-hoc attacked trace CSV
+    attack          trace -> trace CSV with a protocol attack forged post-hoc
     detect          attacked trace -> detections.csv + detect_meta.json
     evaluate        detections dir -> metrics.json + roc.csv
     run_experiment  full protocol sweep into an output tree
@@ -25,7 +25,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from gridloop.attack import read_schedule
+from gridloop.attack import KINDS, read_schedule
 from gridloop.experiment import (
     ExperimentConfig,
     detect_stage,
@@ -103,17 +103,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load_cfg(args)
-    trace = read_trace(args.trace)
-    if args.schedule:
-        schedule = read_schedule(args.schedule)
-    elif args.kind:
-        schedule = protocol_schedule(args.kind, cfg)
-    else:
-        raise ValueError("attack needs --schedule FILE or --kind ramp|sudden|point")
-    try:
-        attacked = inject_post_hoc(trace, schedule)
-    except ValueError as exc:  # protocol schedules are load schedules; only a file's can fail
-        raise ValueError(f"{args.schedule}: {exc}") from None
+    attacked = inject_post_hoc(read_trace(args.trace), protocol_schedule(args.kind, cfg))
     out = _out_file(args, "attacked.csv")
     write_trace(attacked, str(out))
     print(f"wrote attacked trace to {out}")
@@ -180,11 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="attack schedule JSON, applied inside the loop")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("attack", help="inject a post-hoc attack into a trace")
+    p = sub.add_parser("attack", help="forge a protocol attack into a trace post-hoc")
     _add_common(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--schedule", help="attack schedule JSON")
-    p.add_argument("--kind", choices=("ramp", "sudden", "point"), help="protocol attack")
+    p.add_argument("--kind", required=True, choices=KINDS, help="protocol attack")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("detect", help="run all detectors over a trace")

@@ -75,15 +75,20 @@ def _upper_quantile(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
+def _window_means(x, sigma: float, window: int):
+    """Trailing-window means and their white-noise scale sqrt(sigma^2 / n)."""
+    scores = sliding_means(x, window)
+    n_eff = np.minimum(np.arange(len(scores)) + 1, window)
+    return scores, np.sqrt(sigma**2 / n_eff)
+
+
 def glrt_detect(x, sigma: float, window: int, p_fa: float) -> GlrtResult:
     """Window-mean detector with an exact-false-alarm threshold."""
     _check_sigma(sigma)
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=float)
-    scores = sliding_means(x, window)
-    n_eff = np.minimum(np.arange(len(x)) + 1, window)
-    thresholds = np.sqrt(sigma**2 / n_eff) * _upper_quantile(p_fa)
+    scores, scale = _window_means(x, sigma, window)
+    thresholds = scale * _upper_quantile(p_fa)
     decisions = (scores > thresholds).astype(np.int8)
     return GlrtResult(scores=scores, thresholds=thresholds, decisions=decisions)
 
@@ -95,10 +100,7 @@ def glrt_sweep(x, sigma: float, window: int, n_points: int):
     The endpoints 0 and 1 give the never/always-alarm corners.
     """
     _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    scores = sliding_means(x, window)
-    n_eff = np.minimum(np.arange(len(x)) + 1, window)
-    scale = np.sqrt(sigma**2 / n_eff)
+    scores, scale = _window_means(x, sigma, window)
     p_fas = np.linspace(0.0, 1.0, n_points)
     quantiles = np.array([_upper_quantile(p) for p in p_fas])
     decisions = (scores > scale * quantiles[:, None]).astype(np.int8)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from gridloop import classifiers, detect, evaluation, forecast
-from gridloop.attack import AttackSchedule, make_point, make_ramp, make_sudden
+from gridloop.attack import KINDS, AttackSchedule, make_point, make_ramp, make_sudden
 from gridloop.feedback import GridConfig, SimulationTrace, inject_post_hoc, simulate, write_trace
 from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
@@ -50,8 +50,6 @@ __all__ = [
 # reporting variant of the same statistic, not an extra detector)
 DETECTORS = ("glrt", "cusum", "cusum_interval", "logreg", "gnb", "forest")
 TABLE_DETECTORS = ("glrt", "cusum", "logreg", "gnb", "forest")
-
-ATTACK_KINDS = ("ramp", "sudden", "point")
 
 # point-spike template: (fraction of the attack window as 24ths, magnitude)
 _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
@@ -81,7 +79,7 @@ class ExperimentConfig:
 
     n_homes: int = 200
     kappas: tuple[float, ...] = (0.1, 0.9)
-    attacks: tuple[str, ...] = ATTACK_KINDS
+    attacks: tuple[str, ...] = KINDS
     train_days: int = 28
     test_hours: int = 48
     attack_hours: int = 24
@@ -107,11 +105,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.kappas:
             raise ValueError("need at least one kappa")
-        for k in self.kappas:
-            if not 0.0 <= k <= 1.0:
-                raise ValueError("kappa must lie in [0, 1]")
         for a in self.attacks:
-            if a not in ATTACK_KINDS:
+            if a not in KINDS:
                 raise ValueError(f"unknown attack kind {a!r}")
         if self.train_days < 4:
             raise ValueError("train_days must be >= 4")
@@ -139,8 +134,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"kappas {self.kappas} share a scenario directory ({', '.join(labels)})"
             )
-        # delegate the grid-parameter checks
-        self.grid_config(self.kappas[0])
+        for k in self.kappas:  # GridConfig range-checks each kappa and the grid parameters
+            self.grid_config(k)
 
     @property
     def train_hours(self) -> int:

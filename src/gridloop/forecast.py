@@ -5,19 +5,17 @@ at PERIOD = 24 hours, fit AR(p) to the differenced series by conditional
 least squares (no intercept), and forecast by recursing the AR over the
 differences and re-adding the level from 24 hours back. One-step-ahead
 residuals on the training window give the noise scale sigma that
-calibrates the sequential detectors; the fit, sigma and
-one_step_residuals build them from the same lag matrix. (The utility's own in-loop forecast
-is plain persistence inside feedback.simulate.)
+calibrates the sequential detectors; the fitted model keeps them as
+`residuals`. (The utility's own in-loop forecast is plain persistence
+inside feedback.simulate.)
 
-Diagnostics (sample ACF, Jarque-Bera, normal Q-Q coordinates) verify
-the residuals are close enough to white noise for that calibration to be
-honest.
+Diagnostics (sample ACF, Jarque-Bera) verify the residuals are close
+enough to white noise for that calibration to be honest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -28,8 +26,6 @@ __all__ = [
     "fit_seasonal_ar",
     "forecast",
     "jarque_bera",
-    "one_step_residuals",
-    "qq_points",
 ]
 
 PERIOD = 24  # hours in the seasonal cycle
@@ -42,8 +38,9 @@ class SeasonalARModel:
 
     coeffs may be shorter than the requested order when degenerate training
     data forced a fallback to a smaller model (order 0 = pure seasonal
-    persistence). sigma is the ddof=1 standard deviation of one-step
-    training residuals, floored at 1e-6.
+    persistence). residuals are the one-step in-sample residuals on the
+    training differences, and sigma is their ddof=1 standard deviation,
+    floored at 1e-6.
     """
 
     order: int
@@ -51,6 +48,7 @@ class SeasonalARModel:
     sigma: float
     y_tail: np.ndarray  # last PERIOD training observations
     d_tail: np.ndarray  # last `order` training differences
+    residuals: np.ndarray  # d[order:] minus its AR predictions
 
 
 def fit_seasonal_ar(y, order: int) -> SeasonalARModel:
@@ -71,7 +69,7 @@ def fit_seasonal_ar(y, order: int) -> SeasonalARModel:
     p = order
     while (coeffs := _fit_ar(d, p)) is None:
         p -= 1
-    resid = _residuals(d, coeffs)
+    resid = d[p:] - _lags(d, p) @ coeffs if p else d
     sigma = float(np.std(resid, ddof=1)) if len(resid) > 1 else 0.0
     return SeasonalARModel(
         order=p,
@@ -79,18 +77,13 @@ def fit_seasonal_ar(y, order: int) -> SeasonalARModel:
         sigma=max(sigma, SIGMA_FLOOR),
         y_tail=y[-PERIOD:].copy(),
         d_tail=d[len(d) - p :].copy() if p else np.empty(0),
+        residuals=resid,
     )
 
 
 def _lags(d: np.ndarray, p: int) -> np.ndarray:
     """AR(p) design matrix: the row for target d[t] (t = p .. len(d)-1) holds d[t-1] ... d[t-p]."""
     return np.column_stack([d[p - 1 - j : len(d) - 1 - j] for j in range(p)])
-
-
-def _residuals(d: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """d[p:] minus its AR(p) one-step predictions, p = len(coeffs)."""
-    p = len(coeffs)
-    return d[p:] - _lags(d, p) @ coeffs if p else d
 
 
 def _fit_ar(d: np.ndarray, p: int):
@@ -128,19 +121,6 @@ def forecast(model: SeasonalARModel, steps: int) -> np.ndarray:
         d_hist.append(d_hat)
         levels.append(y_hat)
     return out
-
-
-def one_step_residuals(model: SeasonalARModel, y) -> np.ndarray:
-    """One-step-ahead in-sample residuals of `model` on a series.
-
-    Passing the training series back reproduces the residuals whose
-    spread defined model.sigma; diagnostics (acf, jarque_bera, qq_points)
-    are meant to run on this output.
-    """
-    y = np.asarray(y, dtype=float)
-    if len(y) < PERIOD + model.order + 1:
-        raise ValueError(f"need at least {PERIOD + model.order + 1} observations, got {len(y)}")
-    return _residuals(y[PERIOD:] - y[:-PERIOD], model.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +162,3 @@ def jarque_bera(x) -> float:
     skew = float(np.mean(c**3)) / m2**1.5
     kurt = float(np.mean(c**4)) / m2**2
     return n / 6.0 * (skew**2 + 0.25 * (kurt - 3.0) ** 2)
-
-
-def qq_points(x) -> tuple[np.ndarray, np.ndarray]:
-    """Normal Q-Q coordinates: (theoretical quantiles, sorted standardized x).
-
-    Theoretical quantiles are Phi^{-1}((i - 0.5) / n); x is standardized by
-    its moment estimates (ddof = 0).
-    """
-    c = _demeaned(x)
-    n = len(c)
-    sd = float(np.sqrt(np.mean(c**2)))
-    sample = np.sort(c / sd)
-    theory = np.array([NormalDist().inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
-    return theory, sample

@@ -21,7 +21,7 @@ from gridloop.experiment import (
     run_experiment,
 )
 from gridloop.feedback import GridConfig, simulate
-from gridloop.forecast import acf, acf_band, fit_seasonal_ar, forecast, one_step_residuals
+from gridloop.forecast import acf, acf_band, fit_seasonal_ar, forecast
 from gridloop.loadgen import synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 
@@ -241,8 +241,7 @@ def test_criterion_10_forecast_whitening(templates):
     day = rng.uniform(1.0, 3.0, size=24)
     y = np.tile(day, 10)
     model = fit_seasonal_ar(y, order=2)
-    resid = one_step_residuals(model, y)
-    periodic_max = float(np.max(np.abs(resid)))
+    periodic_max = float(np.max(np.abs(model.residuals)))
     continuation = forecast(model, 48)
     forecast_max = float(np.max(np.abs(continuation - np.tile(day, 2))))
     periodic_ok = periodic_max < 1e-12 and forecast_max < 1e-12
@@ -251,8 +250,7 @@ def test_criterion_10_forecast_whitening(templates):
     grid = _bootstrap_grid(templates, rep=0)
     nominal = simulate(grid.kwh[: PROTOCOL.horizon], PROTOCOL.grid_config(PROTOCOL.kappas[0]))
     train = nominal.observed_load[: PROTOCOL.train_hours]
-    model = fit_seasonal_ar(train, order=PROTOCOL.ar_order)
-    resid = one_step_residuals(model, train)
+    resid = fit_seasonal_ar(train, order=PROTOCOL.ar_order).residuals
     r = acf(resid, 24)[1:]
     inside = int(np.sum(np.abs(r) < acf_band(len(resid))))
     white_ok = inside >= 0.8 * 24

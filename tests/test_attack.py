@@ -42,11 +42,6 @@ def test_point_values():
     assert s.value_at(48) == 0.0
 
 
-def test_point_window_defaults_to_hull():
-    s = make_point({3: 1.0, 7: 2.0})
-    assert s.window == (3, 8)
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError, match="unknown mode"):
         AttackSchedule(mode="voltage", kind="ramp", window=(0, 2), params={"step": 1.0})

@@ -109,14 +109,16 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
                "--kappa", 0.2) == 2
     assert capsys.readouterr().err.startswith("gridloop: error:")
 
-    # attack needs a schedule source
+    # attack takes only the protocol's kinds, so --kind is a required argument
     grid = tmp_path / "grid.csv"
     trace = tmp_path / "trace.csv"
     run("synth", "--config", cfg_json, "--out", grid)
     run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace)
     capsys.readouterr()
-    assert run("attack", "--config", cfg_json, "--trace", trace) == 2
-    assert "--schedule FILE or --kind" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("attack", "--config", cfg_json, "--trace", trace)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --kind" in capsys.readouterr().err
 
     # kappa must be one of the config's sweep values
     assert run("detect", "--config", cfg_json, "--trace", trace,
@@ -387,17 +389,3 @@ def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
                "--schedule", path, "--out", tmp_path / "t.csv") == 2
     _assert_names_file(capsys, path, fragment)
-
-
-def test_attack_with_a_price_schedule_exits_2(cfg_json, tmp_path, capsys):
-    grid, trace = tmp_path / "grid.csv", tmp_path / "trace.csv"
-    assert run("synth", "--config", cfg_json, "--out", grid) == 0
-    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace) == 0
-    path = tmp_path / "price.json"
-    path.write_text(_SUDDEN.replace('"load"', '"price"'))
-    capsys.readouterr()
-    out = tmp_path / "attacked.csv"
-    assert run("attack", "--config", cfg_json, "--trace", trace, "--schedule", path, "--out", out) == 2
-    _assert_names_file(capsys, path,
-                       ": a price schedule acts only inside the loop (gridloop simulate --schedule)")
-    assert not out.exists()

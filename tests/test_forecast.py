@@ -10,8 +10,6 @@ from gridloop.forecast import (
     fit_seasonal_ar,
     forecast,
     jarque_bera,
-    one_step_residuals,
-    qq_points,
 )
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,7 @@ def test_periodic_series_falls_back_to_seasonal_persistence():
     # differences are identically zero: AR(2) is singular, order drops to 0
     assert model.order == 0
     assert model.sigma == 1e-6  # floored
-    assert np.max(np.abs(one_step_residuals(model, y))) == 0.0
+    assert np.max(np.abs(model.residuals)) == 0.0
     assert np.array_equal(forecast(model, 48), np.tile(pattern, 2))
 
 
@@ -67,8 +65,17 @@ def test_sigma_matches_training_residual_spread():
     d = _ar_series([0.4], 800, sigma=2.0, seed=6)
     y = _seasonal_series(d)
     model = fit_seasonal_ar(y, order=2)
-    resid = one_step_residuals(model, y)
-    assert np.std(resid, ddof=1) == pytest.approx(model.sigma, rel=1e-12)
+    assert np.std(model.residuals, ddof=1) == pytest.approx(model.sigma, rel=1e-12)
+
+
+def test_residuals_are_the_one_step_training_errors():
+    # rebuilt by hand: the seasonal difference minus the AR(2) lag products
+    y = _seasonal_series(_ar_series([0.5, -0.3], 600, sigma=1.0, seed=9))
+    model = fit_seasonal_ar(y, order=2)
+    assert model.order == 2
+    d = y[24:] - y[:-24]
+    expected = d[2:] - model.coeffs[0] * d[1:-1] - model.coeffs[1] * d[:-2]
+    assert model.residuals == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_minimum_length_enforced():
@@ -82,7 +89,7 @@ def test_forecast_recursion_closed_form():
     # first forecast. Powers of two are exact in floats.
     model = SeasonalARModel(
         order=1, coeffs=np.array([0.5]), sigma=1.0,
-        y_tail=np.zeros(24), d_tail=np.array([1.0]),
+        y_tail=np.zeros(24), d_tail=np.array([1.0]), residuals=np.empty(0),
     )
     out = forecast(model, 26)
     assert out[0] == 0.5
@@ -138,23 +145,6 @@ def test_jarque_bera_separates_normal_from_skewed():
     rng = np.random.default_rng(11)
     assert jarque_bera(rng.normal(size=5000)) < 15
     assert jarque_bera(rng.exponential(size=5000)) > 100
-
-
-def test_qq_points_symmetry():
-    theory, sample = qq_points(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert theory.shape == sample.shape == (4,)
-    assert theory[0] == pytest.approx(-theory[3], abs=1e-12)
-    assert sample[0] == pytest.approx(-sample[3], abs=1e-12)
-    # standardized: zero mean, unit ddof=0 variance
-    assert sample.mean() == pytest.approx(0.0, abs=1e-12)
-    assert np.mean(sample**2) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_qq_points_near_diagonal_for_normal_sample():
-    rng = np.random.default_rng(12)
-    theory, sample = qq_points(rng.normal(size=2000))
-    inner = slice(100, -100)  # tails are noisy by nature
-    assert np.max(np.abs(theory[inner] - sample[inner])) < 0.15
 
 
 @settings(max_examples=20, deadline=None)

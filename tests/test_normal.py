@@ -1,5 +1,5 @@
-"""The standard-normal quantile the detectors and diagnostics take from
-statistics.NormalDist, checked through the functions that call it."""
+"""The standard-normal quantile the GLRT takes from statistics.NormalDist,
+checked through the detector functions that call it."""
 
 from statistics import NormalDist
 
@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridloop.detect import glrt_detect, glrt_sweep
-from gridloop.forecast import qq_points
 
 # Reference quantiles (Wichura AS241 to full double precision).
 REFERENCE = [
@@ -57,14 +56,6 @@ def test_out_of_range_rejected():
     for bad in (-0.1, 1.1, np.nan, 0.0, 1.0):
         with pytest.raises(ValueError, match="p_fa"):
             glrt_detect(np.zeros(1), 1.0, 1, bad)
-
-
-def test_array_input():
-    # qq_points evaluates Phi^{-1} at (i - 0.5) / n: 1/6, 1/2 and 5/6 here
-    theory, _ = qq_points(np.array([0.0, 1.0, 5.0]))
-    assert theory.shape == (3,)
-    assert theory[1] == 0.0
-    assert theory[0] == pytest.approx(-theory[2], abs=1e-12)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))

@@ -1,4 +1,5 @@
-"""Smoke tests: each script's main(argv) runs at a tiny size and prints its table.
+"""Smoke tests: each script's main(argv) runs at a tiny size and prints its table,
+and bad input exits 2 with one error line.
 
 The scripts build their grids and loops from an ExperimentConfig, so on
 the tiny config they meet the run_experiment scenario's own numbers."""
@@ -6,6 +7,8 @@ the tiny config they meet the run_experiment scenario's own numbers."""
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from gridloop.experiment import scenario_dir
 from gridloop.feedback import read_trace
@@ -53,3 +56,25 @@ def test_residual_diagnostics_fits_the_protocol_ar(cfg_json, tiny_run, capsys):
     assert _load("residual_diagnostics").main(["--config", cfg_json, "--kappa", "0.2"]) == 0
     meta = json.loads((scenario_dir(tiny_run[0], 0.2, "sudden", 0) / "detect_meta.json").read_text())
     assert f"sigma = {meta['sigma']:.4f} kWh" in capsys.readouterr().out.splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "script,args,message",
+    [
+        ("kappa_sweep", ["--config", "{bad_seed}"], "{bad_seed}: seed must be >= 0"),
+        ("kappa_sweep", ["--config", "{cfg}", "--kappas", "1.5"], "kappa must lie in [0, 1]"),
+        ("kappa_sweep", ["--config", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+        ("kappa_sweep", ["--config", "{cfg}", "--reps", "0"], "--reps 0 must be >= 1"),
+        ("residual_diagnostics", ["--config", "{cfg}", "--rep", "-1"], "--rep -1 must be >= 0"),
+        ("residual_diagnostics", ["--config", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+    ],
+    ids=["seed", "kappa", "missing-config", "reps", "rep", "diagnostics-missing-config"],
+)
+def test_bad_input_exits_2(cfg_json, tmp_path, capsys, script, args, message):
+    bad_seed = tmp_path / "bad_seed.json"
+    bad_seed.write_text('{"seed": -1}')
+    paths = {"cfg": cfg_json, "bad_seed": bad_seed, "missing": tmp_path / "nope.json"}
+    assert _load(script).main([a.format(**paths) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{script}.py: error: {message.format(**paths)}\n"
