@@ -105,9 +105,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.kappas:
             raise ValueError("need at least one kappa")
-        for a in self.attacks:
+        if not self.attacks:
+            raise ValueError("need at least one attack")
+        for n, a in enumerate(self.attacks):
             if a not in KINDS:
                 raise ValueError(f"unknown attack kind {a!r}")
+            if a in self.attacks[:n]:
+                raise ValueError(f"attack kind {a!r} is repeated")
         if self.train_days < 4:
             raise ValueError("train_days must be >= 4")
         if not 1 <= self.attack_hours < self.test_hours:

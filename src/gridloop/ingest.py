@@ -1,9 +1,9 @@
 """Minute-level meter readings -> hourly energy series.
 
-Template CSVs hold one home's instantaneous power draw sampled once per
-minute (columns ``minute,kw``). Hourly energy is the sampling period times
-the mean power over the hour's readings, i.e. for a full hour of minutes
-E[kWh] = mean(kW). Short gaps in the minute index are linearly
+A template CSV is a gridloop table ``minute,kw`` of one home's instantaneous
+power draw, one reading per minute and row. Hourly energy is the sampling
+period times the mean power over the hour's readings, i.e. for a full hour
+of minutes E[kWh] = mean(kW). Short gaps in the minute index are linearly
 interpolated; anything longer is refused rather than guessed at.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridloop.tables import csv_rows
+from gridloop.tables import NON_NEGATIVE, WHOLE, read_table
 
 __all__ = [
     "HourlySeries",
@@ -68,47 +68,29 @@ class HourlySeries:
 
 
 def load_template(path: str) -> TemplateHome:
-    """Parse one ``minute,kw`` CSV into a TemplateHome.
+    """Read one ``minute,kw`` table into a TemplateHome, short gaps filled.
 
-    Raises ValueError naming the offending line for malformed rows,
-    negative power, or a minute index that is outside [0, 2**31) or not
-    increasing.
+    Raises ValueError naming ``path:line`` for a malformed row, negative
+    power, a minute index that is outside [0, 2**31) or not increasing, or
+    a gap too wide to fill.
     """
-    minutes: list[int] = []
-    kw: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv_rows(path, fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["minute", "kw"]:
-            raise ValueError(f"{path}: expected header 'minute,kw'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
-            try:
-                m = int(row[0])
-                p = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            if not 0 <= m < 2**31:
-                raise ValueError(f"{path}:{lineno}: minute {m} outside [0, 2**31)")
-            if p < 0 or not np.isfinite(p):
-                raise ValueError(f"{path}:{lineno}: invalid reading {row[1]!r}")
-            if minutes and m <= minutes[-1]:
-                raise ValueError(
-                    f"{path}:{lineno}: minute index must be strictly increasing"
-                )
-            minutes.append(m)
-            kw.append(p)
-    if not minutes:
+    cols = read_table(path, {"minute": WHOLE, "kw": NON_NEGATIVE})
+    minutes = cols["minute"]
+    if not len(minutes):
         raise ValueError(f"{path}: template has no readings")
+    huge = minutes >= 2**31
+    bad = np.flatnonzero(huge | (np.diff(minutes, prepend=-1.0) <= 0))
+    if len(bad):
+        i = bad[0]
+        why = (f"minute {float(minutes[i])!r} outside [0, 2**31)" if huge[i]
+               else "minute index must be strictly increasing")
+        raise ValueError(f"{path}:{i + 2}: {why}")
     home_id = os.path.splitext(os.path.basename(path))[0]
-    filled_m, filled_kw = _fill_gaps(np.array(minutes), np.array(kw), path)
+    filled_m, filled_kw = _fill_gaps(minutes.astype(np.int64), cols["kw"], path)
     return TemplateHome(home_id=home_id, minutes=filled_m, kw=filled_kw)
 
 
-def _fill_gaps(minutes: np.ndarray, kw: np.ndarray, origin: str):
+def _fill_gaps(minutes: np.ndarray, kw: np.ndarray, path: str):
     """Linearly interpolate internal gaps of at most MAX_GAP_MINUTES minutes."""
     gaps = np.diff(minutes)
     if np.all(gaps == 1):
@@ -116,9 +98,8 @@ def _fill_gaps(minutes: np.ndarray, kw: np.ndarray, origin: str):
     too_wide = np.where(gaps > MAX_GAP_MINUTES + 1)[0]
     if len(too_wide):
         i = too_wide[0]
-        raise ValueError(
-            f"{origin}: unfillable gap of {gaps[i] - 1} minutes "
-            f"after minute {minutes[i]}"
+        raise ValueError(  # on the line of the reading after the gap, row i + 1
+            f"{path}:{i + 3}: unfillable gap of {gaps[i] - 1} minutes after minute {minutes[i]}"
         )
     full = np.arange(minutes[0], minutes[-1] + 1)
     return full, np.interp(full, minutes, kw)

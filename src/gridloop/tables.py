@@ -1,4 +1,4 @@
-"""gridloop's file formats: every CSV table and JSON object goes through here.
+"""gridloop's file formats: every CSV table and JSON file is opened here alone.
 
 A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 __all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "WHOLE",
-           "csv_rows", "read_json", "read_table", "write_json", "write_table"]
+           "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
 FINITE = "finite"
@@ -94,7 +94,7 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
     array for a TEXT column.
     """
     with open(path, newline="") as fh:
-        reader = csv_rows(path, fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, [])
         names = list(domains)
         if (header[: len(names)] != names or (len(header) > len(names)) != (more is not None)
@@ -147,7 +147,7 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def csv_rows(path, fh):
+def _csv_rows(path, fh):
     """csv.reader's rows of `fh`; a row csv or the decoder rejects raises a ValueError naming its line."""
     reader = csv.reader(fh)
     try:

@@ -182,13 +182,14 @@ def test_criterion_07_detection_reproduction(tmp_path):
     }
     c_ok = by_kappa[0.9] >= by_kappa[0.1] - 0.01
 
-    ok = a_ok and b_ok and c_ok and dt < 600.0
     detail = (
         f"sudden min {min(sudden):.3f}, point cusum {cusum_point:.3f} vs "
         f"supervised max {max(sup_point.values()):.3f}, "
-        f"mean acc k0.1 {by_kappa[0.1]:.3f} -> k0.9 {by_kappa[0.9]:.3f}, {dt:.0f}s"
+        f"mean acc k0.1 {by_kappa[0.1]:.3f} -> k0.9 {by_kappa[0.9]:.3f}"
     )
-    _report(7, "detection-rate reproduction", ok, detail)
+    # the wall time stays out of the detail, so the line is the same on every run
+    _report(7, "detection-rate reproduction", a_ok and b_ok and c_ok, detail)
+    assert dt < 600.0, f"criterion 7 took {dt:.0f}s, bound 600s"
 
 
 def test_criterion_08_roc_properties():

@@ -352,6 +352,7 @@ def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
         ("eps_dsm_hat", -float("inf"), ": eps_dsm_hat must be finite and negative"),
         ("lstar_floor", float("nan"), ": lstar_floor must be finite and positive"),
         ("lstar_floor", float("inf"), ": lstar_floor must be finite and positive"),
+        ("attacks", [], ": need at least one attack"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):

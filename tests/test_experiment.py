@@ -67,6 +67,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"sweep_points": 1}, "sweep_points"),
         ({"n_homes": 0}, "n_homes"),
         ({"kappas": (0.1, 0.1000001)}, "share a scenario directory"),
+        ({"attacks": ()}, "need at least one attack"),
+        ({"attacks": ("sudden", "ramp", "sudden")}, "attack kind 'sudden' is repeated"),
     ],
 )
 def test_config_validation(kwargs, msg):

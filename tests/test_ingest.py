@@ -92,7 +92,8 @@ def test_five_minute_gap_is_the_limit(tmp_path):
 
     bad = tmp_path / "bad.csv"
     _write_csv(bad, [(0, 1.0), (7, 1.0)])  # 6 missing minutes -> refused
-    with pytest.raises(ValueError, match="unfillable gap of 6 minutes after minute 0"):
+    msg = f"{bad}:3: unfillable gap of 6 minutes after minute 0"  # line of the reading after the gap
+    with pytest.raises(ValueError, match="^" + re.escape(msg)):
         load_template(str(bad))
 
 
@@ -106,7 +107,7 @@ def test_malformed_row_reports_line(tmp_path):
 def test_negative_power_rejected(tmp_path):
     path = tmp_path / "h.csv"
     _write_csv(path, [(0, 1.0), (1, -0.5)])
-    with pytest.raises(ValueError, match="invalid reading"):
+    with pytest.raises(ValueError, match=re.escape(":3: kw -0.5 must be finite and non-negative")):
         load_template(str(path))
 
 
@@ -115,10 +116,15 @@ def test_negative_power_rejected(tmp_path):
     [
         (b"minute,kw\n0,1\n1," + b"1" * 131_073 + b"\n", ":3: malformed row: field larger than field limit"),
         (b"minute,kw\n0,1\n1,\xff\n", ":3: not utf-8 text: byte 0xff"),
-        (b"minute,kw\n99999999999999999999,1\n", ":2: minute 99999999999999999999 outside [0, 2**31)"),
-        (b"minute,kw\n-3,1\n-2,1\n", ":2: minute -3 outside [0, 2**31)"),
+        (b"minute,kw\n99999999999999999999,1\n", ":2: minute 1e+20 outside [0, 2**31)"),
+        (b"minute,kw\n-3,1\n-2,1\n", ":2: minute -3.0 must be a whole number >= 0"),
+        (b"minute,kw\n0,1\n\n1,1\n", ":3: malformed row: 0 cells, expected 2"),
+        (b" minute , kw\n0,1\n", ":1: unexpected header  minute , kw; expected minute,kw"),
+        (b"minute,kw\n0,1\n0,2\n", ":3: minute index must be strictly increasing"),
+        (b"minute,kw\n0,1\n1.5,1\n", ":3: minute 1.5 must be a whole number >= 0"),
     ],
-    ids=["long-cell", "bad-byte", "huge-minute", "negative-minute"],
+    ids=["long-cell", "bad-byte", "huge-minute", "negative-minute", "blank-line", "padded-header",
+         "repeated-minute", "fractional-minute"],
 )
 def test_unreadable_row_names_path_and_line(tmp_path, data, where):
     path = tmp_path / "h.csv"
