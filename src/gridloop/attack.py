@@ -22,6 +22,7 @@ sudden (constant level), point (isolated spikes at chosen hours).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,10 @@ class AttackSchedule:
             if len(set(self.victims)) != len(self.victims):
                 raise ValueError("victims must be distinct")
         if self.kind == "ramp":
-            if not _finite(self.params.get("step")):
+            if not _finite(step := self.params.get("step")):
                 raise ValueError("ramp needs a finite 'step' parameter")
+            if step and end - start > sys.float_info.max / abs(float(step)):  # step * (end - start) overflows
+                raise ValueError(f"ramp step {step!r} over window [{start}, {end}) exceeds the largest float")
         elif self.kind == "sudden":
             if not _finite(self.params.get("level")):
                 raise ValueError("sudden needs a finite 'level' parameter")
@@ -102,7 +105,10 @@ class AttackSchedule:
     def victim_indices(self, n_homes: int) -> np.ndarray:
         if self.victims is None:
             return np.arange(n_homes)
-        idx = np.asarray(self.victims, dtype=np.int64)
+        try:
+            idx = np.asarray(self.victims, dtype=np.int64)
+        except OverflowError:  # an index past int64 is out of range too
+            idx = np.array([n_homes])
         if np.any(idx < 0) or np.any(idx >= n_homes):
             raise ValueError(f"victim index out of range for {n_homes} homes")
         return idx
@@ -216,4 +222,4 @@ def _int_list(value) -> bool:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and -np.inf < value < np.inf
+    return isinstance(value, (int, float, np.integer, np.floating)) and abs(value) <= sys.float_info.max

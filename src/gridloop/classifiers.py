@@ -73,19 +73,15 @@ class LogisticRegression:
     penalized: one solve of ``H s = g`` per step, the step halved while the
     loss would rise. The fit stops when the Newton decrement ``½·gᵀH⁻¹g``
     falls below ``tol``, setting ``converged_``, or after ``max_epochs``
-    steps, counted in ``n_epochs_``. As ``|g|² <= 2·λmax(H)·decrement``, the
-    default ``tol`` keeps ``|g| < 4e-7`` for d <= 10 and l2/n <= 5. A singular
-    or non-finite solve, or a step that cannot lower the loss, ends the fit
-    at the last weights, not converged.
+    steps, counted in ``n_epochs_``; all three are class constants. As
+    ``|g|² <= 2·λmax(H)·decrement``, ``tol`` keeps ``|g| < 4e-7`` for d <= 10
+    and l2/n <= 5. A singular or non-finite solve, or a step that cannot
+    lower the loss, ends the fit at the last weights, not converged.
     """
 
-    def __init__(self, l2: float = 1.0, max_epochs: int = 50, tol: float = 1e-14):
-        for name, value in (("l2", l2), ("tol", tol)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        self.l2, self.max_epochs, self.tol = float(l2), int(max_epochs), float(tol)
+    l2, max_epochs, tol = 1.0, 50, 1e-14
+
+    def __init__(self):
         self.mu = self.sd = self.weights = self.bias = self.kept = None
         self.n_epochs_, self.converged_ = 0, False
 
@@ -186,10 +182,10 @@ class GaussianNaiveBayes:
 class RandomForest:
     """Bagged Gini trees grown on quantile-binned features.
 
-    Each tree bootstraps rows and, at every node, examines
-    ceil(sqrt(n_features)) candidate features (``mtry``); the best Gini
-    split wins, with ties resolved toward the lowest feature index and then
-    the lowest cut. Both draws go through ``seeds.hash_integers``:
+    Each tree bootstraps rows and, at every node, examines mtry =
+    ceil(sqrt(n_features)) candidate features, a rule and not an argument;
+    the best Gini split wins, with ties resolved toward the lowest feature
+    index and then the lowest cut. Both draws go through ``seeds.hash_integers``:
     bootstrap row j of tree t is draw j of stream t under (seed, "rows"),
     and node n of tree t, numbered in level order within the tree, takes
     the ``mtry`` features with the smallest keys, feature f's key being
@@ -213,13 +209,10 @@ class RandomForest:
     threads or under ``taskset -c 0``. A batch grows as one super-tree.
     """
 
-    def __init__(self, n_trees: int = 100, mtry: int | None = None, seed: int = 0):
+    def __init__(self, n_trees: int = 100, seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if mtry is not None and mtry < 1:
-            raise ValueError("mtry must be >= 1")
         self.n_trees = int(n_trees)
-        self.mtry = mtry
         self.seed = int(seed)
         self.kept = None
         self.trees: list[dict] = []
@@ -228,8 +221,7 @@ class RandomForest:
         X, y = _validate_xy(X, y)
         X, self.kept = _drop_constant(X)
         n, d = X.shape
-        mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(d))
-        mtry = min(mtry, d)
+        mtry = math.ceil(math.sqrt(d))  # never more than d
 
         bins = np.empty((n, d), dtype=np.uint8)
         # row f holds feature f's cut values, padded with inf to a common width

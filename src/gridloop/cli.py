@@ -113,12 +113,8 @@ def cmd_attack(args) -> int:
 def cmd_detect(args) -> int:
     cfg = _load_cfg(args)
     trace = read_trace(args.trace)
-    try:
-        k_idx = cfg.kappas.index(args.kappa)
-    except ValueError:
-        raise ValueError(f"kappa {args.kappa} not in config kappas {cfg.kappas}") from None
     out = Path(args.out or ".")
-    detect_stage(trace, cfg, args.kappa, args.attack, k_idx, args.rep, out)
+    detect_stage(trace, cfg, args.kappa, args.attack, args.rep, out)
     print(f"wrote detections.csv and detect_meta.json to {out}")
     return 0
 

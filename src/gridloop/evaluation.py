@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "MetricSet",
     "RocCurve",
-    "auc_trapezoid",
     "best_operating_index",
     "metrics_at",
     "roc_from_scores",
@@ -61,13 +60,7 @@ class RocCurve:
     def __post_init__(self):
         self.tpr = self.tp / self.positives
         self.fpr = self.fp / self.negatives
-        self.auc = auc_trapezoid(self.fpr, self.tpr)
-
-
-def auc_trapezoid(fpr, tpr) -> float:
-    fpr = np.asarray(fpr, dtype=float)
-    tpr = np.asarray(tpr, dtype=float)
-    return float(np.trapezoid(tpr, fpr))
+        self.auc = float(np.trapezoid(self.tpr, self.fpr))
 
 
 def _check_labels(labels) -> tuple[np.ndarray, int, int]:

@@ -124,6 +124,10 @@ class ExperimentConfig:
         for name in ("forest_trees", "glrt_window", "feature_lags", "template_homes", "template_days"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.ar_order <= self.train_hours - 72:  # the AR fit needs 3 days + ar_order hours
+            raise ValueError(f"ar_order must lie in [0, train_hours - 72 = {self.train_hours - 72}]")
+        if self.feature_lags >= self.train_hours:
+            raise ValueError(f"feature_lags must be < train_hours = {self.train_hours}")
         if not 0.0 < self.glrt_p_fa < 1.0:
             raise ValueError("glrt_p_fa must lie strictly inside (0, 1)")
         if self.seed < 0:
@@ -256,7 +260,6 @@ def detect_stage(
     cfg: ExperimentConfig,
     kappa: float,
     attack: str,
-    kappa_index: int,
     rep: int,
     out_dir,
     shared: SharedDetectors | None = None,
@@ -268,6 +271,8 @@ def detect_stage(
     detect_meta.json (noise scale and detector settings, enough for the
     evaluate stage to rebuild threshold sweeps exactly).
     """
+    if shared is None and kappa not in cfg.kappas:
+        raise ValueError(f"kappa {kappa} not in config kappas {cfg.kappas}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     observed = trace.observed_load
@@ -279,7 +284,7 @@ def detect_stage(
         raise ValueError("training window is attacked; detectors assume a clean train set")
 
     if shared is None:
-        shared = prepare_detectors(train, cfg, kappa_index, rep)
+        shared = prepare_detectors(train, cfg, cfg.kappas.index(kappa), rep)
     sigma = shared.ar_model.sigma
     test = observed[cfg.train_hours :]
     test_labels = labels[cfg.train_hours :]
@@ -424,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
                 sdir = scenario_dir(out_root, kappa, attack, rep)
                 sdir.mkdir(parents=True, exist_ok=True)
                 write_trace(trace, sdir / "trace.csv")
-                detect_stage(trace, cfg, kappa, attack, k_idx, rep, sdir, shared=shared)
+                detect_stage(trace, cfg, kappa, attack, rep, sdir, shared=shared)
                 entries = evaluate_stage(sdir)
                 per_scenario.setdefault((kappa, attack), []).append(entries)
 

@@ -4,9 +4,9 @@ A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
 The bytes are csv.writer's, but each distinct value of a block of rows is
 formatted once (a bootstrapped micro-grid repeats its template days).
-The readers check what they read and raise one ValueError naming
-``path:line`` (tables) or ``path: key`` (JSON), also for text that is not
-valid in the file's encoding and for rows the csv module refuses.
+The readers raise one ValueError naming ``path:line`` (tables: where the
+row starts, as a quoted text cell, not a number, may span lines) or
+``path: key`` (JSON), also for undecodable text and rows csv refuses.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
     array for a TEXT column.
     """
     with open(path, newline="") as fh:
-        reader = _csv_rows(path, fh)
-        header = next(reader, [])
+        records = _csv_rows(path, reader := csv.reader(fh))
+        header = next(records, [])
         names = list(domains)
         if (header[: len(names)] != names or (len(header) > len(names)) != (more is not None)
                 or len(set(header)) < len(header)):
@@ -104,37 +104,44 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
         kinds = [domains.get(name, more) for name in header]
         numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
         blocks, text = [], {j: [] for j, kind in enumerate(kinds) if kind == TEXT}
-        step, line = max(1, _BLOCK_CELLS // len(header)), 2  # line of the block's first row
-        while rows := list(islice(reader, step)):
+        step, line, firsts = max(1, _BLOCK_CELLS // len(header)), 2, []  # next block's first line; row lines
+        while rows := list(islice(records, step)):
+            first, line = range(line, reader.line_num + 1), reader.line_num + 1  # each row's first line
+            if spans := len(first) > len(rows):  # a quoted cell holds a line break
+                first = np.cumsum([first[0]] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
+            firsts.append(first)
             for i, row in enumerate(rows):
                 if len(row) != len(header):
                     raise ValueError(
-                        f"{path}:{line + i}: malformed row: {len(row)} cells, expected {len(header)}"
+                        f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}"
                     )
             if text:
                 cols = list(zip(*rows))
                 for j, column in text.items():
                     column += cols[j]
             try:
+                if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
+                    raise ValueError  # numpy and float() would take a line break in a number for space
                 blocks.append(np.array([cols[j] for j in numeric], dtype=float) if text
                               else np.array(rows, dtype=float).T)
             except ValueError:
-                # numpy parses as float() does: name the first cell float() rejects
+                # name the first cell that holds a line break or that float(), as numpy, rejects
                 for i, row in enumerate(rows):
                     for j in numeric:
                         try:
+                            if re.search("[\r\n]", row[j]):
+                                raise ValueError
                             float(row[j])
                         except ValueError:
-                            raise ValueError(f"{path}:{line + i}: malformed row: "
+                            raise ValueError(f"{path}:{first[i]}: malformed row: "
                                              f"{header[j]} {row[j]!r} is not a number") from None
-            line += len(rows)
     # one contiguous array per column
     values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(numeric), 0))
     bad = np.argwhere(~np.stack([_CHECKS[kinds[j]](v) for j, v in zip(numeric, values)]).T)
     if len(bad):
         i, k = bad[0]
-        j = numeric[k]
-        raise ValueError(f"{path}:{i + 2}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
+        j, line = numeric[k], np.concatenate(firsts)[i]
+        raise ValueError(f"{path}:{line}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
     numbers = iter(values)
     return {name: np.array(text[j], dtype=str) if j in text else next(numbers)
             for j, name in enumerate(header)}
@@ -147,9 +154,8 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _csv_rows(path, fh):
-    """csv.reader's rows of `fh`; a row csv or the decoder rejects raises a ValueError naming its line."""
-    reader = csv.reader(fh)
+def _csv_rows(path, reader):
+    """`reader`'s rows; a row csv or the decoder rejects raises a ValueError naming its line."""
     try:
         yield from reader
     except csv.Error as exc:

@@ -53,6 +53,11 @@ def test_schedule_validation():
         make_ramp((-1, 5), step=1.0)
     with pytest.raises(ValueError, match="step"):
         make_ramp((0, 5), step=float("nan"))
+    with pytest.raises(ValueError, match="finite 'step'"):  # a whole number past the float range
+        AttackSchedule(mode="load", kind="ramp", window=(0, 5), params={"step": 10**400})
+    with pytest.raises(ValueError, match=re.escape("ramp step -1e+308 over window [100, 110) exceeds")):
+        make_ramp((100, 110), step=-1e308)
+    assert np.isfinite(make_ramp((100, 110), step=1.7e307).value_at(109))  # the largest magnitude
     with pytest.raises(ValueError, match="level"):
         make_sudden((0, 5), level=float("inf"))
     with pytest.raises(ValueError, match="non-empty"):
@@ -70,6 +75,8 @@ def test_victim_indices():
     assert make_sudden((0, 1), 1.0, victims=(2, 0)).victim_indices(3).tolist() == [2, 0]
     with pytest.raises(ValueError, match="out of range"):
         make_sudden((0, 1), 1.0, victims=(3,)).victim_indices(3)
+    with pytest.raises(ValueError, match="out of range"):  # past int64
+        make_sudden((0, 1), 1.0, victims=(0, 2**70)).victim_indices(3)
 
 
 # ---------------------------------------------------------------------------

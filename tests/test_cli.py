@@ -124,6 +124,7 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
     assert run("detect", "--config", cfg_json, "--trace", trace,
                "--kappa", 0.5, "--attack", "sudden", "--out", tmp_path / "d") == 2
     assert "kappa 0.5 not in config kappas" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
     # evaluate on a directory with no detect output
     assert run("evaluate", "--detections", tmp_path / "empty") == 2
@@ -353,6 +354,9 @@ def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
         ("lstar_floor", float("nan"), ": lstar_floor must be finite and positive"),
         ("lstar_floor", float("inf"), ": lstar_floor must be finite and positive"),
         ("attacks", [], ": need at least one attack"),
+        ("ar_order", -1, ": ar_order must lie in [0, train_hours - 72 = 600]"),
+        ("ar_order", 601, ": ar_order must lie in [0, train_hours - 72 = 600]"),
+        ("feature_lags", 672, ": feature_lags must be < train_hours = 672"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):
@@ -377,9 +381,13 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
          ": point needs a non-empty 'values' map"),
         ("{", ":1: Expecting property name"),
         (_SUDDEN.replace("}}", '}, "victims": [0, 6]}'), ": victim index out of range for 6 homes"),
+        (_SUDDEN.replace("}}", '}, "victims": [1180591620717411303424]}'),
+         ": victim index out of range for 6 homes"),
+        ('{"mode": "load", "kind": "ramp", "window": [100, 110], "params": {"step": 1e308}}',
+         ": ramp step 1e+308 over window [100, 110) exceeds the largest float"),
     ],
     ids=["window-number", "victims-number", "level-string", "point-values-list", "truncated",
-         "victim-out-of-range"],
+         "victim-out-of-range", "victim-huge", "ramp-overflow"],
 )
 def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     grid = tmp_path / "grid.csv"

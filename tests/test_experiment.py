@@ -69,6 +69,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"kappas": (0.1, 0.1000001)}, "share a scenario directory"),
         ({"attacks": ()}, "need at least one attack"),
         ({"attacks": ("sudden", "ramp", "sudden")}, "attack kind 'sudden' is repeated"),
+        ({"ar_order": -1}, r"ar_order must lie in \[0, train_hours - 72 = 600\]"),
+        ({"ar_order": 25, "train_days": 4}, r"ar_order must lie in \[0, train_hours - 72 = 24\]"),
+        ({"feature_lags": 96, "train_days": 4}, "feature_lags must be < train_hours = 96"),
+        ({"feature_lags": 200, "train_days": 4}, "feature_lags must be < train_hours = 96"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -376,7 +380,7 @@ def test_detect_stage_rejects_wrong_horizon(tiny_cfg, tiny_run, tmp_path):
            if f.name != "clamped"},
     )
     with pytest.raises(ValueError, match="trace has 125 hours, config wants 126"):
-        detect_stage(short, tiny_cfg, 0.2, "sudden", 0, 0, tmp_path)
+        detect_stage(short, tiny_cfg, 0.2, "sudden", 0, tmp_path)
 
 
 def test_detect_stage_rejects_attacked_train_window(tiny_cfg, tiny_run, tmp_path):
@@ -386,7 +390,7 @@ def test_detect_stage_rejects_attacked_train_window(tiny_cfg, tiny_run, tmp_path
     truth[10] = 1
     bad = dataclasses.replace(trace, attack_truth=truth)
     with pytest.raises(ValueError, match="training window is attacked"):
-        detect_stage(bad, tiny_cfg, 0.2, "sudden", 0, 0, tmp_path)
+        detect_stage(bad, tiny_cfg, 0.2, "sudden", 0, tmp_path)
 
 
 def test_evaluate_stage_rejects_bad_header(tiny_run, tmp_path):

@@ -122,9 +122,11 @@ def test_negative_power_rejected(tmp_path):
         (b" minute , kw\n0,1\n", ":1: unexpected header  minute , kw; expected minute,kw"),
         (b"minute,kw\n0,1\n0,2\n", ":3: minute index must be strictly increasing"),
         (b"minute,kw\n0,1\n1.5,1\n", ":3: minute 1.5 must be a whole number >= 0"),
+        # a quoted line break is no white space in a number; the later repeated minute is on line 5
+        (b'minute,kw\n0,"1\n"\n1,2\n1,3\n', ":2: malformed row: kw '1\\n' is not a number"),
     ],
     ids=["long-cell", "bad-byte", "huge-minute", "negative-minute", "blank-line", "padded-header",
-         "repeated-minute", "fractional-minute"],
+         "repeated-minute", "fractional-minute", "line-break-in-number"],
 )
 def test_unreadable_row_names_path_and_line(tmp_path, data, where):
     path = tmp_path / "h.csv"

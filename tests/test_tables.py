@@ -214,6 +214,11 @@ _DOMAINS = {"hour": FINITE, "load": NON_NEGATIVE, "price": POSITIVE, "flag": BIN
         ("hour,load,price,flag,who\n0,1,0,0,a\n", ":2: price 0.0 must be finite and positive"),
         ("hour,load,price,flag,who\n0,1,1,0.5,a\n", ":2: flag 0.5 must be 0 or 1"),
         ("hour,load,price,flag,who\n0,1,1,0,a\nnan,1,1,0,b\n", ":3: hour nan must be finite"),
+        # rows after a text cell that spans lines are named by the line they start on
+        ('hour,load,price,flag,who\n0,1,1,0,"a\nb"\n1,-1,1,0,c\n', ":4: load -1.0 must be finite and non-negative"),
+        ('hour,load,price,flag,who\n0,1,1,0,"a\r\nb"\n1,1,1\n', ":4: malformed row: 3 cells, expected 5"),
+        ('hour,load,price,flag,who\n0,1,1,0,"\n\r"\n1,1,x,0,c\n', ":5: malformed row: price 'x' is not a number"),
+        ('hour,load,price,flag,who\n0,"1\n",1,0,a\n', ":2: malformed row: load '1\\n' is not a number"),
     ],
 )
 def test_read_table_names_path_and_line(tmp_path, text, where):
@@ -239,6 +244,23 @@ def test_line_numbers_hold_across_blocks(tmp_path, row, where):
     path.write_text("\n".join(["hour,a,b"] + rows) + "\n", errors="surrogateescape")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
         read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data(), block_cells=st.integers(1, 20))
+def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data, block_cells):
+    bad = data.draw(st.integers(0, len(names) - 1))
+    x = np.ones(len(names))
+    x[bad] = -1.0
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "x"], [names, x])
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        ends = [reader.line_num for _ in reader]  # the last line of the header and of each row
+    where = f"{path}:{ends[bad] + 1}: x -1.0 must be finite and non-negative"
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="^" + re.escape(where)):
+        mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
+        read_table(path, {"name": TEXT, "x": NON_NEGATIVE})
 
 
 @pytest.mark.parametrize(
