@@ -201,7 +201,7 @@ def main(argv=None) -> int:
         if getattr(args, "rep", 0) < 0:
             raise ValueError(f"--rep {args.rep} must be >= 0")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an absurd size in an input file
         print(f"gridloop: error: {exc}", file=sys.stderr)
         return 2
 

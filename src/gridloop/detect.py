@@ -4,10 +4,12 @@ Both sequential detectors watch the one-step forecast residuals of the
 aggregate load for a positive mean shift.
 
 GLRT: the score at time t is the mean residual over the trailing window
-(shorter prefix windows are used until the window fills); an alarm fires
-when the score exceeds sqrt(sigma^2 / n) * Qinv(p_fa), the threshold that
-holds the per-window false-alarm probability at p_fa for white residuals.
-Qinv is the upper-tail normal quantile from statistics.NormalDist (AS241).
+(shorter prefix windows are used until the window fills, and a window
+longer than the series averages the whole prefix); an alarm fires when the
+score exceeds sqrt(sigma^2 / n) * Qinv(p_fa), the threshold that holds the
+per-window false-alarm probability at p_fa for white residuals. The
+detector and its p_fa sweep share this one threshold rule. Qinv is the
+upper-tail normal quantile from statistics.NormalDist (AS241).
 
 CUSUM: g_t = max(0, g_{t-1} + x_t - k) accumulates drift-corrected
 evidence; crossing h raises an alarm and resets g. Times where the
@@ -55,6 +57,7 @@ def sliding_means(x, window: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if window < 1:
         raise ValueError("window must be >= 1")
+    window = min(window, len(x))  # the same means, and t - window + 1 cannot overflow int64
     csum = np.concatenate(([0.0], np.cumsum(x)))
     n = len(x)
     t = np.arange(n)
@@ -75,22 +78,22 @@ def _upper_quantile(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
-def _window_means(x, sigma: float, window: int):
-    """Trailing-window means and their white-noise scale sqrt(sigma^2 / n)."""
+def _glrt(x, sigma: float, window: int, p_fas):
+    """Window means, the thresholds sqrt(sigma^2 / n) * Qinv(p) (one row per p in p_fas)
+    and the int8 decisions scores > thresholds."""
+    _check_sigma(sigma)
     scores = sliding_means(x, window)
-    n_eff = np.minimum(np.arange(len(scores)) + 1, window)
-    return scores, np.sqrt(sigma**2 / n_eff)
+    n_eff = np.minimum(np.arange(len(scores)) + 1, min(window, len(scores)))
+    thresholds = np.sqrt(sigma**2 / n_eff) * np.array([_upper_quantile(p) for p in p_fas])[:, None]
+    return scores, thresholds, (scores > thresholds).astype(np.int8)
 
 
 def glrt_detect(x, sigma: float, window: int, p_fa: float) -> GlrtResult:
     """Window-mean detector with an exact-false-alarm threshold."""
-    _check_sigma(sigma)
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie strictly inside (0, 1)")
-    scores, scale = _window_means(x, sigma, window)
-    thresholds = scale * _upper_quantile(p_fa)
-    decisions = (scores > thresholds).astype(np.int8)
-    return GlrtResult(scores=scores, thresholds=thresholds, decisions=decisions)
+    scores, thresholds, decisions = _glrt(x, sigma, window, [p_fa])
+    return GlrtResult(scores=scores, thresholds=thresholds[0], decisions=decisions[0])
 
 
 def glrt_sweep(x, sigma: float, window: int, n_points: int):
@@ -99,12 +102,8 @@ def glrt_sweep(x, sigma: float, window: int, n_points: int):
     Returns (p_fa grid, decisions matrix of shape (n_points, len(x))).
     The endpoints 0 and 1 give the never/always-alarm corners.
     """
-    _check_sigma(sigma)
-    scores, scale = _window_means(x, sigma, window)
     p_fas = np.linspace(0.0, 1.0, n_points)
-    quantiles = np.array([_upper_quantile(p) for p in p_fas])
-    decisions = (scores > scale * quantiles[:, None]).astype(np.int8)
-    return p_fas, decisions
+    return p_fas, _glrt(x, sigma, window, p_fas)[2]
 
 
 @dataclass

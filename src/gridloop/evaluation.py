@@ -8,9 +8,10 @@ per-threshold decision rows, completed with the never/always-alarm corner
 points when the grid does not reach them. Each point of a curve keeps its
 true- and false-alarm counts; the rates, the AUC (trapezoid) and the
 metrics at a point are all read off those counts. The preferred operating
-point minimizes the Euclidean distance to the ideal corner (0, 1); metrics
-whose denominator is empty come back as NaN together with an explicit flag
-naming them.
+point minimizes the Euclidean distance to the ideal corner (0, 1), compared
+exactly on the integer counts; ties go to the higher tpr, then the smaller
+threshold, then the earlier point. Metrics whose denominator is empty come
+back as NaN together with an explicit flag naming them.
 """
 
 from __future__ import annotations
@@ -112,21 +113,14 @@ def roc_from_sweep(thresholds, decision_rows, labels) -> RocCurve:
 
 
 def best_operating_index(roc: RocCurve) -> int:
-    """Index of the point nearest (0, 1).
+    """Index of the point nearest (0, 1), compared exactly on the counts.
 
-    Ties prefer higher tpr, then the smaller threshold value.
+    (pos * neg * distance)^2 = (fp * pos)^2 + ((pos - tp) * neg)^2 in Python ints.
+    Ties prefer higher tpr, then the smaller threshold value, then the earlier point.
     """
-    dist = np.sqrt(roc.fpr**2 + (1.0 - roc.tpr) ** 2)
-    best = 0
-    for i in range(1, len(dist)):
-        if dist[i] < dist[best] - 1e-15:
-            best = i
-        elif abs(dist[i] - dist[best]) <= 1e-15:
-            if roc.tpr[i] > roc.tpr[best] or (
-                roc.tpr[i] == roc.tpr[best] and roc.thresholds[i] < roc.thresholds[best]
-            ):
-                best = i
-    return best
+    tp, fp, th = roc.tp.tolist(), roc.fp.tolist(), roc.thresholds.tolist()
+    pos, neg = int(roc.positives), int(roc.negatives)
+    return min(range(len(tp)), key=lambda i: ((fp[i] * pos) ** 2 + ((pos - tp[i]) * neg) ** 2, -tp[i], th[i]))
 
 
 def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:

@@ -291,6 +291,46 @@ def test_out_of_range_cusum_sweep_exits_2(tiny_run, tmp_path, capsys, key, value
     assert not (tmp_path / "metrics.json").exists()
 
 
+def _evaluate_copy(sdir, out, edit):
+    """Evaluate a copy of scenario sdir whose detect_meta.json edit() changed; the exit code."""
+    out.mkdir()
+    shutil.copy(sdir / "detections.csv", out / "detections.csv")
+    meta = json.loads((sdir / "detect_meta.json").read_text())
+    edit(meta)
+    (out / "detect_meta.json").write_text(json.dumps(meta))
+    return run("evaluate", "--detections", out)
+
+
+def test_glrt_window_past_the_series_averages_the_whole_prefix(tiny_cfg, tiny_run, tmp_path):
+    # a window past int64 once overflowed; any window of at least the test window's length
+    # scores each hour on every residual so far
+    full, huge = tmp_path / "full", tmp_path / "huge"
+    for out, window in ((full, tiny_cfg.test_hours), (huge, 10**30)):
+        cfg_json = tmp_path / f"{out.name}.json"
+        write_json(cfg_json, dataclasses.asdict(dataclasses.replace(tiny_cfg, glrt_window=window)))
+        assert run("run_experiment", "--config", cfg_json, "--out", out) == 0
+    scenario = "kappa_0.2/sudden/rep_000"
+    for name in ("detections.csv", "metrics.json", "roc.csv"):
+        assert (huge / scenario / name).read_bytes() == (full / scenario / name).read_bytes(), name
+
+    # evaluate reads the window back from detect_meta.json
+    sdir = tiny_run[0] / scenario
+    for out, window in (("e_full", tiny_cfg.test_hours), ("e_huge", 1e300)):
+        assert _evaluate_copy(sdir, tmp_path / out, lambda meta: meta["glrt"].update(window=window)) == 0
+    for name in ("metrics.json", "roc.csv"):
+        assert (tmp_path / "e_huge" / name).read_bytes() == (tmp_path / "e_full" / name).read_bytes()
+
+
+def test_absurd_sweep_size_exits_2(tiny_run, tmp_path, capsys):
+    # 10**18 points fail at the allocation request; a size a machine could try to allocate
+    # would not, so no such size belongs in a test
+    sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
+    assert _evaluate_copy(sdir, tmp_path / "out", lambda m: m["sweep"].update(points=10**18)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gridloop: error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

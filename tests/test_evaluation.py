@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,67 @@ def test_best_point_tie_breaks():
         negatives=10,
     )
     assert best_operating_index(roc) == 1
+
+
+def _nearest_by_fractions(roc):
+    """Reference pick in exact rationals: nearest (0, 1), then higher tp, smaller threshold, earlier."""
+    def rank(i):
+        tpr, fpr = Fraction(int(roc.tp[i]), roc.positives), Fraction(int(roc.fp[i]), roc.negatives)
+        return fpr**2 + (1 - tpr) ** 2, -int(roc.tp[i]), float(roc.thresholds[i]), i
+    return min(range(len(roc.tp)), key=rank)
+
+
+def _nearest_by_tolerance(roc):
+    """The float-distance scan with a 1e-15 tie tolerance that best_operating_index replaced."""
+    dist = np.sqrt(roc.fpr**2 + (1.0 - roc.tpr) ** 2)
+    best = 0
+    for i in range(1, len(dist)):
+        if dist[i] < dist[best] - 1e-15:
+            best = i
+        elif abs(dist[i] - dist[best]) <= 1e-15:
+            if roc.tpr[i] > roc.tpr[best] or (
+                roc.tpr[i] == roc.tpr[best] and roc.thresholds[i] < roc.thresholds[best]
+            ):
+                best = i
+    return best
+
+
+@st.composite
+def _curves(draw):
+    """Points on a curve of up to 10**5 positives and negatives, rich in exact distance ties."""
+    pos, neg = draw(st.integers(1, 10**5)), draw(st.integers(1, 10**5))
+    if draw(st.booleans()):
+        neg = pos  # then (tp, fp) and (pos - fp, pos - tp) lie equally far from (0, 1)
+    points = draw(st.lists(st.tuples(st.integers(0, pos), st.integers(0, neg)), min_size=1, max_size=12))
+    if neg == pos:
+        points += [(pos - fp, pos - tp) for tp, fp in draw(st.lists(st.sampled_from(points), max_size=4))]
+    points += draw(st.lists(st.sampled_from(points), max_size=4))  # the same point at another threshold
+    thresholds = draw(st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0, np.inf]),
+                               min_size=len(points), max_size=len(points)))
+    tp, fp = map(np.array, zip(*points))
+    return RocCurve(thresholds=np.array(thresholds), tp=tp, fp=fp, positives=pos, negatives=neg)
+
+
+@settings(max_examples=300)
+@given(_curves())
+def test_operating_point_is_the_exact_nearest(roc):
+    assert best_operating_index(roc) == _nearest_by_fractions(roc)
+
+
+# seeded rather than hypothesis, so a failure under -W error reports the test by name
+@pytest.mark.parametrize("pos, neg", [(24, 24), (5, 43), (168, 552), (5, 715)])
+def test_operating_point_matches_the_tolerance_scan_at_pipeline_counts(pos, neg):
+    # the label counts run_experiment's curves carry; at these sizes distinct distances lie
+    # far more than 1e-15 apart, so the exact pick and the old scan agree on every curve
+    rng = np.random.default_rng(pos * neg)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        tp, fp = rng.integers(0, pos + 1, size=n), rng.integers(0, neg + 1, size=n)
+        dup = rng.integers(0, n, size=n // 4)  # repeated points, to reach the threshold rule
+        tp, fp = np.append(tp, tp[dup]), np.append(fp, fp[dup])
+        thresholds = rng.choice([-np.inf, 0.0, 0.5, 1.0, np.inf], size=len(tp))
+        roc = RocCurve(thresholds=thresholds, tp=tp, fp=fp, positives=pos, negatives=neg)
+        assert best_operating_index(roc) == _nearest_by_tolerance(roc)
 
 
 # ---------------------------------------------------------------------------
