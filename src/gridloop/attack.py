@@ -1,4 +1,4 @@
-"""Integrity attacks on the pricing loop: schedules, equivalence, the schedule file.
+"""Integrity attacks on the pricing loop: schedules and the schedule file.
 
 Two attack surfaces exist. A *price* attack perturbs the price signal a
 set of victim homes receives (their meters see P + a and respond to it,
@@ -7,14 +7,14 @@ victim loads, each truncated at zero. An AttackSchedule says when, whom
 and by how much; feedback.simulate applies it inside the closed loop,
 while feedback.inject_post_hoc adds a load schedule to the recorded
 aggregate of a finished run. Because households respond to price
-deterministically, the two surfaces are interchangeable whenever some load
-is price-responsive: a price offset a_P moves a household's load by
+deterministically, a price offset a_P at posted price P moves a victim's
+load by
 
     a_L = kappa * phi * ((P + a_P)**eps - P**eps)
 
-and that relation inverts to recover the offset that reproduces a desired
-load change. With kappa = 0 nothing responds to price and no equivalence
-exists.
+so a load attack of that size reproduces the price attack; the tests
+check the identity inside the closed loop. With kappa = 0 nothing
+responds to price.
 
 Temporal shapes: ramp (grows by a fixed step each hour in the window),
 sudden (constant level), point (isolated spikes at chosen hours).
@@ -31,8 +31,6 @@ from gridloop.tables import read_json
 
 __all__ = [
     "AttackSchedule",
-    "equivalent_load_delta",
-    "equivalent_price_delta",
     "make_point",
     "make_ramp",
     "make_sudden",
@@ -137,57 +135,6 @@ def make_point(values: dict, window, mode: str = "load", victims=None) -> Attack
         mode=mode, kind="point", window=tuple(window), params={"values": values},
         victims=None if victims is None else tuple(victims),
     )
-
-
-# ---------------------------------------------------------------------------
-# equivalence between the two attack surfaces
-
-def _check_equiv_args(kappa, price, eps):
-    if kappa == 0:
-        raise ValueError("modes not equivalent: kappa = 0 leaves no price-responsive load")
-    if not 0 < kappa <= 1:
-        raise ValueError("kappa must lie in (0, 1] for equivalence")
-    if price <= 0:
-        raise ValueError("non-physical price: price must be positive")
-    if eps >= 0:
-        raise ValueError("elasticity must be negative")
-
-
-def equivalent_load_delta(
-    price_delta: float,
-    base_load: float,
-    kappa: float,
-    price: float,
-    eps: float,
-) -> float:
-    """Load change on one household equivalent to a price offset."""
-    _check_equiv_args(kappa, price, eps)
-    new_price = price + price_delta
-    if new_price <= 0:
-        raise ValueError("non-physical price: attacked price must stay positive")
-    return kappa * base_load * (new_price**eps - price**eps)
-
-
-def equivalent_price_delta(
-    load_delta: float,
-    base_load: float,
-    kappa: float,
-    price: float,
-    eps: float,
-) -> float:
-    """Price offset on one household equivalent to a load change.
-
-    Inverse of equivalent_load_delta. Raises when no positive attacked
-    price can produce the requested load change (the elastic share cannot
-    go below zero).
-    """
-    _check_equiv_args(kappa, price, eps)
-    if base_load <= 0:
-        raise ValueError("no equivalent price exists for a zero base load")
-    root = load_delta / (kappa * base_load) + price**eps
-    if root <= 0:
-        raise ValueError("no equivalent price exists for this load delta")
-    return root ** (1.0 / eps) - price
 
 
 # ---------------------------------------------------------------------------

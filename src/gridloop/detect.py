@@ -68,6 +68,10 @@ def sliding_means(x, window: int) -> np.ndarray:
 def _check_sigma(sigma: float) -> None:
     if not 0.0 < sigma < np.inf:  # NaN fails too
         raise ValueError("sigma must be finite and positive")
+    # the GLRT thresholds are sqrt(sigma**2 / n): a subnormal square loses them to 0 * inf
+    sigma = float(sigma)
+    if not np.finfo(float).tiny <= sigma * sigma < np.inf:
+        raise ValueError(f"sigma {sigma!r} squared leaves the float range")
 
 
 def _upper_quantile(p: float) -> float:
@@ -161,8 +165,11 @@ def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
     _check_drift(k)
     if not 0.0 < h_max_sigmas < np.inf:
         raise ValueError("h_max_sigmas must be finite and > 0")
+    h_max = float(h_max_sigmas) * float(sigma)
+    if h_max == np.inf:  # linspace(0, inf) starts with NaN
+        raise ValueError(f"h_max_sigmas * sigma = {h_max_sigmas!r} * {sigma!r} exceeds the largest float")
     x = _finite_residuals(x)
-    hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
+    hs = np.linspace(0.0, h_max, n_points)
     n = len(x)
     # the cusum_detect recursion for every threshold at once
     g = np.zeros(n_points)

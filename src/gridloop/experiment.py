@@ -35,7 +35,6 @@ from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT
 
 __all__ = [
     "DETECTORS",
-    "TABLE_DETECTORS",
     "ExperimentConfig",
     "detect_stage",
     "evaluate_stage",
@@ -45,11 +44,8 @@ __all__ = [
     "scenario_dir",
 ]
 
-# everything emitted per scenario; TABLE_DETECTORS is the comparison set
-# used for cross-detector aggregate statements (interval-scored CUSUM is a
-# reporting variant of the same statistic, not an extra detector)
+# everything emitted per scenario
 DETECTORS = ("glrt", "cusum", "cusum_interval", "logreg", "gnb", "forest")
-TABLE_DETECTORS = ("glrt", "cusum", "logreg", "gnb", "forest")
 
 # point-spike template: (fraction of the attack window as 24ths, magnitude)
 _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
@@ -105,6 +101,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.kappas:
             raise ValueError("need at least one kappa")
+        for n, k in enumerate(self.kappas):  # -0.0 and 0.0 are one participation level
+            if k in self.kappas[:n]:
+                raise ValueError(f"kappa {k!r} is repeated")
         if not self.attacks:
             raise ValueError("need at least one attack")
         for n, a in enumerate(self.attacks):
@@ -369,15 +368,19 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     det_dir = Path(det_dir)
     out_dir = det_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = read_json(det_dir / "detect_meta.json", _META_KEYS)
+    meta_path = det_dir / "detect_meta.json"
+    meta = read_json(meta_path, _META_KEYS)
     table = _read_detections(det_dir / "detections.csv")
     residuals, labels = table["residual"]
     sigma = float(meta["sigma"])
     sweep = meta["sweep"]
 
-    glrt = detect.glrt_sweep(residuals, sigma, int(meta["glrt"]["window"]), int(sweep["points"]))
-    hs, alarms, intervals = detect.cusum_sweep(
-        residuals, sigma, float(sweep["cusum_k"]), int(sweep["points"]), float(sweep["cusum_sigmas"]))
+    try:  # the residuals are finite, so only the settings read from the meta file can be out of range
+        glrt = detect.glrt_sweep(residuals, sigma, int(meta["glrt"]["window"]), int(sweep["points"]))
+        hs, alarms, intervals = detect.cusum_sweep(
+            residuals, sigma, float(sweep["cusum_k"]), int(sweep["points"]), float(sweep["cusum_sigmas"]))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}
     curves = {name: evaluation.roc_from_sweep(*sweeps[name], labels) if name in sweeps
               else evaluation.roc_from_scores(*table[name]) for name in DETECTORS}

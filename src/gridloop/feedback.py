@@ -38,7 +38,7 @@ price stays physical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,18 +125,12 @@ class SimulationTrace:
         return len(self.hour)
 
 
-def simulate(
-    grid,
-    cfg: GridConfig,
-    forecaster: Callable[[np.ndarray], float] | None = None,
-    schedule=None,
-) -> SimulationTrace:
+def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
     """Run the pricing loop over a base-load matrix.
 
-    grid: (hours x homes) array of base loads phi[t, i].
-    forecaster: callable mapping the history of aggregate base loads
-        (phi totals for hours 0..t-1) to the forecast for hour t. Defaults
-        to naive persistence. Hour 0 uses the true total (no history yet).
+    grid: (hours x homes) array of base loads phi[t, i]. The utility
+        forecasts hour t's aggregate base load by persistence, as hour
+        t - 1's total; hour 0 uses its own total (no history yet).
     schedule: optional AttackSchedule, applied inside the loop, where its
         effect feeds back through prices and history.
 
@@ -155,8 +149,6 @@ def simulate(
     if targets.shape != (n_hours,):
         raise ValueError("per-hour target length must match the horizon")
 
-    if forecaster is None:
-        forecaster = _naive
     # the pricing step stays on Python floats, whose ** raises on overflow
     eps, eps_hat = float(cfg.eps_dsm), float(cfg.effective_eps_hat)
     goal2, lstar_floor = cfg.goal == "goal2", float(cfg.lstar_floor)
@@ -175,10 +167,7 @@ def simulate(
     clamped = 0
 
     for t in range(n_hours):
-        if t == 0:
-            phi_hat = float(base_total[0])
-        else:
-            phi_hat = float(forecaster(base_total[:t]))
+        phi_hat = float(base_total[max(t - 1, 0)])
         if not np.isfinite(phi_hat) or phi_hat <= 0:
             raise ValueError("invalid forecast: base-load forecast must be positive")
 
@@ -261,10 +250,6 @@ def inject_post_hoc(trace: SimulationTrace, schedule) -> SimulationTrace:
         attack_truth=truth,
         clamped=trace.clamped + int(neg.sum()),
     )
-
-
-def _naive(history: np.ndarray) -> float:
-    return float(history[-1])
 
 
 def _out_of_float_range(t: int, eps: float, eps_hat: float) -> ValueError:

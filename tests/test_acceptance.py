@@ -6,6 +6,7 @@ The checks mix analytic identities (criteria 1, 2, 4, 6), statistical
 calibration (5, 8, 10), reproduction bands for the reference experiment
 (3, 7), and byte-level determinism (9)."""
 
+import dataclasses
 import math
 from time import perf_counter
 
@@ -13,13 +14,9 @@ import numpy as np
 import pytest
 
 from gridloop import evaluation
-from gridloop.attack import equivalent_load_delta, equivalent_price_delta
+from gridloop.attack import make_point, make_sudden
 from gridloop.detect import cusum_detect, glrt_detect
-from gridloop.experiment import (
-    TABLE_DETECTORS,
-    ExperimentConfig,
-    run_experiment,
-)
+from gridloop.experiment import ExperimentConfig, run_experiment
 from gridloop.feedback import GridConfig, simulate
 from gridloop.forecast import acf, acf_band, fit_seasonal_ar, forecast
 from gridloop.loadgen import synthesize_microgrid, write_microgrid
@@ -65,14 +62,11 @@ def test_criterion_02_target_tracking(templates):
     t0 = perf_counter()
     grid = _bootstrap_grid(templates)
     base = grid.kwh[:720]
-    base_total = base.sum(axis=1)
-
-    def oracle(history):
-        return float(base_total[len(history)])
-
     cfg = GridConfig(n_homes=200, kappa=1.0, goal="goal1", target=200.0)
-    trace = simulate(base, cfg, forecaster=oracle)
-    rel = np.abs(trace.observed_load - trace.lstar) / trace.lstar
+    trace = simulate(base, cfg)
+    # every home serves L* / forecast of its need, so a perfect forecast would serve L*
+    served = trace.observed_load * trace.forecast / trace.base_load
+    rel = np.abs(served - trace.lstar) / trace.lstar
     worst = float(rel.max())
     dt = perf_counter() - t0
     _report(2, "full-participation target tracking", worst < 1e-6 and dt < 1.0,
@@ -101,28 +95,53 @@ def test_criterion_03_dsm_monotonic_band(templates):
             f"means {m[0.0]:.1f} > {m[0.5]:.1f} > {m[0.99]:.1f} kWh, {dt:.1f}s")
 
 
+def _rel_err(a, b) -> float:
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
 def test_criterion_04_attack_surface_equivalence():
+    # a sudden price offset a_P inside the loop against the load attack
+    # a_L = kappa * phi * ((P + a_P)**eps - P**eps) on each victim, at the prices P
+    # the price run posted; at kappa 0 the price attack changes no load
     t0 = perf_counter()
     rng = np.random.default_rng(42)
-    worst_load = worst_rt = 0.0
-    for _ in range(1000):
-        phi = rng.uniform(0.1, 5.0)
-        kappa = rng.uniform(0.05, 1.0)
-        price = rng.uniform(0.2, 5.0)
-        eps = rng.uniform(-3.0, -0.2)
-        a_p = rng.uniform(-0.15, 3.0)
-        direct = kappa * phi * (price + a_p) ** eps + (1 - kappa) * phi
-        a_l = equivalent_load_delta(a_p, phi, kappa, price, eps)
-        converted = (kappa * phi * price**eps + (1 - kappa) * phi) + a_l
-        worst_load = max(worst_load, abs(direct - converted) / direct)
-        recovered = equivalent_price_delta(a_l, phi, kappa, price, eps)
-        worst_rt = max(worst_rt, abs(recovered - a_p) / max(1.0, abs(a_p)))
-    with pytest.raises(ValueError, match="modes not equivalent"):
-        equivalent_load_delta(0.1, 1.0, 0.0, 1.0, -1.0)
+    worst = worst_k0 = 0.0
+    checked = 0
+    for _ in range(50):
+        hours, homes = int(rng.integers(2, 25)), int(rng.integers(1, 7))
+        base = rng.uniform(0.2, 3.0, size=(hours, homes))
+        cfg = GridConfig(
+            n_homes=homes, kappa=rng.uniform(0.05, 1.0), eps_dsm=rng.uniform(-3.0, -0.2),
+            goal=("goal1", "goal2")[rng.integers(2)],
+            target=rng.uniform(0.5, 2.0) * float(base.sum(axis=1).mean()), lstar_floor=0.1,
+        )
+        victims = tuple(rng.permutation(homes)[: rng.integers(1, homes + 1)].tolist())
+        start = int(rng.integers(hours))
+        window = (start, int(rng.integers(start + 1, hours + 1)))
+        level, eps = rng.uniform(-0.5, 2.0), cfg.eps_dsm
+        attack = make_sudden(window, level, mode="price", victims=victims)
+        try:
+            price_run = simulate(base, cfg, schedule=attack)
+        except ValueError as exc:  # an offset below -P leaves a victim no positive price
+            assert "non-physical price" in str(exc)
+            continue
+        values = {}
+        for t in range(*window):
+            p = price_run.price[t]
+            values[t] = float(np.sum(cfg.kappa * base[t, list(victims)] * ((p + level) ** eps - p**eps)))
+        load_run = simulate(base, cfg, schedule=make_point(values, window, victims=victims))
+        if load_run.clamped:  # the load split evenly over the victims drove one below zero
+            continue
+        checked += 1
+        worst = max(worst, _rel_err(load_run.observed_load, price_run.observed_load),
+                    _rel_err(load_run.price, price_run.price))
+        k0 = dataclasses.replace(cfg, kappa=0.0)
+        worst_k0 = max(worst_k0, _rel_err(simulate(base, k0, schedule=attack).observed_load,
+                                          simulate(base, k0).observed_load))
     dt = perf_counter() - t0
-    ok = worst_load < 1e-9 and worst_rt < 1e-9 and dt < 1.0
-    _report(4, "price/load attack equivalence", ok,
-            f"load err {worst_load:.2e}, round trip {worst_rt:.2e}, {dt:.2f}s")
+    ok = checked >= 25 and worst < 1e-9 and worst_k0 < 1e-9 and dt < 1.0
+    _report(4, "price/load attack equivalence in the loop", ok,
+            f"max rel err {worst:.2e} over {checked} runs, kappa 0 {worst_k0:.2e}, {dt:.2f}s")
 
 
 def test_criterion_05_glrt_false_alarm_calibration():
@@ -176,8 +195,10 @@ def test_criterion_07_detection_reproduction(tmp_path):
     }
     b_ok = all(cusum_point >= v for v in sup_point.values())
 
+    # interval-scored CUSUM reports the same statistic as CUSUM; it is no extra detector
+    compared = ("glrt", "cusum", "logreg", "gnb", "forest")
     by_kappa = {
-        k: float(np.mean([acc[(k, a, d)] for a in cfg.attacks for d in TABLE_DETECTORS]))
+        k: float(np.mean([acc[(k, a, d)] for a in cfg.attacks for d in compared]))
         for k in cfg.kappas
     }
     c_ok = by_kappa[0.9] >= by_kappa[0.1] - 0.01

@@ -3,13 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridloop.attack import (
     AttackSchedule,
-    equivalent_load_delta,
-    equivalent_price_delta,
     make_point,
     make_ramp,
     make_sudden,
@@ -82,44 +78,6 @@ def test_victim_indices():
 # ---------------------------------------------------------------------------
 # equivalence between the attack surfaces
 
-def test_equivalent_load_delta_worked_example():
-    # doubling a unit price with eps=-1 halves the elastic share: 1*(0.5-1)
-    a_l = equivalent_load_delta(1.0, base_load=2.0, kappa=0.5, price=1.0, eps=-1.0)
-    assert a_l == -0.5
-
-
-def test_equivalent_price_delta_inverts():
-    a_p = equivalent_price_delta(-0.5, base_load=2.0, kappa=0.5, price=1.0, eps=-1.0)
-    assert a_p == pytest.approx(1.0, rel=1e-12)
-
-
-def test_no_conversion_without_participation():
-    with pytest.raises(ValueError, match="kappa = 0"):
-        equivalent_load_delta(1.0, 2.0, 0.0, 1.0, -1.0)
-    with pytest.raises(ValueError, match="kappa = 0"):
-        equivalent_price_delta(1.0, 2.0, 0.0, 1.0, -1.0)
-
-
-def test_no_equivalent_price_for_overdrawn_delta():
-    # removing the entire elastic share (or more) has no finite price
-    with pytest.raises(ValueError, match="no equivalent price"):
-        equivalent_price_delta(-1.0, base_load=1.0, kappa=1.0, price=1.0, eps=-1.0)
-
-
-@settings(max_examples=200)
-@given(
-    st.floats(0.1, 5.0),      # base load
-    st.floats(0.05, 1.0),     # kappa
-    st.floats(0.2, 5.0),      # price
-    st.floats(-3.0, -0.2),    # eps
-    st.floats(-0.15, 3.0),    # price delta (kept physical)
-)
-def test_conversion_round_trip(phi, kappa, price, eps, a_p):
-    a_l = equivalent_load_delta(a_p, phi, kappa, price, eps)
-    back = equivalent_price_delta(a_l, phi, kappa, price, eps)
-    assert back == pytest.approx(a_p, rel=1e-9, abs=1e-9)
-
-
 def test_closed_loop_price_equals_converted_load_attack():
     # inject a price offset; then inject its per-hour aggregate load
     # equivalent instead -- the observed aggregates must coincide
@@ -129,12 +87,13 @@ def test_closed_loop_price_equals_converted_load_attack():
     delta_p = 0.4
     price_run = simulate(base, cfg, schedule=make_sudden((4, 9), delta_p, mode="price"))
 
+    # a_L = kappa * phi * ((P + a_P)**eps - P**eps) per home, at the posted price P
     clean = simulate(base, cfg)
     values = {}
     for t in range(4, 9):
         p = clean.price[t]
         values[t] = sum(
-            equivalent_load_delta(delta_p, base[t, i], cfg.kappa, p, cfg.eps_dsm)
+            cfg.kappa * base[t, i] * ((p + delta_p) ** cfg.eps_dsm - p**cfg.eps_dsm)
             for i in range(3)
         )
     load_run = simulate(base, cfg, schedule=make_point(values, window=(4, 9)))

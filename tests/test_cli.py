@@ -20,9 +20,9 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def _assert_chain_matches(cfg_json, root, tmp_path):
+def _assert_chain_matches(cfg_json, root, tmp_path, kappa=0.2):
     """Chain the stage subcommands and compare with root's scenario files."""
-    sdir = root / "kappa_0.2" / "sudden" / "rep_000"
+    sdir = root / f"kappa_{kappa}" / "sudden" / "rep_000"
 
     grid = tmp_path / "grid.csv"
     nominal = tmp_path / "nominal.csv"
@@ -30,11 +30,11 @@ def _assert_chain_matches(cfg_json, root, tmp_path):
     det = tmp_path / "det"
     assert run("synth", "--config", cfg_json, "--rep", 0, "--out", grid) == 0
     assert run("simulate", "--config", cfg_json, "--grid", grid,
-               "--kappa", 0.2, "--out", nominal) == 0
+               "--kappa", kappa, "--out", nominal) == 0
     assert run("attack", "--config", cfg_json, "--trace", nominal,
                "--kind", "sudden", "--out", attacked) == 0
     assert run("detect", "--config", cfg_json, "--trace", attacked,
-               "--kappa", 0.2, "--attack", "sudden", "--rep", 0, "--out", det) == 0
+               "--kappa", kappa, "--attack", "sudden", "--rep", 0, "--out", det) == 0
     assert run("evaluate", "--config", cfg_json, "--detections", det) == 0
 
     assert attacked.read_bytes() == (sdir / "trace.csv").read_bytes()
@@ -55,6 +55,17 @@ def test_pipeline_matches_run_experiment_with_non_default_loop(tiny_cfg, tmp_pat
     root = tmp_path / "runs"
     run_experiment(cfg, root)
     _assert_chain_matches(cfg_json, root, tmp_path)
+
+
+def test_pipeline_matches_run_experiment_at_the_second_kappa(tiny_cfg, tmp_path):
+    # detect looks up the kappa's index in the config, which keys the training attacks and the
+    # forest's draws; the first kappa's index is 0 however it is looked up
+    cfg = dataclasses.replace(tiny_cfg, kappas=(0.2, 0.7))
+    cfg_json = tmp_path / "cfg.json"
+    write_json(cfg_json, dataclasses.asdict(cfg))
+    root = tmp_path / "runs"
+    run_experiment(cfg, root)
+    _assert_chain_matches(cfg_json, root, tmp_path, kappa=0.7)
 
 
 def test_run_experiment_command(cfg_json, tiny_run, tmp_path, capsys):
@@ -207,7 +218,7 @@ def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
 
 def _assert_names_file(capsys, path, fragment):
     err = capsys.readouterr().err
-    assert err.startswith(f"gridloop: error: {path}"), err
+    assert err.startswith(f"gridloop: error: {path}") and err.count("\n") == 1, err
     assert fragment in err
     assert "Traceback" not in err
 
@@ -253,8 +264,14 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
         (lambda meta: meta["glrt"].update(window=0.5), ": glrt.window 0.5 must be a number, a whole"),
         (lambda meta: meta["sweep"].update(points=0), ": sweep.points 0 must be a number, a whole"),
         (lambda meta: meta["sweep"].update(points=2.5), ": sweep.points 2.5 must be a number, a whole"),
+        # each value lies in its domain; the sweeps' products of them leave the float range
+        (lambda meta: meta.update(sigma=1e300), ": sigma 1e+300 squared leaves the float range"),
+        (lambda meta: meta.update(sigma=1e-300), ": sigma 1e-300 squared leaves the float range"),
+        (lambda meta: meta.update(sigma=1e10, sweep={**meta["sweep"], "cusum_sigmas": 1e300}),
+         ": h_max_sigmas * sigma = 1e+300 * 10000000000.0 exceeds the largest float"),
     ],
-    ids=["no-sweep", "sigma-x", "window-half", "points-0", "points-fraction"],
+    ids=["no-sweep", "sigma-x", "window-half", "points-0", "points-fraction",
+         "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows"],
 )
 def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
@@ -397,6 +414,7 @@ def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
         ("ar_order", -1, ": ar_order must lie in [0, train_hours - 72 = 600]"),
         ("ar_order", 601, ": ar_order must lie in [0, train_hours - 72 = 600]"),
         ("feature_lags", 672, ": feature_lags must be < train_hours = 672"),
+        ("kappas", [-0.0, 0.0], ": kappa 0.0 is repeated"),
     ],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, field, value, fragment):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -132,6 +133,16 @@ def test_cusum_config_validation():
     assert not cusum_detect(x, k=0.0, h=1e-300).decisions.any()  # the edges are allowed
 
 
+@pytest.mark.parametrize("bad", [1e300, 1e-300, np.float64(1e155)])
+def test_sigma_squared_must_stay_in_float_range(bad):
+    # a square past the largest float, or below the smallest normal one, makes NaN or inf thresholds
+    x = np.zeros(5)
+    for call in (lambda: glrt_detect(x, bad, 24, 0.05), lambda: glrt_sweep(x, bad, 24, 11),
+                 lambda: cusum_sweep(x, bad, 0.5, 11, 6.0)):
+        with pytest.raises(ValueError, match=re.escape(f"sigma {float(bad)!r} squared leaves the float range")):
+            call()
+
+
 def test_cusum_sweep_config_validation():
     # the same drift check as cusum_detect, plus a finite, positive sweep span
     x = np.zeros(5)
@@ -141,6 +152,8 @@ def test_cusum_sweep_config_validation():
     for bad in (0.0, -6.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="h_max_sigmas must be finite and > 0"):
             cusum_sweep(x, sigma=1.0, k=0.5, n_points=4, h_max_sigmas=bad)
+    with pytest.raises(ValueError, match=r"h_max_sigmas \* sigma = 1e\+300 \* 10000000000.0 exceeds"):
+        cusum_sweep(x, sigma=1e10, k=0.5, n_points=4, h_max_sigmas=1e300)
     hs, alarms, _ = cusum_sweep(x, sigma=1.0, k=0.0, n_points=4, h_max_sigmas=1e-300)  # the edges
     assert hs[-1] == 1e-300 and not alarms.any()
 

@@ -12,7 +12,6 @@ import pytest
 
 from gridloop.experiment import (
     DETECTORS,
-    TABLE_DETECTORS,
     ExperimentConfig,
     detect_stage,
     evaluate_stage,
@@ -73,6 +72,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"ar_order": 25, "train_days": 4}, r"ar_order must lie in \[0, train_hours - 72 = 24\]"),
         ({"feature_lags": 96, "train_days": 4}, "feature_lags must be < train_hours = 96"),
         ({"feature_lags": 200, "train_days": 4}, "feature_lags must be < train_hours = 96"),
+        ({"kappas": (-0.0, 0.0)}, r"kappa 0\.0 is repeated"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -256,7 +256,6 @@ def test_summary_table_covers_all_cells(tiny_cfg, tiny_run):
     table = summary["table"]
     assert len(table) == len(DETECTORS)
     assert {row["detector"] for row in table} == set(DETECTORS)
-    assert set(TABLE_DETECTORS) < set(DETECTORS)
     for row in table:
         assert row["kappa"] == 0.2
         assert row["attack_type"] == "sudden"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from gridloop.attack import equivalent_load_delta, make_point, make_ramp, make_sudden
+from gridloop.attack import make_point, make_ramp, make_sudden
 from gridloop.feedback import (
     TRACE_COLUMNS,
     GridConfig,
@@ -102,10 +102,15 @@ def _flat_grid(hours, homes, level=100.0):
     return np.full((hours, homes), level / homes)
 
 
-def _oracle(base):
-    """Forecaster that knows each hour's true base total."""
-    totals = base.sum(axis=1)
-    return lambda history: float(totals[len(history)])
+def _tracking_error(trace):
+    """Worst relative miss of the load a perfect forecast would serve, against L*.
+
+    At kappa = 1 with eps_hat = eps the served load is
+    base_load * (L* / forecast), so observed * forecast / base_load = L*
+    exactly; with forecast = base_load that is exact tracking.
+    """
+    served = trace.observed_load * trace.forecast / trace.base_load
+    return float(np.max(np.abs(served - trace.lstar) / trace.lstar))
 
 
 def test_zero_participation_is_identity():
@@ -121,8 +126,9 @@ def test_full_participation_oracle_tracks_target():
     rng = np.random.default_rng(1)
     base = rng.uniform(0.5, 2.5, size=(48, 5))
     cfg = GridConfig(n_homes=5, kappa=1.0, target=60.0)
-    trace = simulate(base, cfg, forecaster=_oracle(base))
-    assert np.allclose(trace.observed_load, 60.0, rtol=1e-9)
+    trace = simulate(base, cfg)
+    assert np.array_equal(trace.lstar, np.full(48, 60.0))
+    assert _tracking_error(trace) <= 1e-9
 
 
 @st.composite
@@ -155,17 +161,22 @@ def test_zero_participation_identity_property(case):
 def test_full_participation_oracle_tracking_property(case):
     # exact tracking needs the utility to know the elasticity (eps_hat = eps)
     base, cfg = case
-    trace = simulate(base, dataclasses.replace(cfg, kappa=1.0), forecaster=_oracle(base))
-    assert np.max(np.abs(trace.observed_load - trace.lstar) / trace.lstar) <= 1e-6
+    trace = simulate(base, dataclasses.replace(cfg, kappa=1.0))
+    assert _tracking_error(trace) <= 1e-6
 
 
 def test_per_hour_targets():
     base = _flat_grid(3, 2)
     targets = [100.0, 200.0, 300.0]
     cfg = GridConfig(n_homes=2, kappa=1.0, target=targets)
-    trace = simulate(base, cfg, forecaster=_oracle(base))
-    assert np.allclose(trace.observed_load, targets, rtol=1e-12)
+    trace = simulate(base, cfg)
+    assert np.allclose(trace.observed_load, targets, rtol=1e-12)  # a flat grid forecasts perfectly
     assert np.array_equal(trace.target, targets)
+    # on a varying grid, the load a perfect forecast would serve tracks each hour's target
+    rng = np.random.default_rng(4)
+    trace = simulate(rng.uniform(0.5, 2.5, size=(3, 2)), cfg)
+    assert np.array_equal(trace.lstar, targets)
+    assert _tracking_error(trace) <= 1e-12
 
 
 def test_goal2_recursion_hand_case():
@@ -188,22 +199,21 @@ def test_goal2_floor_in_the_loop():
 
 
 def test_forecaster_sees_base_history():
-    base = _flat_grid(4, 2)
-    seen = []
-
-    def probe(history):
-        seen.append(len(history))
-        return float(history[-1])
-
-    simulate(base, GridConfig(n_homes=2, kappa=0.5), forecaster=probe)
-    assert seen == [1, 2, 3]  # hour 0 needs no forecast
+    base = np.random.default_rng(5).uniform(0.5, 2.5, size=(6, 2))
+    trace = simulate(base, GridConfig(n_homes=2, kappa=0.5))
+    total = base.sum(axis=1)
+    # hour 0 has no history and uses its own total
+    assert np.array_equal(trace.forecast, np.concatenate(([total[0]], total[:-1])))
 
 
 def test_bad_forecast_rejected():
-    base = _flat_grid(4, 2)
-    for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="invalid forecast"):
-            simulate(base, GridConfig(n_homes=2, kappa=0.5), forecaster=lambda h: bad)
+    # a bad total at hour 1 is hour 2's forecast; at hour 0 it is hour 0's own
+    for hour in (0, 1):
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            base = _flat_grid(4, 2)
+            base[hour] = (bad, 0.0)
+            with pytest.raises(ValueError, match="invalid forecast"):
+                simulate(base, GridConfig(n_homes=2, kappa=0.5))
 
 
 def test_price_attack_in_the_loop():
@@ -499,13 +509,14 @@ def test_closed_loop_price_attack_equals_its_load_equivalent(case):
     except ValueError as exc:  # an offset below -P leaves a victim no positive price
         assert "non-physical price" in str(exc)
         reject()
-    # each hour, the victims' load deltas at the price the price run posted
+    # each hour, the victims' load deltas a_L = kappa * phi * ((P + a_P)**eps - P**eps)
+    # at the price P the price run posted
     level, (start, end) = attack.params["level"], attack.window
-    values = {
-        t: sum(equivalent_load_delta(level, base[t, v], cfg.kappa, price_run.price[t], cfg.eps_dsm)
-               for v in attack.victim_indices(cfg.n_homes))
-        for t in range(start, end)
-    }
+    victims, eps = attack.victim_indices(cfg.n_homes), cfg.eps_dsm
+    values = {}
+    for t in range(start, end):
+        p = price_run.price[t]
+        values[t] = float(np.sum(cfg.kappa * base[t, victims] * ((p + level) ** eps - p**eps)))
     load_run = simulate(base, cfg, schedule=make_point(values, attack.window, victims=attack.victims))
     assume(load_run.clamped == 0)
     np.testing.assert_allclose(load_run.price, price_run.price, rtol=1e-9)
