@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages:
 
-    synth           hourly templates -> bootstrapped micro-grid CSV
+    synth           hourly templates -> micro-grid file: template day blocks and day picks
     simulate        micro-grid -> closed-loop trace CSV
     attack          trace -> trace CSV with a protocol attack forged post-hoc
     detect          attacked trace -> detections.csv + detect_meta.json
@@ -33,7 +33,7 @@ from gridloop.experiment import (
     protocol_schedule,
     run_experiment,
 )
-from gridloop.feedback import inject_post_hoc, read_trace, simulate, write_trace
+from gridloop.feedback import BaseLoadError, inject_post_hoc, read_trace, simulate, write_trace
 from gridloop.ingest import load_template_dir, resample_hourly
 from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
@@ -75,7 +75,7 @@ def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     templates = _hourly_templates(args, cfg)
     grid = synthesize_microgrid(templates, cfg.bootstrap_config(args.rep))
-    out = _out_file(args, "microgrid.csv")
+    out = _out_file(args, "microgrid.json")
     write_microgrid(grid, str(out))
     print(f"wrote {grid.n_hours}h x {grid.n_homes} homes to {out}")
     return 0
@@ -85,7 +85,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     grid = read_microgrid(args.grid)
     if grid.n_hours < cfg.horizon:
-        raise ValueError(f"grid has {grid.n_hours} hours, config wants {cfg.horizon}")
+        raise ValueError(f"{args.grid}: grid has {grid.n_hours} hours, config wants {cfg.horizon}")
     # the grid file, not the config, says how many homes there are
     gcfg = dataclasses.replace(cfg.grid_config(args.kappa), n_homes=grid.n_homes)
     schedule = read_schedule(args.schedule) if args.schedule else None
@@ -94,7 +94,10 @@ def cmd_simulate(args) -> int:
             schedule.victim_indices(grid.n_homes)
         except ValueError as exc:
             raise ValueError(f"{args.schedule}: {exc}") from None
-    trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule)
+    try:
+        trace = simulate(grid.kwh[: cfg.horizon], gcfg, schedule=schedule)
+    except BaseLoadError as exc:  # its hour is the grid file's
+        raise ValueError(f"{args.grid}: {exc}") from None
     out = _out_file(args, "trace.csv")
     write_trace(trace, str(out))
     print(f"wrote {len(trace)}h trace to {out}")
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridloop", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="bootstrap a micro-grid CSV")
+    p = sub.add_parser("synth", help="bootstrap a micro-grid as its day picks")
     _add_common(p)
     _add_templates(p)
     p.add_argument("--rep", type=int, default=0, help="replication index (seed stream)")
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the closed pricing loop")
     _add_common(p)
-    p.add_argument("--grid", required=True, help="microgrid CSV from synth")
+    p.add_argument("--grid", required=True, help="micro-grid file from synth")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--schedule", help="attack schedule JSON, applied inside the loop")
     p.set_defaults(func=cmd_simulate)

@@ -45,6 +45,7 @@ import numpy as np
 from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, read_table, write_table
 
 __all__ = [
+    "BaseLoadError",
     "GridConfig",
     "SimulationTrace",
     "inject_post_hoc",
@@ -61,6 +62,10 @@ _TRACE_DOMAINS = {
     "attack_truth": BINARY,
 }
 TRACE_COLUMNS = list(_TRACE_DOMAINS)
+
+
+class BaseLoadError(ValueError):
+    """An hour whose total base load is zero, negative or not finite: no price steers it."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,8 @@ def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
     for t in range(n_hours):
         phi_hat = float(base_total[max(t - 1, 0)])
         if not np.isfinite(phi_hat) or phi_hat <= 0:
-            raise ValueError("invalid forecast: base-load forecast must be positive")
+            raise BaseLoadError(f"hour {max(t - 1, 0)}: base-load total {phi_hat!r} "
+                                "must be finite and positive")
 
         # goal2 adds last hour's miss to the target; a non-positive L* takes the floor
         l_t = float(targets[t])

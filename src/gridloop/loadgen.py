@@ -1,26 +1,28 @@
 """Micro-grid population synthesis by day-block bootstrap.
 
-Builds an (hours x homes) base-load matrix from a handful of hourly
-templates: home i is assigned template i mod K (round robin) and each of
-its simulated days is an aligned 24-hour block drawn uniformly, with
-replacement, from that template's complete days.
+A population is its day picks: home i is assigned template i mod K (round
+robin) and each of its simulated days is one of that template's complete
+24-hour day blocks, drawn uniformly with replacement. ``Microgrid`` keeps
+every template's day blocks side by side and one block index per (home,
+day); the (hours x homes) base-load matrix is built from them on first use.
 
 Day d of home i is pick ``hash_integers((seed, "home"), i, d, blocks_i)``,
 a counter-based hash of (seed, home, day), so growing the population or
 the horizon never reshuffles a home's days. The picks are drawn for a
-block of homes at once, and the grid is filled one simulated day at a
-time across the block.
+block of homes at once, and the matrix is filled one simulated day at a
+time across such a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from gridloop.ingest import HourlySeries
 from gridloop.seeds import hash_integers
-from gridloop.tables import NON_NEGATIVE, WHOLE, read_table, write_table
+from gridloop.tables import read_json, write_json
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
@@ -51,17 +53,35 @@ class BootstrapConfig:
 
 @dataclass
 class Microgrid:
-    """Base loads for a simulated population: kwh[t, i] for hour t, home i."""
+    """A simulated population as its day picks.
 
-    kwh: np.ndarray
+    day_rows: (24 x B) loads; column j is day block j, the templates' blocks in template order
+    picks:    (homes x days) block indices, in the smallest unsigned dtype that holds B - 1;
+              day d of home i is day_rows[:, picks[i, d]]
+    kwh:      (hours x homes) base loads kwh[t, i], built from the two on first use
+    """
+
+    day_rows: np.ndarray
+    picks: np.ndarray
 
     @property
     def n_hours(self) -> int:
-        return self.kwh.shape[0]
+        return self.picks.shape[1] * BLOCK_HOURS
 
     @property
     def n_homes(self) -> int:
-        return self.kwh.shape[1]
+        return self.picks.shape[0]
+
+    @cached_property
+    def kwh(self) -> np.ndarray:
+        out = np.empty((self.n_hours, self.n_homes))
+        # np.take buffers its whole `out`, so each call fills one day of one block of homes
+        for lo in range(0, self.n_homes, _BLOCK_HOMES):
+            block = self.picks[lo : lo + _BLOCK_HOMES]
+            for d in range(block.shape[1]):
+                rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)
+                np.take(self.day_rows, block[:, d], axis=1, out=out[rows, lo : lo + len(block)])
+        return out
 
 
 def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) -> Microgrid:
@@ -82,26 +102,43 @@ def synthesize_microgrid(templates: list[HourlySeries], cfg: BootstrapConfig) ->
     day_rows = np.ascontiguousarray(day_rows.reshape(-1, BLOCK_HOURS).T)
     first = np.cumsum(usable) - usable
     which = np.arange(cfg.n_homes) % len(templates)
-    out = np.empty((cfg.num_days * BLOCK_HOURS, cfg.n_homes))
+    picks = np.empty((cfg.n_homes, cfg.num_days), dtype=np.min_scalar_type(day_rows.shape[1] - 1))
     days = np.arange(cfg.num_days)
     for lo in range(0, cfg.n_homes, _BLOCK_HOMES):
         hi = min(lo + _BLOCK_HOMES, cfg.n_homes)
         k = which[lo:hi]
-        picks = hash_integers((cfg.seed, "home"), np.arange(lo, hi)[:, None], days, usable[k, None])
-        picks += first[k, None]
-        for d in range(cfg.num_days):
-            rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)
-            np.take(day_rows, picks[:, d], axis=1, out=out[rows, lo:hi])
-    return Microgrid(kwh=out)
+        block = hash_integers((cfg.seed, "home"), np.arange(lo, hi)[:, None], days, usable[k, None])
+        picks[lo:hi] = block + first[k, None]
+    return Microgrid(day_rows=day_rows, picks=picks)
 
 
 def write_microgrid(grid: Microgrid, path: str) -> None:
-    """CSV with header hour,home_0,...,home_{N-1}; full float precision."""
-    header = ["hour"] + [f"home_{i}" for i in range(grid.n_homes)]
-    write_table(path, header, [np.arange(grid.n_hours)] + list(grid.kwh.T))
+    """JSON object: "days", B lists of 24 loads, and "picks", each home's day block per day."""
+    write_json(path, {"days": grid.day_rows.T.tolist(), "picks": grid.picks.tolist()})
 
 
 def read_microgrid(path: str) -> Microgrid:
-    """Read a micro-grid CSV; every load must be finite and non-negative."""
-    cols = read_table(path, {"hour": WHOLE}, more=NON_NEGATIVE)
-    return Microgrid(kwh=np.stack(list(cols.values())[1:], axis=1))
+    """Read a micro-grid file; every load must be finite and non-negative, every pick a day block."""
+    payload = read_json(path, {"days": None, "picks": None})
+    days, picks = payload["days"], payload["picks"]
+    if not (isinstance(days, list) and days and all(
+            isinstance(day, list) and len(day) == BLOCK_HOURS and all(type(v) in (int, float) for v in day)
+            for day in days)):
+        raise ValueError(f"{path}: days must be a non-empty list of lists of {BLOCK_HOURS} numbers")
+    try:
+        loads = np.array(days, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: days hold an integer past the float range") from None
+    bad = np.argwhere(~(np.isfinite(loads) & (loads >= 0)))
+    if len(bad):
+        j, h = bad[0]
+        raise ValueError(f"{path}: days[{j}][{h}] {days[j][h]!r} must be finite and non-negative")
+    if not (isinstance(picks, list) and picks and all(isinstance(row, list) for row in picks)
+            and picks[0] and all(len(row) == len(picks[0]) for row in picks)):
+        raise ValueError(f"{path}: picks must be a non-empty list of equal-length, non-empty lists")
+    for i, row in enumerate(picks):
+        for d, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < len(days):
+                raise ValueError(f"{path}: picks[{i}][{d}] {v!r} is not a day block (0..{len(days) - 1})")
+    return Microgrid(day_rows=np.ascontiguousarray(loads.T),
+                     picks=np.array(picks, dtype=np.min_scalar_type(len(days) - 1)))

@@ -3,7 +3,7 @@
 A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
 The bytes are csv.writer's, but each distinct value of a block of rows is
-formatted once (a bootstrapped micro-grid repeats its template days).
+formatted once.
 The readers raise one ValueError naming ``path:line`` (tables: where the
 row starts, as a quoted text cell, not a number, may span lines) or
 ``path: key`` (JSON), also for undecodable text and rows csv refuses.

@@ -19,7 +19,7 @@ from gridloop.detect import cusum_detect, glrt_detect
 from gridloop.experiment import ExperimentConfig, run_experiment
 from gridloop.feedback import GridConfig, simulate
 from gridloop.forecast import acf, acf_band, fit_seasonal_ar, forecast
-from gridloop.loadgen import synthesize_microgrid, write_microgrid
+from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 
 PROTOCOL = ExperimentConfig()  # the reference setup all bands refer to
@@ -235,8 +235,10 @@ def test_criterion_08_roc_properties():
 
 
 def test_criterion_09_bootstrap_fidelity(templates, tmp_path):
+    # the loads checked are the ones rebuilt from the written file
     n_homes, num_days = 200, 30
-    grid = _bootstrap_grid(templates, rep=0)
+    write_microgrid(_bootstrap_grid(templates, rep=0), str(tmp_path / "a.json"))
+    grid = read_microgrid(str(tmp_path / "a.json"))
     assert grid.kwh.shape == (24 * num_days, n_homes)
     n_templates = len(templates)
     all_match = True
@@ -248,10 +250,8 @@ def test_criterion_09_bootstrap_fidelity(templates, tmp_path):
             all_match = False
             break
 
-    again = _bootstrap_grid(templates, rep=0)
-    write_microgrid(grid, str(tmp_path / "a.csv"))
-    write_microgrid(again, str(tmp_path / "b.csv"))
-    identical = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    write_microgrid(_bootstrap_grid(templates, rep=0), str(tmp_path / "b.json"))
+    identical = (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     _report(9, "day-block bootstrap fidelity", all_match and identical,
             f"verbatim days={all_match}, same-seed bytes identical={identical}")

@@ -24,7 +24,7 @@ def _assert_chain_matches(cfg_json, root, tmp_path, kappa=0.2):
     """Chain the stage subcommands and compare with root's scenario files."""
     sdir = root / f"kappa_{kappa}" / "sudden" / "rep_000"
 
-    grid = tmp_path / "grid.csv"
+    grid = tmp_path / "grid.json"
     nominal = tmp_path / "nominal.csv"
     attacked = tmp_path / "attacked.csv"
     det = tmp_path / "det"
@@ -80,7 +80,7 @@ def test_run_experiment_command(cfg_json, tiny_run, tmp_path, capsys):
 
 
 def test_seed_flag_beats_config(tiny_cfg, cfg_json, tmp_path):
-    flag, config, seed_5 = (tmp_path / n for n in ("flag.csv", "config.csv", "seed_5.json"))
+    flag, config, seed_5 = (tmp_path / n for n in ("flag.json", "config.json", "seed_5.json"))
     write_json(seed_5, dataclasses.asdict(dataclasses.replace(tiny_cfg, seed=5)))
     assert run("synth", "--config", cfg_json, "--seed", 5, "--out", flag) == 0
     assert run("synth", "--config", seed_5, "--out", config) == 0
@@ -105,11 +105,11 @@ def test_negative_rep_exits_2(argv, cfg_json, tmp_path, capsys):
 def test_out_directory_gets_default_name(cfg_json, tmp_path):
     out_dir = tmp_path / "stage"
     assert run("synth", "--config", cfg_json, "--out", out_dir) == 0
-    grid = read_microgrid(out_dir / "microgrid.csv")
+    grid = read_microgrid(out_dir / "microgrid.json")
     assert grid.n_homes == 6
     assert grid.n_hours == 144  # horizon 126 rounded up to whole days
 
-    nested = tmp_path / "deep" / "tree" / "grid.csv"
+    nested = tmp_path / "deep" / "tree" / "grid.json"
     assert run("synth", "--config", cfg_json, "--out", nested) == 0
     assert nested.is_file()
 
@@ -121,7 +121,7 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gridloop: error:")
 
     # attack takes only the protocol's kinds, so --kind is a required argument
-    grid = tmp_path / "grid.csv"
+    grid = tmp_path / "grid.json"
     trace = tmp_path / "trace.csv"
     run("synth", "--config", cfg_json, "--out", grid)
     run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace)
@@ -145,7 +145,7 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
 def test_overflowing_price_power_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"target": 800, "eps_dsm": -1100, "eps_dsm_hat": -1}))
-    grid = tmp_path / "grid.csv"
+    grid = tmp_path / "grid.json"
     assert run("synth", "--config", cfg, "--out", grid) == 0
     capsys.readouterr()
     assert run("simulate", "--config", cfg, "--grid", grid, "--kappa", 0.5,
@@ -200,7 +200,7 @@ def test_evaluate_has_no_seed_flag(capsys):
 
 
 def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
-    grid = tmp_path / "grid.csv"
+    grid = tmp_path / "grid.json"
     schedule = tmp_path / "s.json"
     schedule.write_text(json.dumps({"mode": "load", "kind": "sudden", "window": [0, 4]}))
     run("synth", "--config", cfg_json, "--out", grid)
@@ -376,14 +376,57 @@ def test_undecodable_config_exits_2(tmp_path, capsys):
     _assert_names_file(capsys, path, ":1: not utf-8 text: byte 0xff")
 
 
-def test_oversized_grid_cell_exits_2(cfg_json, tmp_path, capsys):
-    grid = tmp_path / "grid.csv"
+def _edit_grid(grid, edit):
+    payload = json.loads(grid.read_text())
+    edit(payload)
+    grid.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        # the tiny config's 3 templates of 6 days give 18 day blocks
+        (lambda g: g["picks"][1].__setitem__(3, 18), ": picks[1][3] 18 is not a day block (0..17)"),
+        (lambda g: g["picks"][0].__setitem__(0, 10**30), f": picks[0][0] {10**30} is not a day block (0..17)"),
+        (lambda g: g["picks"][2].pop(), ": picks must be a non-empty list of equal-length"),
+        (lambda g: g["days"][4].__setitem__(7, -0.5), ": days[4][7] -0.5 must be finite and non-negative"),
+        (lambda g: g["days"][4].__setitem__(7, "1.0"), ": days must be a non-empty list of lists of 24 numbers"),
+        (lambda g: g.pop("days"), ": missing key 'days'"),
+        # 5 days of picks per home: 120 hours, short of the tiny config's 126
+        (lambda g: [row.pop() for row in g["picks"]], ": grid has 120 hours, config wants 126"),
+    ],
+    ids=["pick-past-blocks", "pick-huge", "picks-ragged", "load-negative", "load-string", "no-days",
+         "too-few-days"],
+)
+def test_malformed_grid_exits_2(cfg_json, tmp_path, capsys, edit, fragment):
+    grid = tmp_path / "grid.json"
     assert run("synth", "--config", cfg_json, "--out", grid) == 0
-    header, first, *rest = grid.read_text().splitlines()
-    grid.write_text("\n".join([header, first + "0" * 131_072, *rest]) + "\n")
+    _edit_grid(grid, edit)
     capsys.readouterr()
-    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2) == 2
-    _assert_names_file(capsys, grid, ":2: malformed row: field larger than field limit (131072)")
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
+               "--out", tmp_path / "t.csv") == 2
+    _assert_names_file(capsys, grid, fragment)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_zero_total_hour_names_the_grid_file(cfg_json, tmp_path, capsys):
+    # day block 0 is all zeros and every home picks it on day 0, so hour 0 totals 0.0
+    grid = tmp_path / "grid.json"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+
+    def zero_day_0(payload):
+        payload["days"][0] = [0.0] * 24
+        for row in payload["picks"]:
+            row[0] = 0
+
+    _edit_grid(grid, zero_day_0)
+    capsys.readouterr()
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2,
+               "--out", tmp_path / "t.csv") == 2
+    assert capsys.readouterr().err == (
+        f"gridloop: error: {grid}: hour 0: base-load total 0.0 must be finite and positive\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -448,7 +491,7 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
          "victim-out-of-range", "victim-huge", "ramp-overflow"],
 )
 def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
-    grid = tmp_path / "grid.csv"
+    grid = tmp_path / "grid.json"
     assert run("synth", "--config", cfg_json, "--out", grid) == 0
     path = tmp_path / "s.json"
     path.write_text(text)

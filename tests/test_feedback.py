@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridloop.attack import make_point, make_ramp, make_sudden
 from gridloop.feedback import (
     TRACE_COLUMNS,
+    BaseLoadError,
     GridConfig,
     inject_post_hoc,
     read_trace,
@@ -212,7 +213,8 @@ def test_bad_forecast_rejected():
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             base = _flat_grid(4, 2)
             base[hour] = (bad, 0.0)
-            with pytest.raises(ValueError, match="invalid forecast"):
+            message = f"hour {hour}: base-load total {bad!r} must be finite and positive"
+            with pytest.raises(BaseLoadError, match="^" + re.escape(message) + "$"):
                 simulate(base, GridConfig(n_homes=2, kappa=0.5))
 
 

@@ -1,5 +1,5 @@
 import hashlib
-import re
+import json
 import tracemalloc
 
 import numpy as np
@@ -114,32 +114,81 @@ def test_config_validation():
         BootstrapConfig(n_homes=1, num_days=0)
 
 
-def test_csv_round_trip(tmp_path):
+def test_file_round_trip(tmp_path):
     tpl = _template("t", 3)
     grid = synthesize_microgrid([tpl], BootstrapConfig(3, 2, seed=7))
-    path = tmp_path / "grid.csv"
+    path = tmp_path / "grid.json"
     write_microgrid(grid, str(path))
     back = read_microgrid(str(path))
     assert np.array_equal(back.kwh, grid.kwh)
     assert back.kwh.shape == grid.kwh.shape
 
 
+def _grid_file(path, days=None, picks=None, **extra):
+    """A micro-grid file of two day blocks (zeros, ones) and two homes over two days."""
+    payload = {"days": [[0.0] * 24, [1.0] * 24] if days is None else days,
+               "picks": [[0, 1], [1, 1]] if picks is None else picks, **extra}
+    path.write_text(json.dumps({k: v for k, v in payload.items() if v != "drop"}))
+    return path
+
+
+def _day(h, value):
+    return [1.0] * h + [value] + [1.0] * (23 - h)
+
+
+_DAYS = "days must be a non-empty list of lists of 24 numbers"
+_PICKS = "picks must be a non-empty list of equal-length, non-empty lists"
+
+
 @pytest.mark.parametrize(
-    "rows, where",
+    "fields, message",
     [
-        (["0,1.0,nan", "1,-2.0,1.0"], ":2: home_1 nan"),
-        (["0,1.0,0.5", "1,-2.0,1.0"], ":3: home_0 -2.0"),
-        (["0,1.0,0.5", "1,1.0,inf"], ":3: home_1 inf"),
-        (["0,1.0,0.5", "1,1.0,x"], ":3: malformed row"),
-        (["0.5,1.0,0.5", "1,1.0,1.0"], ":2: hour 0.5 must be a whole number >= 0"),
-        (["0,1.0,0.5", "-7,1.0,1.0"], ":3: hour -7.0 must be a whole number >= 0"),
+        ({"days": "drop"}, "missing key 'days'"),
+        ({"picks": "drop"}, "missing key 'picks'"),
+        ({"days": [_day(0, 1.0), _day(1, float("nan"))]}, "days[1][1] nan must be finite and non-negative"),
+        ({"days": [_day(5, -2.0), _day(1, 1.0)]}, "days[0][5] -2.0 must be finite and non-negative"),
+        ({"days": [_day(0, 1.0), _day(23, float("inf"))]}, "days[1][23] inf must be finite and non-negative"),
+        ({"days": [_day(0, 1.0), _day(3, -1)]}, "days[1][3] -1 must be finite and non-negative"),
+        ({"days": [_day(0, 1.0), _day(2, 10**400)]}, "days hold an integer past the float range"),
+        ({"days": [_day(0, 1.0), _day(2, "x")]}, _DAYS),
+        ({"days": [_day(0, 1.0), _day(2, True)]}, _DAYS),
+        ({"days": [_day(0, 1.0), _day(2, None)]}, _DAYS),
+        ({"days": [_day(0, 1.0), _day(2, [1.0])]}, _DAYS),
+        ({"days": [_day(0, 1.0), [1.0] * 23]}, _DAYS),
+        ({"days": []}, _DAYS),
+        ({"days": 5.0}, _DAYS),
+        ({"days": [[_day(0, 1.0)]]}, _DAYS),
+        ({"picks": [[0, 1], [1]]}, _PICKS),
+        ({"picks": [[], []]}, _PICKS),
+        ({"picks": []}, _PICKS),
+        ({"picks": [0, 1]}, _PICKS),
+        ({"picks": {"0": [0, 1]}}, _PICKS),
+        ({"picks": [[0, 1], [1, 0.5]]}, "picks[1][1] 0.5 is not a day block (0..1)"),
+        ({"picks": [[0, -7], [1, 1]]}, "picks[0][1] -7 is not a day block (0..1)"),
+        ({"picks": [[0, 1], [True, 1]]}, "picks[1][0] True is not a day block (0..1)"),
+        ({"picks": [[0, 1], [1, 2]]}, "picks[1][1] 2 is not a day block (0..1)"),
+        ({"picks": [[0, 1], [1, 1.0]]}, "picks[1][1] 1.0 is not a day block (0..1)"),
+        ({"picks": [[10**30, 1], [1, 1]]}, f"picks[0][0] {10**30} is not a day block (0..1)"),
+        ({"picks": [[0, 1], [1, [1]]]}, "picks[1][1] [1] is not a day block (0..1)"),
     ],
+    ids=["no-days", "no-picks", "load-nan", "load-negative", "load-inf", "load-negative-int",
+         "load-huge-int", "load-string", "load-bool", "load-null", "load-list", "day-short",
+         "days-empty", "days-number", "days-nested", "picks-ragged", "picks-empty-rows",
+         "picks-empty", "picks-flat", "picks-object", "pick-float", "pick-negative", "pick-bool",
+         "pick-past-blocks", "pick-whole-float", "pick-huge", "pick-list"],
 )
-def test_read_microgrid_rejects_bad_loads(tmp_path, rows, where):
-    path = tmp_path / "grid.csv"
-    path.write_text("\n".join(["hour,home_0,home_1"] + rows) + "\n")
-    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
+def test_read_microgrid_rejects_malformed_input(tmp_path, fields, message):
+    path = _grid_file(tmp_path / "grid.json", **fields)
+    with pytest.raises(ValueError) as exc:
         read_microgrid(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_read_microgrid_ignores_the_suffix(tmp_path):
+    # a picks file may carry any name, microgrid.csv included
+    grid = read_microgrid(str(_grid_file(tmp_path / "microgrid.csv")))
+    assert grid.picks.tolist() == [[0, 1], [1, 1]]
+    assert np.array_equal(grid.kwh, np.repeat([[0.0, 1.0], [1.0, 1.0]], 24, axis=0))
 
 
 @settings(max_examples=25)
@@ -158,6 +207,35 @@ def test_bootstrap_membership_property(k, days, homes, num_days, seed):
         source = _day_blocks(tpls[i % k].kwh)
         for day in _day_blocks(grid.kwh[:, i]):
             assert any(np.array_equal(day, s) for s in source)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 4),   # templates
+    st.integers(1, 5),   # complete days per template
+    st.integers(1, 6),   # homes
+    st.integers(1, 8),   # simulated days
+    st.integers(0, 2**31),
+)
+def test_file_round_trip_property(tmp_path_factory, k, days, homes, num_days, seed):
+    tpls = [_template(f"t{j}", days, base=float(j) + 1 / 3) for j in range(k)]
+    grid = synthesize_microgrid(tpls, BootstrapConfig(homes, num_days, seed=seed))
+    path = tmp_path_factory.mktemp("grid") / "grid.json"
+    write_microgrid(grid, str(path))
+    back = read_microgrid(str(path))
+    assert back.day_rows.tobytes() == grid.day_rows.tobytes()
+    assert back.picks.dtype == grid.picks.dtype == np.uint8
+    assert np.array_equal(back.picks, grid.picks)
+    assert back.kwh.tobytes() == grid.kwh.tobytes()
+
+
+def test_picks_take_the_smallest_unsigned_dtype():
+    # 256 day blocks need index 255, the most uint8 holds; 257 need uint16
+    for blocks, dtype in ((256, np.uint8), (257, np.uint16)):
+        grid = synthesize_microgrid([_template("t", blocks)], BootstrapConfig(3, 40, seed=1))
+        assert grid.day_rows.shape == (24, blocks)
+        assert grid.picks.dtype == dtype
+        assert grid.picks.max() < blocks
 
 
 def _uneven_templates():
@@ -197,7 +275,9 @@ def test_bootstrap_memory_stays_beside_the_grid():
     try:
         start = tracemalloc.get_traced_memory()[0]
         grid = synthesize_microgrid(templates, BootstrapConfig(20_000, 31))
+        kwh = grid.kwh  # built here, a day of a block of homes per np.take
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak - grid.kwh.nbytes < 5 * 2**20
+    # a whole-width fill per day holds 4.4 MB more than the grid; the blocked fill and the picks 1.4 MB
+    assert peak - kwh.nbytes < 3 * 2**20

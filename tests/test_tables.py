@@ -56,14 +56,20 @@ def test_trace_bytes(tmp_path):
 
 
 def test_microgrid_bytes(tmp_path):
-    grid = Microgrid(kwh=np.array([[0.1, 1 / 3], [1e-300, 2.0]]))
-    path = tmp_path / "grid.csv"
+    # two day blocks of 24 loads, three homes over two days
+    days = np.array([[0.1, 1 / 3] * 12, [1e-300, 2.0] * 12])
+    grid = Microgrid(day_rows=days.T, picks=np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8))
+    path = tmp_path / "grid.json"
     write_microgrid(grid, path)
+
+    def inner(cells):  # a list inside a list inside the object: one cell a line, 6 spaces in
+        return "    [\n" + ",\n".join(f"      {c}" for c in cells) + "\n    ]"
+
     assert path.read_bytes() == (
-        b"hour,home_0,home_1\r\n"
-        b"0,0.1,0.3333333333333333\r\n"
-        b"1,1e-300,2.0\r\n"
-    )
+        '{\n  "days": [\n' + inner(["0.1", "0.3333333333333333"] * 12) + ",\n"
+        + inner(["1e-300", "2.0"] * 12) + '\n  ],\n  "picks": [\n'
+        + ",\n".join([inner([0, 1]), inner([1, 1]), inner([1, 0])]) + "\n  ]\n}\n"
+    ).encode()
 
 
 def test_json_bytes(tmp_path):
@@ -177,10 +183,10 @@ def test_write_table_rejects_columns_of_unequal_length(tmp_path, monkeypatch, ro
 
 
 def test_microgrid_io_memory(tmp_path):
-    """Writing a 1392 h x 200 home grid holds one block beside it, reading it little more than it."""
+    """A 1392 h x 200 home grid goes out and back as its picks, never as its loads."""
     templates = synthetic_hourly_templates(7, 28, seed=0)
     grid = synthesize_microgrid(templates, BootstrapConfig(n_homes=200, num_days=58, seed=0))
-    path = tmp_path / "grid.csv"
+    path = tmp_path / "grid.json"
     tracemalloc.start()
     try:
         write_microgrid(grid, path)
@@ -190,10 +196,11 @@ def test_microgrid_io_memory(tmp_path):
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "kwh" not in vars(grid) and "kwh" not in vars(back)  # neither built the matrix
+    assert path.stat().st_size < 300e3
+    assert write_peak < 1e6
+    assert read_peak < 2e6
     assert np.array_equal(back.kwh, grid.kwh)
-    assert grid.kwh.nbytes < 2.3e6
-    assert write_peak < 4e6
-    assert read_peak < 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +348,10 @@ def test_read_json_returns_the_object(tmp_path):
 def valid_files(tmp_path_factory, tiny_run, tiny_cfg):
     root = tmp_path_factory.mktemp("valid")
     grid = synthesize_microgrid(synthetic_hourly_templates(2, 2, seed=0), BootstrapConfig(3, 2))
-    write_microgrid(grid, root / "grid.csv")
+    write_microgrid(grid, root / "grid.json")
     write_trace(simulate(grid.kwh, GridConfig(n_homes=3, kappa=0.5)), root / "trace.csv")
     write_json(root / "cfg.json", dataclasses.asdict(ExperimentConfig()))
-    files = {name: (root / name).read_bytes() for name in ("grid.csv", "trace.csv", "cfg.json")}
+    files = {name: (root / name).read_bytes() for name in ("grid.json", "trace.csv", "cfg.json")}
     sdir = scenario_dir(tiny_run[0], tiny_cfg.kappas[0], tiny_cfg.attacks[0], 0)
     files.update({name: (sdir / name).read_bytes() for name in ("detections.csv", "detect_meta.json")})
     files["schedule.json"] = json.dumps({
@@ -356,7 +363,7 @@ def valid_files(tmp_path_factory, tiny_run, tiny_cfg):
 
 
 _READERS = {
-    "grid.csv": read_microgrid,
+    "grid.json": read_microgrid,
     "trace.csv": read_trace,
     "cfg.json": ExperimentConfig.from_json,
     "detections.csv": _read_detections,
