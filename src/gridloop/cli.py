@@ -117,7 +117,12 @@ def cmd_detect(args) -> int:
     cfg = _load_cfg(args)
     trace = read_trace(args.trace)
     out = Path(args.out or ".")
-    detect_stage(trace, cfg, args.kappa, args.attack, args.rep, out)
+    try:
+        detect_stage(trace, cfg, args.kappa, args.attack, args.rep, out)
+    except ValueError as exc:
+        if args.kappa not in cfg.kappas:  # the flag, not the trace, is at fault
+            raise
+        raise ValueError(f"{args.trace}: {exc}") from None
     print(f"wrote detections.csv and detect_meta.json to {out}")
     return 0
 
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--attack", required=True, help="attack kind label for the metadata")
+    p.add_argument("--attack", required=True, choices=KINDS, help="attack kind label for the metadata")
     p.add_argument("--rep", type=int, default=0)
     p.set_defaults(func=cmd_detect)
 

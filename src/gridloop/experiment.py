@@ -35,6 +35,7 @@ from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT
 
 __all__ = [
     "DETECTORS",
+    "METRICS",
     "ExperimentConfig",
     "detect_stage",
     "evaluate_stage",
@@ -46,6 +47,8 @@ __all__ = [
 
 # everything emitted per scenario
 DETECTORS = ("glrt", "cusum", "cusum_interval", "logreg", "gnb", "forest")
+# each detector's scores at its operating point, in metrics.json and summed up in summary.json
+METRICS = ("accuracy", "precision", "recall", "fpr", "auc")
 
 # point-spike template: (fraction of the attack window as 24ths, magnitude)
 _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
@@ -272,8 +275,6 @@ def detect_stage(
     """
     if shared is None and kappa not in cfg.kappas:
         raise ValueError(f"kappa {kappa} not in config kappas {cfg.kappas}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     observed = trace.observed_load
     labels = trace.attack_truth
     if len(observed) != cfg.horizon:
@@ -296,6 +297,8 @@ def detect_stage(
     X_test = X_all[cfg.train_hours - cfg.feature_lags :]
     scores = {name: model.predict_score(X_test) for name, model in shared.models.items()}
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # one block of rows per detector, then the residual series
     rows = {
         "glrt": (glrt_res.scores, glrt_res.decisions),
@@ -362,14 +365,16 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     Classifier-style detectors are evaluated from their stored scores;
     GLRT and CUSUM threshold sweeps are rebuilt from the stored residuals
     and noise scale. Every metric is read off the curve point that
-    best_operating_index picks. Returns the metrics entries (one per
-    detector).
+    best_operating_index picks. Returns the metrics entries, one per
+    detector in DETECTORS order.
     """
     det_dir = Path(det_dir)
     out_dir = det_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta_path = det_dir / "detect_meta.json"
     meta = read_json(meta_path, _META_KEYS)
+    if meta["attack_type"] not in KINDS:
+        raise ValueError(f"{meta_path}: attack_type {meta['attack_type']!r} is not one of {', '.join(KINDS)}")
     table = _read_detections(det_dir / "detections.csv")
     residuals, labels = table["residual"]
     sigma = float(meta["sigma"])
@@ -391,8 +396,7 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
         ms = evaluation.metrics_at(roc, i)
         entries.append({
             "detector": name, "kappa": meta["kappa"], "attack_type": meta["attack_type"],
-            **{key: _json_float(getattr(ms, key)) for key in ("accuracy", "precision", "recall", "fpr")},
-            "auc": _json_float(roc.auc),
+            **{key: _json_float(roc.auc if key == "auc" else getattr(ms, key)) for key in METRICS},
             "best_threshold": _json_float(float(roc.thresholds[i])),
             "undefined": list(ms.undefined),
         })
@@ -436,42 +440,23 @@ def run_experiment(cfg: ExperimentConfig, out_root, templates: list[HourlySeries
                 entries = evaluate_stage(sdir)
                 per_scenario.setdefault((kappa, attack), []).append(entries)
 
-    table = []
+    table, scenarios = [], []
     for (kappa, attack), reps in sorted(per_scenario.items()):
-        for detector in DETECTORS:
-            row = {"kappa": kappa, "attack_type": attack, "detector": detector,
-                   "replications": len(reps)}
-            for key in ("accuracy", "precision", "recall", "fpr", "auc"):
-                # as float, an undefined metric (null) is nan
-                vals = np.array(
-                    [next(e for e in rep_entries if e["detector"] == detector)[key] for rep_entries in reps],
-                    dtype=float,
-                )
+        scenarios.append({"kappa": kappa, "attack_type": attack, "replications": len(reps),
+                          "dir": str(scenario_dir("", kappa, attack, 0).parent)})
+        for d, detector in enumerate(DETECTORS):  # evaluate_stage returns its entries in this order
+            row = {"kappa": kappa, "attack_type": attack, "detector": detector, "replications": len(reps)}
+            for key in METRICS:
+                # as float, an undefined metric (null) is nan; the mean and std of finite values are finite
+                vals = np.array([entries[d][key] for entries in reps], dtype=float)
                 finite = vals[np.isfinite(vals)]
-                row[key] = _json_float(float(np.mean(finite))) if len(finite) else None
-                row[f"{key}_std"] = (
-                    _json_float(float(np.std(finite, ddof=1))) if len(finite) > 1 else 0.0
-                )
+                row[key] = float(np.mean(finite)) if len(finite) else None
+                row[f"{key}_std"] = float(np.std(finite, ddof=1)) if len(finite) > 1 else 0.0
             table.append(row)
 
-    summary = {
-        "config": asdict(cfg),
-        "table": table,
-        "scenarios": [
-            {
-                "kappa": kappa,
-                "attack_type": attack,
-                "replications": len(reps),
-                "dir": str(Path(_kappa_dir(kappa)) / attack),
-            }
-            for (kappa, attack), reps in sorted(per_scenario.items())
-        ],
-    }
+    summary = {"config": asdict(cfg), "table": table, "scenarios": scenarios}
     write_json(out_root / "summary.json", summary)
-
-    header = ["kappa", "attack_type", "detector", "replications"]
-    for key in ("accuracy", "precision", "recall", "fpr", "auc"):
-        header += [key, f"{key}_std"]
+    header = list(table[0])
     write_table(out_root / "summary.csv", header, [
         ["nan" if row[c] is None else row[c] for row in table] for c in header
     ])

@@ -86,9 +86,8 @@ def _quoted(cells, alone: bool) -> list:
     return [quote[t] for t in texts]
 
 
-def read_table(path, domains: dict, more: str | None = None) -> dict:
-    """Read a table whose header is the keys of `domains`, followed, if
-    `more` is a domain, by one or more columns of that domain.
+def read_table(path, domains: dict) -> dict:
+    """Read a table whose header is the keys of `domains`.
 
     Returns every column by name in file order: a float array, or a str
     array for a TEXT column.
@@ -96,12 +95,9 @@ def read_table(path, domains: dict, more: str | None = None) -> dict:
     with open(path, newline="") as fh:
         records = _csv_rows(path, reader := csv.reader(fh))
         header = next(records, [])
-        names = list(domains)
-        if (header[: len(names)] != names or (len(header) > len(names)) != (more is not None)
-                or len(set(header)) < len(header)):
-            want = ",".join(names + ["..."] * (more is not None))
-            raise ValueError(f"{path}:1: unexpected header {','.join(header)}; expected {want}")
-        kinds = [domains.get(name, more) for name in header]
+        if header != list(domains):
+            raise ValueError(f"{path}:1: unexpected header {','.join(header)}; expected {','.join(domains)}")
+        kinds = list(domains.values())
         numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
         blocks, text = [], {j: [] for j, kind in enumerate(kinds) if kind == TEXT}
         step, line, firsts = max(1, _BLOCK_CELLS // len(header)), 2, []  # next block's first line; row lines

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import math
 import os
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridloop import classifiers
@@ -18,6 +19,7 @@ from gridloop.classifiers import (
     RandomForest,
 )
 from gridloop.detect import build_training_set, make_features
+from gridloop.seeds import hash_integers
 
 
 def _blobs(n=60, gap=8.0, sd=0.5, seed=17, d=2):
@@ -522,3 +524,100 @@ def test_forest_grows_in_process_beside_a_thread(monkeypatch, forks):
     assert not thread.is_alive()
     assert forks == []
     _assert_same_trees(model.trees, serial.trees)
+
+
+# ---------------------------------------------------------------------------
+# the forest against a plain reference: the trees its docstring specifies, one at a time
+
+
+def _reference_trees(X, y, n_trees, seed):
+    """Grow each tree alone, node by node in level order, and score every cut by counting rows.
+
+    The binning and the ``hash_integers`` draws are the forest's; nothing else is shared.
+    A node's candidate features are keyed on its level-order number, so the nodes wait in a
+    first-in first-out queue, each with its bootstrap rows.
+    """
+    X = X[:, X.min(axis=0) < X.max(axis=0)]  # constant columns dropped
+    n, d = X.shape
+    mtry = math.ceil(math.sqrt(d))
+    cuts = []  # each feature's distinct values, or 256 of them at evenly spaced ranks
+    for f in range(d):
+        uniq = np.unique(X[:, f])
+        if len(uniq) > 256:
+            uniq = uniq[np.unique(np.round(np.linspace(0, len(uniq) - 1, 256)).astype(int))]
+        cuts.append(uniq)
+    bins = np.column_stack([np.searchsorted(c, X[:, f]) for f, c in enumerate(cuts)])
+    trees = []
+    for t in range(n_trees):
+        queue = [hash_integers((seed, "rows"), t, np.arange(n), n)]
+        nodes = []  # (feature, threshold, left, right, vote), in level order
+        while len(nodes) < len(queue):
+            node, rows = len(nodes), queue[len(nodes)]
+            ones = int(y[rows].sum())
+            best = (math.inf, None, None)
+            if len(rows) >= 2 and 0 < ones < len(rows):
+                keys = hash_integers((seed, "features"), t, node * d + np.arange(d), 2**32 - 1)
+                for f in sorted(np.argsort(keys, kind="stable")[:mtry].tolist()):
+                    col = bins[rows, f]
+                    for b in sorted(set(col.tolist()))[:-1]:  # the largest bin leaves no row right
+                        score = _weighted_gini(y[rows][col <= b], y[rows][col > b])
+                        if score < best[0]:  # ties keep the lower feature, then the lower cut
+                            best = (score, f, b)
+            _, f, b = best
+            if f is None:  # a leaf's children are itself; it votes its majority, a tie for 0
+                nodes.append((0, math.inf, node, node, int(2 * ones > len(rows))))
+            else:
+                nodes.append((f, float(cuts[f][b]), len(queue), len(queue) + 1, -1))
+                queue += [rows[bins[rows, f] <= b], rows[bins[rows, f] > b]]
+        columns = zip(*nodes)
+        dtypes = (np.int32, np.float64, np.int32, np.int32, np.int8)
+        trees.append({key: np.array(col, dtype=dt) for key, col, dt in zip(_TREE_KEYS, columns, dtypes)})
+    return trees
+
+
+def _weighted_gini(left, right):
+    """The two sides' Gini impurities weighted by their sizes, from each side's class counts."""
+    sides = []
+    for labels in (left, right):
+        n, ones = len(labels), int(labels.sum())
+        sides.append((n, 1.0 - ((n - ones) ** 2 + ones**2) / n**2))
+    (nl, gl), (nr, gr) = sides
+    return (nl * gl + nr * gr) / (nl + nr)
+
+
+_TREE_KEYS = ("feature", "threshold", "left", "right", "vote")
+# how a drawn feature column is filled: a few values with many ties, all distinct, or one value
+_COLUMNS = {
+    "ties": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "distinct": lambda rng, n: rng.normal(size=n),
+    "constant": lambda rng, n: np.full(n, 7.0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 40), st.integers(257, 300)),  # past 256 distinct values, the cuts are binned
+    kinds=st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5),
+    noise=st.sampled_from([0.0, 0.1, 0.5]),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 6),
+    batch=st.integers(1, 6),
+    cores=st.integers(1, 3),
+)
+@example(n=300, kinds=["distinct", "constant", "ties", "distinct"], noise=0.1, data_seed=1, seed=2,
+         n_trees=6, batch=2, cores=3)
+@example(n=12, kinds=["ties", "ties"], noise=0.5, data_seed=3, seed=4, n_trees=5, batch=1, cores=2)
+def test_forest_grows_the_reference_trees(n, kinds, noise, data_seed, seed, n_trees, batch, cores):
+    rng = np.random.default_rng(data_seed)
+    X = np.column_stack([_COLUMNS[kind](rng, n) for kind in kinds])
+    assume(np.any(X.min(axis=0) < X.max(axis=0)))
+    total = X.sum(axis=1)
+    y = ((total > np.median(total)) ^ (rng.random(n) < noise)).astype(int)
+    y[:2] = 0, 1
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a constant column is dropped with a warning
+        mp.setattr(classifiers, "_BATCH_ROWS", batch * n)  # batches of `batch` trees
+        mp.setattr(classifiers, "_usable_cores", lambda: cores)
+        model = RandomForest(n_trees=n_trees, seed=seed).fit(X, y)
+    _assert_same_trees(model.trees, _reference_trees(X, y, n_trees, seed))

@@ -131,6 +131,13 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
     assert exc.value.code == 2
     assert "the following arguments are required: --kind" in capsys.readouterr().err
 
+    # detect labels its output with a protocol kind, so --attack takes those alone
+    with pytest.raises(SystemExit) as exc:
+        run("detect", "--config", cfg_json, "--trace", trace, "--kappa", 0.2, "--attack", "bogus",
+            "--out", tmp_path / "d")
+    assert exc.value.code == 2
+    assert "argument --attack: invalid choice: 'bogus'" in capsys.readouterr().err
+
     # kappa must be one of the config's sweep values
     assert run("detect", "--config", cfg_json, "--trace", trace,
                "--kappa", 0.5, "--attack", "sudden", "--out", tmp_path / "d") == 2
@@ -260,6 +267,8 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
     "edit, fragment",
     [
         (lambda meta: meta.pop("sweep"), ": missing key 'sweep'"),
+        (lambda meta: meta.update(attack_type="bogus"), ": attack_type 'bogus' is not one of ramp, sudden"),
+        (lambda meta: meta.update(attack_type=None), ": attack_type None is not one of ramp, sudden, point"),
         (lambda meta: meta.update(sigma="x"), ": sigma 'x' must be a number, finite and positive"),
         (lambda meta: meta["glrt"].update(window=0.5), ": glrt.window 0.5 must be a number, a whole"),
         (lambda meta: meta["sweep"].update(points=0), ": sweep.points 0 must be a number, a whole"),
@@ -270,8 +279,8 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
         (lambda meta: meta.update(sigma=1e10, sweep={**meta["sweep"], "cusum_sigmas": 1e300}),
          ": h_max_sigmas * sigma = 1e+300 * 10000000000.0 exceeds the largest float"),
     ],
-    ids=["no-sweep", "sigma-x", "window-half", "points-0", "points-fraction",
-         "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows"],
+    ids=["no-sweep", "attack-bogus", "attack-null", "sigma-x", "window-half", "points-0",
+         "points-fraction", "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows"],
 )
 def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
@@ -407,6 +416,31 @@ def test_malformed_grid_exits_2(cfg_json, tmp_path, capsys, edit, fragment):
                "--out", tmp_path / "t.csv") == 2
     _assert_names_file(capsys, grid, fragment)
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda rows: rows[:-1], ": trace has 125 hours, config wants 126"),
+        (lambda rows: rows + rows[-1:], ": trace has 127 hours, config wants 126"),
+        # the tiny config trains on its first 96 hours; attack_truth is the last column
+        (lambda rows: rows[:10] + [rows[10][:-1] + ["1"]] + rows[11:],
+         ": training window is attacked; detectors assume a clean train set"),
+    ],
+    ids=["short", "long", "attacked-train-window"],
+)
+def test_bad_trace_for_detect_exits_2(cfg_json, tmp_path, capsys, edit, fragment):
+    grid, trace, det = tmp_path / "grid.json", tmp_path / "trace.csv", tmp_path / "det"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace) == 0
+    header, *lines = trace.read_text().splitlines()
+    rows = edit([ln.split(",") for ln in lines])
+    trace.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert run("detect", "--config", cfg_json, "--trace", trace, "--kappa", 0.2, "--attack", "sudden",
+               "--out", det) == 2
+    _assert_names_file(capsys, trace, fragment)
+    assert not det.exists()
 
 
 def test_zero_total_hour_names_the_grid_file(cfg_json, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from gridloop.experiment import (
     DETECTORS,
+    METRICS,
     ExperimentConfig,
     detect_stage,
     evaluate_stage,
@@ -221,7 +222,7 @@ def test_metrics_json_schema(tiny_cfg, tiny_run):
     for e in entries:
         assert e["kappa"] == 0.2
         assert e["attack_type"] == "sudden"
-        for key in ("accuracy", "precision", "recall", "fpr", "auc"):
+        for key in METRICS:
             v = e[key]
             assert v is None or (isinstance(v, float) and 0.0 <= v <= 1.0), (e["detector"], key, v)
         assert isinstance(e["undefined"], list)
@@ -261,7 +262,7 @@ def test_summary_table_covers_all_cells(tiny_cfg, tiny_run):
         assert row["attack_type"] == "sudden"
         assert row["replications"] == 1
         # single replication: std badges are zero, means match the rep
-        for key in ("accuracy", "precision", "recall", "fpr", "auc"):
+        for key in METRICS:
             assert row[f"{key}_std"] == 0.0
 
     with open(root / "summary.json") as fh:
@@ -368,6 +369,20 @@ def test_golden_evaluate_stage(case, tiny_run, tmp_path):
         assert best["cusum"] == best["cusum_interval"] == "-Infinity"
     blob = b"".join((tmp_path / "out" / name).read_bytes() for name in ("metrics.json", "roc.csv"))
     assert hashlib.sha256(blob).hexdigest() == _GOLDEN_EVALUATE[case]
+
+
+# sha256 of summary.json + summary.csv over 2 replications of 2 kappas x 2 attacks, pinned across
+# commits: the cross-replication means, the ddof=1 standard deviations and the rows' sort order
+_GOLDEN_SUMMARY = "020f82050aa82a8ad8498df47e788204362ce021bbaaf15eb3e14361eb4a3111"
+
+
+def test_golden_summary_over_replications(tiny_cfg, tmp_path):
+    cfg = dataclasses.replace(tiny_cfg, kappas=(0.2, 0.7), attacks=("sudden", "point"), replications=2)
+    summary = run_experiment(cfg, tmp_path)
+    assert [(row["kappa"], row["attack_type"]) for row in summary["scenarios"]] == [
+        (0.2, "point"), (0.2, "sudden"), (0.7, "point"), (0.7, "sudden")]
+    blob = b"".join((tmp_path / name).read_bytes() for name in ("summary.json", "summary.csv"))
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_SUMMARY
 
 
 def test_detect_stage_rejects_wrong_horizon(tiny_cfg, tiny_run, tmp_path):

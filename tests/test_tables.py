@@ -250,7 +250,7 @@ def test_line_numbers_hold_across_blocks(tmp_path, row, where):
     path = tmp_path / "t.csv"
     path.write_text("\n".join(["hour,a,b"] + rows) + "\n", errors="surrogateescape")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
-        read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+        read_table(path, {"hour": FINITE, "a": NON_NEGATIVE, "b": NON_NEGATIVE})
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -283,19 +283,21 @@ def test_read_table_names_csv_and_decoding_errors(tmp_path, data, where):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
-        read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+        read_table(path, {"hour": FINITE, "a": NON_NEGATIVE})
 
 
-def test_read_table_more_columns(tmp_path):
+def test_read_table_reads_each_named_column(tmp_path):
+    domains = {"hour": FINITE, "a": NON_NEGATIVE, "b": NON_NEGATIVE}
     path = tmp_path / "t.csv"
     path.write_text("hour,a,b\n0,1.5,2\n1,0,3\n")
-    cols = read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+    cols = read_table(path, domains)
     assert list(cols) == ["hour", "a", "b"]
     assert cols["b"].tolist() == [2.0, 3.0]
-    for header in ("hour\n", "hour,a,a\n"):
-        path.write_text(header)
-        with pytest.raises(ValueError, match=re.escape(f"{path}:1: unexpected header")):
-            read_table(path, {"hour": FINITE}, more=NON_NEGATIVE)
+    for header in ("hour", "hour,a,a"):
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: unexpected header {header}; "
+                                                             "expected hour,a,b")):
+            read_table(path, domains)
 
 
 def test_read_table_empty_body(tmp_path):
