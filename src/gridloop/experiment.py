@@ -30,8 +30,8 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
-from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT, WHOLE, read_json,
-                             read_table, write_json, write_table)
+from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT, UNIT, WHOLE,
+                             read_json, read_table, write_json, write_table)
 
 __all__ = [
     "DETECTORS",
@@ -57,7 +57,7 @@ _SUDDEN_LEVEL = 150.0
 
 _DETECTION_COLUMNS = {"hour": WHOLE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
-_META_KEYS = {"kappa": None, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
+_META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
               "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE, "sweep.cusum_k": NON_NEGATIVE}
 
 _NUMBER = (int, float)
@@ -246,7 +246,10 @@ def prepare_detectors(
 
     rng = stream(cfg.seed, "train_attacks", rep, kappa_index)
     doubled, labels = detect.build_training_set(train_series, rng)
-    X, y = detect.make_features(doubled, labels, cfg.feature_lags)
+    n = len(train_series)  # features per half, so no attacked row lags into the nominal half
+    nominal = detect.make_features(doubled[:n], labels[:n], cfg.feature_lags)
+    attacked = detect.make_features(doubled[n:], labels[n:], cfg.feature_lags)
+    X, y = np.vstack([nominal[0], attacked[0]]), np.concatenate([nominal[1], attacked[1]])
     models = {
         "logreg": classifiers.LogisticRegression().fit(X, y),
         "gnb": classifiers.GaussianNaiveBayes().fit(X, y),

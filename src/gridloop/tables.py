@@ -2,8 +2,8 @@
 
 A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
-The bytes are csv.writer's, but each distinct value of a block of rows is
-formatted once.
+The bytes are csv.writer's, but each distinct value of a file is formatted
+once.
 The readers raise one ValueError naming ``path:line`` (tables: where the
 row starts, as a quoted text cell, not a number, may span lines) or
 ``path: key`` (JSON), also for undecodable text and rows csv refuses.
@@ -15,11 +15,10 @@ import csv
 import json
 import re
 import sys
-from itertools import islice
 
 import numpy as np
 
-__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "WHOLE",
+__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "UNIT", "WHOLE",
            "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
@@ -29,6 +28,7 @@ POSITIVE = "finite and positive"
 BINARY = "0 or 1"
 COUNT = "a whole number >= 1"
 WHOLE = "a whole number >= 0"
+UNIT = "in [0, 1]"
 TEXT = "text"
 
 _CHECKS = {
@@ -38,12 +38,10 @@ _CHECKS = {
     BINARY: lambda v: (v == 0) | (v == 1),
     COUNT: lambda v: np.isfinite(v) & (v >= 1) & (v == np.floor(v)),
     WHOLE: lambda v: np.isfinite(v) & (v >= 0) & (v == np.floor(v)),
+    UNIT: lambda v: (v >= 0) & (v <= 1),
 }
 # a cell holding one of these is quoted, its quotes doubled
 _SPECIAL = re.compile('[,"\r\n]')
-# rows are handled in blocks of about this many cells, so a wide table is
-# never held whole as text or as Python floats
-_BLOCK_CELLS = 1 << 15
 
 
 def write_table(path, header, columns) -> None:
@@ -56,26 +54,22 @@ def write_table(path, header, columns) -> None:
     for name, column in zip(header, columns, strict=True):
         if len(column) != n:
             raise ValueError(f"{path}: column {name} has {len(column)} rows, expected {n}")
+    alone = len(header) == 1  # csv quotes a row's only cell when it is empty
+    cells = np.empty((len(header), n), dtype=object)
     groups = {}  # array columns by dtype; each group is formatted together
     for j, column in enumerate(columns):
         if isinstance(column, np.ndarray):
             groups.setdefault(column.dtype, []).append(j)
-    texts = [j for j, column in enumerate(columns) if not isinstance(column, np.ndarray)]
-    alone = len(header) == 1  # csv quotes a row's only cell when it is empty
-    step = max(1, _BLOCK_CELLS // len(header))
+        else:
+            cells[j] = _quoted(column, alone)
+    for dtype, js in groups.items():
+        # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
+        bits = np.stack([columns[j] for j in js]).view(f"u{dtype.itemsize}")
+        uniq, inv = np.unique(bits, return_inverse=True)
+        text = np.array([str(v) for v in uniq.view(dtype).tolist()], dtype=object)
+        cells[js] = text[inv.reshape(bits.shape)]  # numpy 2.0.x shapes inv unlike later releases
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_quoted(header, alone)) + "\r\n")
-        for start in range(0, n, step):
-            cells = np.empty((len(header), min(step, n - start)), dtype=object)
-            for dtype, js in groups.items():
-                # one repr per distinct bit pattern, so -0.0 and 0.0 stay apart
-                bits = np.stack([columns[j][start : start + step] for j in js]).view(f"u{dtype.itemsize}")
-                uniq, inv = np.unique(bits, return_inverse=True)
-                text = np.array([str(v) for v in uniq.view(dtype).tolist()], dtype=object)
-                cells[js] = text[inv.reshape(bits.shape)]  # numpy 2.0.x shapes inv unlike later releases
-            for j in texts:
-                cells[j] = _quoted(columns[j][start : start + step], alone)
-            fh.write("\r\n".join([*map(",".join, cells.T.tolist()), ""]))
+        fh.write("\r\n".join([",".join(_quoted(header, alone)), *map(",".join, cells.T.tolist()), ""]))
 
 
 def _quoted(cells, alone: bool) -> list:
@@ -93,53 +87,50 @@ def read_table(path, domains: dict) -> dict:
     array for a TEXT column.
     """
     with open(path, newline="") as fh:
-        records = _csv_rows(path, reader := csv.reader(fh))
-        header = next(records, [])
-        if header != list(domains):
-            raise ValueError(f"{path}:1: unexpected header {','.join(header)}; expected {','.join(domains)}")
-        kinds = list(domains.values())
-        numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
-        blocks, text = [], {j: [] for j, kind in enumerate(kinds) if kind == TEXT}
-        step, line, firsts = max(1, _BLOCK_CELLS // len(header)), 2, []  # next block's first line; row lines
-        while rows := list(islice(records, step)):
-            first, line = range(line, reader.line_num + 1), reader.line_num + 1  # each row's first line
-            if spans := len(first) > len(rows):  # a quoted cell holds a line break
-                first = np.cumsum([first[0]] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
-            firsts.append(first)
-            for i, row in enumerate(rows):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}"
-                    )
-            if text:
-                cols = list(zip(*rows))
-                for j, column in text.items():
-                    column += cols[j]
-            try:
-                if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
-                    raise ValueError  # numpy and float() would take a line break in a number for space
-                blocks.append(np.array([cols[j] for j in numeric], dtype=float) if text
-                              else np.array(rows, dtype=float).T)
-            except ValueError:
-                # name the first cell that holds a line break or that float(), as numpy, rejects
-                for i, row in enumerate(rows):
-                    for j in numeric:
-                        try:
-                            if re.search("[\r\n]", row[j]):
-                                raise ValueError
-                            float(row[j])
-                        except ValueError:
-                            raise ValueError(f"{path}:{first[i]}: malformed row: "
-                                             f"{header[j]} {row[j]!r} is not a number") from None
-    # one contiguous array per column
-    values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(numeric), 0))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header != list(domains):
+                raise ValueError(f"{path}:1: unexpected header {','.join(header)}; "
+                                 f"expected {','.join(domains)}")
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+    first = range(2, reader.line_num + 1)  # each row's first line
+    if spans := len(first) > len(rows):  # a quoted cell holds a line break
+        first = np.cumsum([2] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}")
+    kinds = list(domains.values())
+    numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
+    cols = (list(zip(*rows)) or [()] * len(header)) if TEXT in kinds else None  # by column
+    try:
+        if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
+            raise ValueError  # numpy and float() would take a line break in a number for space
+        # one contiguous array per column
+        values = (np.array([cols[j] for j in numeric], dtype=float) if cols
+                  else np.array(rows, dtype=float).reshape(-1, len(header)).T.copy())
+    except ValueError:
+        # name the first cell that holds a line break or that float(), as numpy, rejects
+        for i, row in enumerate(rows):
+            for j in numeric:
+                try:
+                    if re.search("[\r\n]", row[j]):
+                        raise ValueError
+                    float(row[j])
+                except ValueError:
+                    raise ValueError(f"{path}:{first[i]}: malformed row: "
+                                     f"{header[j]} {row[j]!r} is not a number") from None
     bad = np.argwhere(~np.stack([_CHECKS[kinds[j]](v) for j, v in zip(numeric, values)]).T)
     if len(bad):
         i, k = bad[0]
-        j, line = numeric[k], np.concatenate(firsts)[i]
-        raise ValueError(f"{path}:{line}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
+        j = numeric[k]
+        raise ValueError(f"{path}:{first[i]}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
     numbers = iter(values)
-    return {name: np.array(text[j], dtype=str) if j in text else next(numbers)
+    return {name: np.array(cols[j], dtype=str) if kinds[j] == TEXT else next(numbers)
             for j, name in enumerate(header)}
 
 
@@ -148,16 +139,6 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _csv_rows(path, reader):
-    """`reader`'s rows; a row csv or the decoder rejects raises a ValueError naming its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
 
 
 def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:

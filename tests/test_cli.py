@@ -278,9 +278,13 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
         (lambda meta: meta.update(sigma=1e-300), ": sigma 1e-300 squared leaves the float range"),
         (lambda meta: meta.update(sigma=1e10, sweep={**meta["sweep"], "cusum_sigmas": 1e300}),
          ": h_max_sigmas * sigma = 1e+300 * 10000000000.0 exceeds the largest float"),
+        (lambda meta: meta.update(kappa="bogus"), ": kappa 'bogus' must be a number, in [0, 1]"),
+        (lambda meta: meta.update(kappa=None), ": kappa None must be a number, in [0, 1]"),
+        (lambda meta: meta.update(kappa=2.0), ": kappa 2.0 must be a number, in [0, 1]"),
     ],
     ids=["no-sweep", "attack-bogus", "attack-null", "sigma-x", "window-half", "points-0",
-         "points-fraction", "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows"],
+         "points-fraction", "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows",
+         "kappa-bogus", "kappa-null", "kappa-2"],
 )
 def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"

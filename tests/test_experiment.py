@@ -10,19 +10,22 @@ import shutil
 import numpy as np
 import pytest
 
+from gridloop import classifiers
 from gridloop.experiment import (
     DETECTORS,
     METRICS,
     ExperimentConfig,
     detect_stage,
     evaluate_stage,
+    prepare_detectors,
     protocol_schedule,
     run_experiment,
     scenario_dir,
 )
-from gridloop.detect import cusum_sweep
+from gridloop.detect import build_training_set, cusum_sweep
 from gridloop.evaluation import roc_from_sweep
 from gridloop.feedback import read_trace
+from gridloop.seeds import stream
 from gridloop.tables import write_json
 
 
@@ -352,7 +355,7 @@ def _write_falling_attack_scenario(det_dir):
 
 # sha256 of metrics.json + roc.csv as evaluate_stage writes them, pinned across commits
 _GOLDEN_EVALUATE = {
-    "tiny": "26fb77ba2f0a3ede10b23e92cb995d2fe6d582b9d68b1f2bc4841a4352d8ab64",
+    "tiny": "7520e840055e688834cb4f5ae6173dbbb5362bcbae1d134019bc1661f540faa4",
     "falling_attack": "f0a428c01ee80dfd739d18288349469fd2a3d5958dff887b0ce2368ce8de2280",
 }
 
@@ -373,7 +376,7 @@ def test_golden_evaluate_stage(case, tiny_run, tmp_path):
 
 # sha256 of summary.json + summary.csv over 2 replications of 2 kappas x 2 attacks, pinned across
 # commits: the cross-replication means, the ddof=1 standard deviations and the rows' sort order
-_GOLDEN_SUMMARY = "020f82050aa82a8ad8498df47e788204362ce021bbaaf15eb3e14361eb4a3111"
+_GOLDEN_SUMMARY = "3a7e1dbdbcaf9e614bd7804969620b1e6e949347a4dd40a42559e523d5387c19"
 
 
 def test_golden_summary_over_replications(tiny_cfg, tmp_path):
@@ -405,6 +408,29 @@ def test_detect_stage_rejects_attacked_train_window(tiny_cfg, tiny_run, tmp_path
     bad = dataclasses.replace(trace, attack_truth=truth)
     with pytest.raises(ValueError, match="training window is attacked"):
         detect_stage(bad, tiny_cfg, 0.2, "sudden", 0, tmp_path)
+
+
+def test_supervised_training_rows_never_lag_across_the_seam(tiny_cfg, tiny_run, monkeypatch):
+    """Each half of the doubled training series gets its own lags: n - lags rows apiece,
+    nominal rows first, and no attacked row holds an hour of the nominal half."""
+    seen = {}
+    for model in (classifiers.LogisticRegression, classifiers.GaussianNaiveBayes, classifiers.RandomForest):
+        def fit(self, X, y, _fit=model.fit, _name=model.__name__):
+            seen[_name] = (X, y)
+            return _fit(self, X, y)
+        monkeypatch.setattr(model, "fit", fit)
+    trace = read_trace(tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000" / "trace.csv")
+    train = trace.observed_load[: tiny_cfg.train_hours]
+    prepare_detectors(train, tiny_cfg, 0, 0)
+    n, lags = tiny_cfg.train_hours, tiny_cfg.feature_lags
+    doubled, _ = build_training_set(train, stream(tiny_cfg.seed, "train_attacks", 0, 0))
+    windows = np.lib.stride_tricks.sliding_window_view
+    assert len(seen) == 3
+    for X, y in seen.values():
+        assert y.tolist() == [0] * (n - lags) + [1] * (n - lags)
+        assert np.array_equal(X[y == 0], windows(doubled[:n], lags)[:-1])
+        assert np.array_equal(X[y == 1], windows(doubled[n:], lags)[:-1])
+        assert np.array_equal(X[n - lags], doubled[n : n + lags])  # the first attacked row
 
 
 def test_evaluate_stage_rejects_bad_header(tiny_run, tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridloop import tables
 from gridloop.attack import read_schedule
 from gridloop.experiment import _META_KEYS, ExperimentConfig, _read_detections, scenario_dir
 from gridloop.feedback import GridConfig, SimulationTrace, read_trace, simulate, write_trace
@@ -81,7 +80,7 @@ def test_json_bytes(tmp_path):
 
 
 def test_floats_round_trip_bit_for_bit(tmp_path):
-    # 40k rows: the writer and the reader each handle several blocks of rows
+    # 40k rows of every magnitude, and the edges of the float range
     rng = np.random.default_rng(0)
     values = np.concatenate([
         rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000),
@@ -97,7 +96,7 @@ def test_floats_round_trip_bit_for_bit(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the writer against csv.writer: each distinct value is formatted once per
-# block, and the bytes must not show it
+# file, and the bytes must not show it
 
 def _csv_writer_bytes(path, header, columns) -> bytes:
     """The reference: csv.writer over the columns' Python values, row by row."""
@@ -143,12 +142,10 @@ def _table(draw):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_table(), block_cells=st.integers(1, 700))
-def test_write_table_matches_csv_writer(tmp_path, table, block_cells):
+@given(table=_table())
+def test_write_table_matches_csv_writer(tmp_path, table):
     header, columns = table
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
-        write_table(tmp_path / "t.csv", header, columns)
+    write_table(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", header, columns)
 
 
@@ -159,24 +156,20 @@ _FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @given(
     rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), _TEXT, _FINITE_FLOATS | st.sampled_from([-0.0, 5e-324])),
                   max_size=40),
-    block_cells=st.integers(1, 100),
 )
-def test_read_table_reads_back_what_was_written(tmp_path, rows, block_cells):
+def test_read_table_reads_back_what_was_written(tmp_path, rows):
     i, name, x = (list(c) for c in zip(*rows)) if rows else ([], [], [])
     columns = [np.array(i, dtype=np.int64), name, np.array(x, dtype=float)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tables, "_BLOCK_CELLS", block_cells)
-        write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
-        cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
+    write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
+    cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
     assert cols["i"].tolist() == i
     assert cols["name"].tolist() == name
     assert cols["x"].view(np.int64).tolist() == columns[2].view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("rows", [90, 110])
-def test_write_table_rejects_columns_of_unequal_length(tmp_path, monkeypatch, rows):
-    path = tmp_path / "t.csv"
-    monkeypatch.setattr(tables, "_BLOCK_CELLS", 100)  # a longer column once lost its tail here
+def test_write_table_rejects_columns_of_unequal_length(tmp_path, rows):
+    path = tmp_path / "t.csv"  # a longer column once lost its tail rows
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: column b has {rows} rows, expected 100")):
         write_table(path, ["a", "b"], [np.arange(100), np.zeros(rows)])
     assert not path.exists()
@@ -254,8 +247,8 @@ def test_line_numbers_hold_across_blocks(tmp_path, row, where):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data(), block_cells=st.integers(1, 20))
-def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data, block_cells):
+@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data())
+def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data):
     bad = data.draw(st.integers(0, len(names) - 1))
     x = np.ones(len(names))
     x[bad] = -1.0
@@ -265,8 +258,7 @@ def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, dat
         reader = csv.reader(fh)
         ends = [reader.line_num for _ in reader]  # the last line of the header and of each row
     where = f"{path}:{ends[bad] + 1}: x -1.0 must be finite and non-negative"
-    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="^" + re.escape(where)):
-        mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
+    with pytest.raises(ValueError, match="^" + re.escape(where)):
         read_table(path, {"name": TEXT, "x": NON_NEGATIVE})
 
 
