@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +43,9 @@ _CHECKS = {
 }
 # a cell holding one of these is quoted, its quotes doubled
 _SPECIAL = re.compile('[,"\r\n]')
+# the reader takes rows in blocks of about this many cells, so a long table
+# (a year of minute readings is 525,600 rows) is never held whole as text
+_BLOCK_CELLS = 1 << 15
 
 
 def write_table(path, header, columns) -> None:
@@ -87,50 +91,53 @@ def read_table(path, domains: dict) -> dict:
     array for a TEXT column.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if header != list(domains):
-                raise ValueError(f"{path}:1: unexpected header {','.join(header)}; "
-                                 f"expected {','.join(domains)}")
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
-    first = range(2, reader.line_num + 1)  # each row's first line
-    if spans := len(first) > len(rows):  # a quoted cell holds a line break
-        first = np.cumsum([2] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}")
-    kinds = list(domains.values())
-    numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
-    cols = (list(zip(*rows)) or [()] * len(header)) if TEXT in kinds else None  # by column
-    try:
-        if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
-            raise ValueError  # numpy and float() would take a line break in a number for space
-        # one contiguous array per column
-        values = (np.array([cols[j] for j in numeric], dtype=float) if cols
-                  else np.array(rows, dtype=float).reshape(-1, len(header)).T.copy())
-    except ValueError:
-        # name the first cell that holds a line break or that float(), as numpy, rejects
-        for i, row in enumerate(rows):
-            for j in numeric:
-                try:
-                    if re.search("[\r\n]", row[j]):
-                        raise ValueError
-                    float(row[j])
-                except ValueError:
-                    raise ValueError(f"{path}:{first[i]}: malformed row: "
-                                     f"{header[j]} {row[j]!r} is not a number") from None
+        records = _csv_rows(path, reader := csv.reader(fh))
+        header = next(records, [])
+        if header != list(domains):
+            raise ValueError(f"{path}:1: unexpected header {','.join(header)}; expected {','.join(domains)}")
+        kinds = list(domains.values())
+        numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
+        blocks, text = [], {j: [] for j, kind in enumerate(kinds) if kind == TEXT}
+        step, line, firsts = max(1, _BLOCK_CELLS // len(header)), 2, []  # next block's first line; row lines
+        while rows := list(islice(records, step)):
+            first, line = range(line, reader.line_num + 1), reader.line_num + 1  # each row's first line
+            if spans := len(first) > len(rows):  # a quoted cell holds a line break
+                first = np.cumsum([first[0]] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
+            firsts.append(first)
+            for i, row in enumerate(rows):
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}"
+                    )
+            if text:
+                cols = list(zip(*rows))
+                for j, column in text.items():
+                    column += cols[j]
+            try:
+                if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
+                    raise ValueError  # numpy and float() would take a line break in a number for space
+                blocks.append(np.array([cols[j] for j in numeric], dtype=float) if text
+                              else np.array(rows, dtype=float).T)
+            except ValueError:
+                # name the first cell that holds a line break or that float(), as numpy, rejects
+                for i, row in enumerate(rows):
+                    for j in numeric:
+                        try:
+                            if re.search("[\r\n]", row[j]):
+                                raise ValueError
+                            float(row[j])
+                        except ValueError:
+                            raise ValueError(f"{path}:{first[i]}: malformed row: "
+                                             f"{header[j]} {row[j]!r} is not a number") from None
+    # one contiguous array per column
+    values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(numeric), 0))
     bad = np.argwhere(~np.stack([_CHECKS[kinds[j]](v) for j, v in zip(numeric, values)]).T)
     if len(bad):
         i, k = bad[0]
-        j = numeric[k]
-        raise ValueError(f"{path}:{first[i]}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
+        j, line = numeric[k], np.concatenate(firsts)[i]
+        raise ValueError(f"{path}:{line}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
     numbers = iter(values)
-    return {name: np.array(cols[j], dtype=str) if kinds[j] == TEXT else next(numbers)
+    return {name: np.array(text[j], dtype=str) if j in text else next(numbers)
             for j, name in enumerate(header)}
 
 
@@ -139,6 +146,16 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _csv_rows(path, reader):
+    """`reader`'s rows; a row csv or the decoder rejects raises a ValueError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gridloop import tables
 from gridloop.attack import read_schedule
 from gridloop.experiment import _META_KEYS, ExperimentConfig, _read_detections, scenario_dir
 from gridloop.feedback import GridConfig, SimulationTrace, read_trace, simulate, write_trace
@@ -80,7 +81,8 @@ def test_json_bytes(tmp_path):
 
 
 def test_floats_round_trip_bit_for_bit(tmp_path):
-    # 40k rows of every magnitude, and the edges of the float range
+    # 40k rows of every magnitude, and the edges of the float range; the reader
+    # takes them in several blocks of rows
     rng = np.random.default_rng(0)
     values = np.concatenate([
         rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 300, 40_000),
@@ -156,12 +158,15 @@ _FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @given(
     rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), _TEXT, _FINITE_FLOATS | st.sampled_from([-0.0, 5e-324])),
                   max_size=40),
+    block_cells=st.integers(1, 100),
 )
-def test_read_table_reads_back_what_was_written(tmp_path, rows):
+def test_read_table_reads_back_what_was_written(tmp_path, rows, block_cells):
     i, name, x = (list(c) for c in zip(*rows)) if rows else ([], [], [])
     columns = [np.array(i, dtype=np.int64), name, np.array(x, dtype=float)]
-    write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
-    cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_BLOCK_CELLS", block_cells)
+        write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
+        cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
     assert cols["i"].tolist() == i
     assert cols["name"].tolist() == name
     assert cols["x"].view(np.int64).tolist() == columns[2].view(np.int64).tolist()
@@ -247,8 +252,8 @@ def test_line_numbers_hold_across_blocks(tmp_path, row, where):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data())
-def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data):
+@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data(), block_cells=st.integers(1, 20))
+def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data, block_cells):
     bad = data.draw(st.integers(0, len(names) - 1))
     x = np.ones(len(names))
     x[bad] = -1.0
@@ -258,7 +263,8 @@ def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, dat
         reader = csv.reader(fh)
         ends = [reader.line_num for _ in reader]  # the last line of the header and of each row
     where = f"{path}:{ends[bad] + 1}: x -1.0 must be finite and non-negative"
-    with pytest.raises(ValueError, match="^" + re.escape(where)):
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="^" + re.escape(where)):
+        mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
         read_table(path, {"name": TEXT, "x": NON_NEGATIVE})
 
 
