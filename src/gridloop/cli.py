@@ -106,7 +106,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load_cfg(args)
-    attacked = inject_post_hoc(read_trace(args.trace), protocol_schedule(args.kind, cfg))
+    trace = read_trace(args.trace)
+    if len(trace) != cfg.horizon:  # detect_stage's check: the schedule sits at the config's horizon
+        raise ValueError(f"{args.trace}: trace has {len(trace)} hours, config wants {cfg.horizon}")
+    attacked = inject_post_hoc(trace, protocol_schedule(args.kind, cfg))
     out = _out_file(args, "attacked.csv")
     write_trace(attacked, str(out))
     print(f"wrote attacked trace to {out}")

@@ -30,7 +30,7 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
-from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, TEXT, UNIT, WHOLE,
+from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, UNIT, WHOLE,
                              read_json, read_table, write_json, write_table)
 
 __all__ = [
@@ -55,7 +55,10 @@ _POINT_PATTERN = ((0, 250.0), (5, 200.0), (10, 300.0), (13, 100.0), (22, 150.0))
 _RAMP_STEP = 5.0
 _SUDDEN_LEVEL = 150.0
 
-_DETECTION_COLUMNS = {"hour": WHOLE, "detector": TEXT, "score": FINITE, "decision": BINARY, "label": BINARY}
+# one row per test hour: the truth label and residual, then each detector's score and default decision
+_DETECTION_COLUMNS = {"hour": WHOLE, "label": BINARY, "residual": FINITE,
+                      **{f"{name}_{col}": domain for name in DETECTORS
+                         for col, domain in (("score", FINITE), ("decision", BINARY))}}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
 _META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
               "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE, "sweep.cusum_k": NON_NEGATIVE}
@@ -271,10 +274,10 @@ def detect_stage(
 ) -> None:
     """Run every detector over the trace's test window.
 
-    Writes detections.csv (per-hour score, default-config decision, truth
-    label for each detector, plus the raw forecast residuals) and
-    detect_meta.json (noise scale and detector settings, enough for the
-    evaluate stage to rebuild threshold sweeps exactly).
+    Writes detections.csv (one row per test hour: the truth label, the raw
+    forecast residual, and each detector's score and default-config
+    decision) and detect_meta.json (noise scale and detector settings,
+    enough for the evaluate stage to rebuild threshold sweeps exactly).
     """
     if shared is None and kappa not in cfg.kappas:
         raise ValueError(f"kappa {kappa} not in config kappas {cfg.kappas}")
@@ -302,20 +305,15 @@ def detect_stage(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one block of rows per detector, then the residual series
-    rows = {
+    outputs = {
         "glrt": (glrt_res.scores, glrt_res.decisions),
         "cusum": (cusum_res.scores, cusum_res.decisions),
         "cusum_interval": (cusum_res.scores, cusum_res.interval_decisions),
         **{name: (s, s >= 0.5) for name, s in scores.items()},  # logreg, gnb, forest
-        "residual": (residuals, np.zeros(len(residuals), dtype=np.int8)),
     }
     write_table(out_dir / "detections.csv", list(_DETECTION_COLUMNS), [
-        np.tile(trace.hour[cfg.train_hours :], len(rows)),
-        [name for name in rows for _ in test_labels],
-        np.concatenate([svals for svals, _ in rows.values()]),
-        np.concatenate([dvals for _, dvals in rows.values()]).astype(np.int8),
-        np.tile(test_labels, len(rows)),
+        trace.hour[cfg.train_hours :], test_labels, residuals,
+        *(column for name in DETECTORS for column in (outputs[name][0], outputs[name][1].astype(np.int8))),
     ])
 
     meta = {
@@ -340,17 +338,10 @@ def detect_stage(
 # evaluate stage
 
 def _read_detections(path):
-    """Scores and labels of every detector and of the residual series, in file order."""
-    cols = read_table(path, _DETECTION_COLUMNS)
-    table = {}
-    for name in DETECTORS + ("residual",):
-        rows = cols["detector"] == name
-        if not rows.any():
-            raise ValueError(f"{path}: no rows for detector {name!r}")
-        labels = cols["label"][rows].astype(np.int8)
-        if labels.min() == labels.max():
-            raise ValueError(f"{path}: labels of detector {name!r} hold one class; a ROC curve needs both")
-        table[name] = (cols["score"][rows], labels)
+    """Every column of detections.csv by name; the labels must hold both classes."""
+    table = read_table(path, _DETECTION_COLUMNS)
+    if (classes := len(np.unique(table["label"]))) < 2:
+        raise ValueError(f"{path}: the labels hold {classes} of the 2 classes a ROC curve needs")
     return table
 
 
@@ -379,7 +370,7 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     if meta["attack_type"] not in KINDS:
         raise ValueError(f"{meta_path}: attack_type {meta['attack_type']!r} is not one of {', '.join(KINDS)}")
     table = _read_detections(det_dir / "detections.csv")
-    residuals, labels = table["residual"]
+    residuals, labels = table["residual"], table["label"]
     sigma = float(meta["sigma"])
     sweep = meta["sweep"]
 
@@ -391,7 +382,7 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
         raise ValueError(f"{meta_path}: {exc}") from None
     sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}
     curves = {name: evaluation.roc_from_sweep(*sweeps[name], labels) if name in sweeps
-              else evaluation.roc_from_scores(*table[name]) for name in DETECTORS}
+              else evaluation.roc_from_scores(table[f"{name}_score"], labels) for name in DETECTORS}
 
     entries = []
     for name, roc in curves.items():

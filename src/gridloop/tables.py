@@ -4,9 +4,10 @@ A table is a header row and one CRLF-terminated row per record; integers
 are written as digits and floats as repr, which round-trips every float64.
 The bytes are csv.writer's, but each distinct value of a file is formatted
 once.
-The readers raise one ValueError naming ``path:line`` (tables: where the
-row starts, as a quoted text cell, not a number, may span lines) or
-``path: key`` (JSON), also for undecodable text and rows csv refuses.
+The readers raise one ValueError naming ``path:line`` (tables: the first
+malformed row, else the first value out of its column's domain; every cell
+is a number, so a line break in a cell is malformed) or ``path: key``
+(JSON), also for undecodable text and rows csv refuses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "TEXT", "UNIT", "WHOLE",
+__all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "UNIT", "WHOLE",
            "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
@@ -30,7 +31,6 @@ BINARY = "0 or 1"
 COUNT = "a whole number >= 1"
 WHOLE = "a whole number >= 0"
 UNIT = "in [0, 1]"
-TEXT = "text"
 
 _CHECKS = {
     FINITE: np.isfinite,
@@ -85,60 +85,42 @@ def _quoted(cells, alone: bool) -> list:
 
 
 def read_table(path, domains: dict) -> dict:
-    """Read a table whose header is the keys of `domains`.
-
-    Returns every column by name in file order: a float array, or a str
-    array for a TEXT column.
-    """
+    """Read a table whose header is the keys of `domains`; every column by name, as a float array."""
     with open(path, newline="") as fh:
         records = _csv_rows(path, reader := csv.reader(fh))
         header = next(records, [])
         if header != list(domains):
             raise ValueError(f"{path}:1: unexpected header {','.join(header)}; expected {','.join(domains)}")
-        kinds = list(domains.values())
-        numeric = [j for j, kind in enumerate(kinds) if kind != TEXT]
-        blocks, text = [], {j: [] for j, kind in enumerate(kinds) if kind == TEXT}
-        step, line, firsts = max(1, _BLOCK_CELLS // len(header)), 2, []  # next block's first line; row lines
+        blocks, step, line = [], max(1, _BLOCK_CELLS // len(header)), 2  # line: the block's first row's
         while rows := list(islice(records, step)):
-            first, line = range(line, reader.line_num + 1), reader.line_num + 1  # each row's first line
-            if spans := len(first) > len(rows):  # a quoted cell holds a line break
-                first = np.cumsum([first[0]] + [len(re.split("\r\n?|\n", ",".join(r))) for r in rows[:-1]])
-            firsts.append(first)
-            for i, row in enumerate(rows):
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{first[i]}: malformed row: {len(row)} cells, expected {len(header)}"
-                    )
-            if text:
-                cols = list(zip(*rows))
-                for j, column in text.items():
-                    column += cols[j]
             try:
-                if spans and re.search("[\r\n]", ",".join(row[j] for row in rows for j in numeric)):
-                    raise ValueError  # numpy and float() would take a line break in a number for space
-                blocks.append(np.array([cols[j] for j in numeric], dtype=float) if text
-                              else np.array(rows, dtype=float).T)
+                block = np.array(rows, dtype=float)
+                if block.shape[1] != len(header) or reader.line_num + 1 - line > len(rows):
+                    raise ValueError  # a row of another length, or a quoted cell that holds a line break
+                blocks.append(block.T)
             except ValueError:
-                # name the first cell that holds a line break or that float(), as numpy, rejects
+                # name the block's first malformed row; every row before it filled one line
                 for i, row in enumerate(rows):
-                    for j in numeric:
+                    if len(row) != len(header):
+                        raise ValueError(f"{path}:{line + i}: malformed row: "
+                                         f"{len(row)} cells, expected {len(header)}") from None
+                    for j, cell in enumerate(row):
                         try:
-                            if re.search("[\r\n]", row[j]):
-                                raise ValueError
-                            float(row[j])
+                            if "\r" in cell or "\n" in cell:
+                                raise ValueError  # numpy and float() would take it for space
+                            float(cell)
                         except ValueError:
-                            raise ValueError(f"{path}:{first[i]}: malformed row: "
-                                             f"{header[j]} {row[j]!r} is not a number") from None
+                            raise ValueError(f"{path}:{line + i}: malformed row: "
+                                             f"{header[j]} {cell!r} is not a number") from None
+            line += len(rows)
     # one contiguous array per column
-    values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(numeric), 0))
-    bad = np.argwhere(~np.stack([_CHECKS[kinds[j]](v) for j, v in zip(numeric, values)]).T)
+    values = np.concatenate(blocks, axis=1) if blocks else np.empty((len(header), 0))
+    kinds = list(domains.values())
+    bad = np.argwhere(~np.stack([_CHECKS[kind](v) for kind, v in zip(kinds, values)]).T)
     if len(bad):
-        i, k = bad[0]
-        j, line = numeric[k], np.concatenate(firsts)[i]
-        raise ValueError(f"{path}:{line}: {header[j]} {float(values[k, i])!r} must be {kinds[j]}")
-    numbers = iter(values)
-    return {name: np.array(text[j], dtype=str) if j in text else next(numbers)
-            for j, name in enumerate(header)}
+        i, j = bad[0]
+        raise ValueError(f"{path}:{i + 2}: {header[j]} {float(values[j, i])!r} must be {kinds[j]}")
+    return dict(zip(header, values))
 
 
 def write_json(path, payload) -> None:

@@ -149,6 +149,20 @@ def test_errors_exit_2(cfg_json, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gridloop: error:")
 
 
+def test_attack_rejects_a_trace_of_another_horizon(tiny_cfg, cfg_json, tmp_path, capsys):
+    # the schedule sits at the end of the config's horizon; on a shorter trace most of it
+    # once fell off the end, and detect then scored the stub under the attack's name
+    grid, trace, out = tmp_path / "grid.json", tmp_path / "trace.csv", tmp_path / "out" / "attacked.csv"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace) == 0
+    longer = tmp_path / "longer.json"
+    write_json(longer, dataclasses.asdict(dataclasses.replace(tiny_cfg, test_hours=40)))
+    capsys.readouterr()
+    assert run("attack", "--config", longer, "--trace", trace, "--kind", "sudden", "--out", out) == 2
+    assert capsys.readouterr().err == f"gridloop: error: {trace}: trace has 126 hours, config wants 136\n"
+    assert not out.parent.exists()
+
+
 def test_overflowing_price_power_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"target": 800, "eps_dsm": -1100, "eps_dsm_hat": -1}))
@@ -230,35 +244,43 @@ def _assert_names_file(capsys, path, fragment):
     assert "Traceback" not in err
 
 
-def _first(rows, detector, col, value):
-    row = next(r for r in rows if r[1] == detector)
-    row[col] = value
+def _set(rows, column, value, row=1):
+    """rows (the header first) with one cell of the named column replaced."""
+    rows[row][rows[0].index(column)] = value
     return rows
+
+
+def _drop(rows, *columns):
+    """rows (the header first) without the named columns."""
+    keep = [j for j, name in enumerate(rows[0]) if name not in columns]
+    return [[r[j] for j in keep] for r in rows]
 
 
 @pytest.mark.parametrize(
     "edit, fragment",
     [
-        (lambda rows: [rows[0][:4]] + rows[1:], ":2: malformed row: 4 cells, expected 5"),
-        (lambda rows: [r for r in rows if r[1] != "residual"], ": no rows for detector 'residual'"),
-        (lambda rows: [r for r in rows if r[1] != "forest"], ": no rows for detector 'forest'"),
-        (lambda rows: _first(rows, "residual", 2, "nan"), "score nan must be finite"),
-        (lambda rows: _first(rows, "gnb", 4, "2"), "label 2.0 must be 0 or 1"),
-        (lambda rows: _first(rows, "glrt", 3, "2"), "decision 2.0 must be 0 or 1"),
-        (lambda rows: [r[:4] + ["1"] for r in rows], ": labels of detector 'glrt' hold one class"),
-        (lambda rows: [["0.5"] + rows[0][1:]] + rows[1:], ":2: hour 0.5 must be a whole number >= 0"),
-        (lambda rows: _first(rows, "forest", 0, "-7"), "hour -7.0 must be a whole number >= 0"),
+        (lambda rows: [rows[0], rows[1][:4]] + rows[2:], ":2: malformed row: 4 cells, expected 15"),
+        (lambda rows: _drop(rows, "residual"), ":1: unexpected header hour,label,glrt_score,"),
+        (lambda rows: _drop(rows, "forest_score", "forest_decision"),
+         ",gnb_decision; expected hour,label,residual,"),
+        (lambda rows: _set(rows, "residual", "nan"), ":2: residual nan must be finite"),
+        (lambda rows: _set(rows, "label", "2"), ":2: label 2.0 must be 0 or 1"),
+        (lambda rows: _set(rows, "glrt_decision", "2"), ":2: glrt_decision 2.0 must be 0 or 1"),
+        (lambda rows: [rows[0]] + [[r[0], "1", *r[2:]] for r in rows[1:]],
+         ": the labels hold 1 of the 2 classes a ROC curve needs"),
+        (lambda rows: rows[:1], ": the labels hold 0 of the 2 classes a ROC curve needs"),
+        (lambda rows: _set(rows, "hour", "0.5"), ":2: hour 0.5 must be a whole number >= 0"),
+        (lambda rows: _set(rows, "hour", "-7", row=-1), ":31: hour -7.0 must be a whole number >= 0"),
     ],
     ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2",
-         "one-class", "hour-half", "hour-negative"],
+         "one-class", "empty", "hour-half", "hour-negative"],
 )
 def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
     shutil.copy(sdir / "detect_meta.json", tmp_path / "detect_meta.json")
-    header, *lines = (sdir / "detections.csv").read_text().splitlines()
-    rows = edit([ln.split(",") for ln in lines])
+    rows = edit([ln.split(",") for ln in (sdir / "detections.csv").read_text().splitlines()])
     path = tmp_path / "detections.csv"
-    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
     assert run("evaluate", "--detections", tmp_path) == 2
     _assert_names_file(capsys, path, fragment)
 

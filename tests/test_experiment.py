@@ -170,26 +170,19 @@ def test_detections_csv_schema(tiny_cfg, tiny_run):
         reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    assert header == ["hour", "detector", "score", "decision", "label"]
-    groups = list(DETECTORS) + ["residual"]
-    assert len(rows) == len(groups) * tiny_cfg.test_hours
-
-    by_group: dict[str, list[list[str]]] = {}
-    for row in rows:
-        by_group.setdefault(row[1], []).append(row)
-    assert list(by_group) == groups
-    for name, block in by_group.items():
-        hours = [int(r[0]) for r in block]
-        assert hours == list(range(96, 126)), name
-        labels = [int(r[4]) for r in block]
-        assert labels == [0] * 18 + [1] * 12, name
-        assert all(r[3] in ("0", "1") for r in block), name
+    assert header == ["hour", "label", "residual"] + [f"{name}_{col}" for name in DETECTORS
+                                                      for col in ("score", "decision")]
+    assert len(rows) == tiny_cfg.test_hours
+    columns = dict(zip(header, zip(*rows)))
+    assert [int(h) for h in columns["hour"]] == list(range(96, 126))
+    assert [int(y) for y in columns["label"]] == [0] * 18 + [1] * 12
+    for name in ("residual", *(f"{d}_score" for d in DETECTORS)):
         # scores must round-trip exactly through the text format
-        for r in block:
-            assert repr(float(r[2])) == r[2]
+        assert all(repr(float(v)) == v for v in columns[name]), name
+    for name in DETECTORS:
+        assert set(columns[f"{name}_decision"]) <= {"0", "1"}, name
     # interval scoring shares the raw CUSUM statistic
-    assert [r[2] for r in by_group["cusum"]] == [r[2] for r in by_group["cusum_interval"]]
-    assert all(r[3] == "0" for r in by_group["residual"])
+    assert columns["cusum_score"] == columns["cusum_interval_score"]
 
 
 def test_detect_meta_schema(tiny_cfg, tiny_run):
@@ -310,8 +303,8 @@ def test_evaluate_stage_scores_each_cusum_output(tiny_run):
     # one sweep gives both curves: point alarms for "cusum", intervals for "cusum_interval"
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
     meta = json.loads((sdir / "detect_meta.json").read_text())
-    rows = [r for r in csv.DictReader((sdir / "detections.csv").read_text().splitlines()) if r["detector"] == "residual"]
-    residuals = np.array([float(r["score"]) for r in rows])
+    rows = list(csv.DictReader((sdir / "detections.csv").read_text().splitlines()))
+    residuals = np.array([float(r["residual"]) for r in rows])
     labels = np.array([int(r["label"]) for r in rows])
     hs, alarms, intervals = cusum_sweep(residuals, meta["sigma"], k=meta["sweep"]["cusum_k"],
                                         n_points=meta["sweep"]["points"],
@@ -340,12 +333,12 @@ def _write_falling_attack_scenario(det_dir):
         "logreg": [0.1, 0.4, 0.35, 0.8, 0.2, 0.7, 0.3, 0.05, 0.6, 0.45, 0.9, 0.4, 0.55, 0.75, 0.3, 0.95],
         "gnb": [0.5] * 8 + [0.25, 0.75] * 4,
         "forest": [0.0] * 10 + [1.0] * 6,
-        "residual": residuals,
     }
     det_dir.mkdir()
-    lines = ["hour,detector,score,decision,label"]
-    for name, values in scores.items():
-        lines += [f"{100 + t},{name},{v!r},0,{y}" for t, (v, y) in enumerate(zip(values, labels))]
+    lines = [",".join(["hour", "label", "residual", *(f"{name}_{col}" for name in scores
+                                                      for col in ("score", "decision"))])]
+    for t, (r, y) in enumerate(zip(residuals, labels)):
+        lines.append(",".join([str(100 + t), str(y), repr(r), *(f"{values[t]!r},0" for values in scores.values())]))
     (det_dir / "detections.csv").write_text("\n".join(lines) + "\n")
     meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "glrt": {"window": 4},
             "sweep": {"points": 7, "cusum_sigmas": 3.0, "cusum_k": 1.0}}
@@ -372,6 +365,18 @@ def test_golden_evaluate_stage(case, tiny_run, tmp_path):
         assert best["cusum"] == best["cusum_interval"] == "-Infinity"
     blob = b"".join((tmp_path / "out" / name).read_bytes() for name in ("metrics.json", "roc.csv"))
     assert hashlib.sha256(blob).hexdigest() == _GOLDEN_EVALUATE[case]
+
+
+# sha256 of detections.csv + detect_meta.json as detect_stage writes them for the tiny
+# kappa_0.2/sudden/rep_000 scenario, pinned across commits
+_GOLDEN_DETECT = "de6585f00d183bfcd22580b777455b54894304b44a5200607feaeb213d1053f4"
+
+
+def test_golden_detect_stage(tiny_cfg, tiny_run, tmp_path):
+    trace = read_trace(tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000" / "trace.csv")
+    detect_stage(trace, tiny_cfg, 0.2, "sudden", 0, tmp_path)
+    blob = b"".join((tmp_path / name).read_bytes() for name in ("detections.csv", "detect_meta.json"))
+    assert hashlib.sha256(blob).hexdigest() == _GOLDEN_DETECT
 
 
 # sha256 of summary.json + summary.csv over 2 replications of 2 kappas x 2 attacks, pinned across

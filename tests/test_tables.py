@@ -24,7 +24,6 @@ from gridloop.tables import (
     FINITE,
     NON_NEGATIVE,
     POSITIVE,
-    TEXT,
     read_json,
     read_table,
     write_json,
@@ -89,11 +88,10 @@ def test_floats_round_trip_bit_for_bit(tmp_path):
         [0.1, 1 / 3, 1e-300, 5e-324, -0.0, np.finfo(float).max, np.finfo(float).tiny],
     ])
     path = tmp_path / "t.csv"
-    write_table(path, ["i", "name", "x"], [np.arange(len(values)), ["a,b"] * len(values), values])
-    cols = read_table(path, {"i": FINITE, "name": TEXT, "x": FINITE})
+    write_table(path, ["i", "x"], [np.arange(len(values)), values])
+    cols = read_table(path, {"i": FINITE, "x": FINITE})
     assert cols["x"].view(np.int64).tolist() == values.view(np.int64).tolist()
     assert cols["i"].tolist() == list(range(len(values)))
-    assert set(cols["name"]) == {"a,b"}  # a comma inside a cell is quoted
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +154,19 @@ _FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), _TEXT, _FINITE_FLOATS | st.sampled_from([-0.0, 5e-324])),
+    rows=st.lists(st.tuples(st.integers(-(2**53), 2**53), _FINITE_FLOATS | st.sampled_from([-0.0, 5e-324])),
                   max_size=40),
     block_cells=st.integers(1, 100),
 )
 def test_read_table_reads_back_what_was_written(tmp_path, rows, block_cells):
-    i, name, x = (list(c) for c in zip(*rows)) if rows else ([], [], [])
-    columns = [np.array(i, dtype=np.int64), name, np.array(x, dtype=float)]
+    i, x = (list(c) for c in zip(*rows)) if rows else ([], [])
+    columns = [np.array(i, dtype=np.int64), np.array(x, dtype=float)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tables, "_BLOCK_CELLS", block_cells)
-        write_table(tmp_path / "t.csv", ["i", "name", "x"], columns)
-        cols = read_table(tmp_path / "t.csv", {"i": FINITE, "name": TEXT, "x": FINITE})
+        write_table(tmp_path / "t.csv", ["i", "x"], columns)
+        cols = read_table(tmp_path / "t.csv", {"i": FINITE, "x": FINITE})
     assert cols["i"].tolist() == i
-    assert cols["name"].tolist() == name
-    assert cols["x"].view(np.int64).tolist() == columns[2].view(np.int64).tolist()
+    assert cols["x"].view(np.int64).tolist() == columns[1].view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("rows", [90, 110])
@@ -204,26 +201,30 @@ def test_microgrid_io_memory(tmp_path):
 # ---------------------------------------------------------------------------
 # reader checks
 
-_DOMAINS = {"hour": FINITE, "load": NON_NEGATIVE, "price": POSITIVE, "flag": BINARY, "who": TEXT}
+_DOMAINS = {"hour": FINITE, "load": NON_NEGATIVE, "price": POSITIVE, "flag": BINARY}
 
 
 @pytest.mark.parametrize(
     "text, where",
     [
-        ("", ":1: unexpected header ; expected hour,load,price,flag,who"),
-        ("hour,load,price,flag\n", ":1: unexpected header hour,load,price,flag;"),
+        ("", ":1: unexpected header ; expected hour,load,price,flag"),
+        ("hour,load,price\n", ":1: unexpected header hour,load,price;"),
         ("hour,load,price,flag,who,extra\n", ":1: unexpected header"),
-        ("hour,load,price,flag,who\n0,1,1,0,a\n1,1,1\n", ":3: malformed row: 3 cells, expected 5"),
-        ("hour,load,price,flag,who\n0,1,1,0,a\n1,1,x,0,b\n", ":3: malformed row: price 'x' is not a number"),
-        ("hour,load,price,flag,who\n0,-1,1,0,a\n", ":2: load -1.0 must be finite and non-negative"),
-        ("hour,load,price,flag,who\n0,1,0,0,a\n", ":2: price 0.0 must be finite and positive"),
-        ("hour,load,price,flag,who\n0,1,1,0.5,a\n", ":2: flag 0.5 must be 0 or 1"),
-        ("hour,load,price,flag,who\n0,1,1,0,a\nnan,1,1,0,b\n", ":3: hour nan must be finite"),
-        # rows after a text cell that spans lines are named by the line they start on
-        ('hour,load,price,flag,who\n0,1,1,0,"a\nb"\n1,-1,1,0,c\n', ":4: load -1.0 must be finite and non-negative"),
-        ('hour,load,price,flag,who\n0,1,1,0,"a\r\nb"\n1,1,1\n', ":4: malformed row: 3 cells, expected 5"),
-        ('hour,load,price,flag,who\n0,1,1,0,"\n\r"\n1,1,x,0,c\n', ":5: malformed row: price 'x' is not a number"),
-        ('hour,load,price,flag,who\n0,"1\n",1,0,a\n', ":2: malformed row: load '1\\n' is not a number"),
+        ("hour,load,price,flag\n0,1,1,0\n1,1,1\n", ":3: malformed row: 3 cells, expected 4"),
+        ("hour,load,price,flag\n0,1,1,0\n1,1,x,0\n", ":3: malformed row: price 'x' is not a number"),
+        ("hour,load,price,flag\n0,-1,1,0\n", ":2: load -1.0 must be finite and non-negative"),
+        ("hour,load,price,flag\n0,1,0,0\n", ":2: price 0.0 must be finite and positive"),
+        ("hour,load,price,flag\n0,1,1,0.5\n", ":2: flag 0.5 must be 0 or 1"),
+        ("hour,load,price,flag\n0,1,1,0\nnan,1,1,0\n", ":3: hour nan must be finite"),
+        # a line break in a cell is named at its row, before the errors of the rows after it
+        ('hour,load,price,flag\n0,1,1,"0\n"\n1,-1,1,0\n', ":2: malformed row: flag '0\\n' is not a number"),
+        ('hour,load,price,flag\n0,1,1,"0\r\n"\n1,1,1\n', ":2: malformed row: flag '0\\r\\n' is not a number"),
+        ('hour,load,price,flag\n0,1,1,0\n1,1,"\n\r",0\n1,1,x,0\n',
+         ":3: malformed row: price '\\n\\r' is not a number"),
+        ('hour,load,price,flag\n0,"1\n",1,0\n', ":2: malformed row: load '1\\n' is not a number"),
+        # the first malformed row is named, whatever is wrong with it
+        ('hour,load,price,flag\n0,1,1\n0,"1\n",1,0\n', ":2: malformed row: 3 cells, expected 4"),
+        ("hour,load,price,flag\n0,1,x,0\n0,1,1\n", ":2: malformed row: price 'x' is not a number"),
     ],
 )
 def test_read_table_names_path_and_line(tmp_path, text, where):
@@ -251,21 +252,39 @@ def test_line_numbers_hold_across_blocks(tmp_path, row, where):
         read_table(path, {"hour": FINITE, "a": NON_NEGATIVE, "b": NON_NEGATIVE})
 
 
+_BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\n\r"])
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(names=st.lists(_TEXT, min_size=1, max_size=30), data=st.data(), block_cells=st.integers(1, 20))
-def test_line_numbers_hold_after_text_cells_that_span_lines(tmp_path, names, data, block_cells):
-    bad = data.draw(st.integers(0, len(names) - 1))
-    x = np.ones(len(names))
-    x[bad] = -1.0
+@given(n=st.integers(1, 30), width=st.integers(1, 4), data=st.data(), block_cells=st.integers(1, 20))
+def test_the_first_malformed_row_is_named_at_its_line(tmp_path, n, width, data, block_cells):
+    # row k holds a line break, a cell that is not a number, or too few cells; the rows before
+    # it are numbers, some out of their domain (checked once every row is read), and the rows
+    # after it may be malformed too: row k is named at line k + 2 at every block size
+    k, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, width - 1))
+    later = st.sampled_from(["1", "x", "1\n"])
+    rows = [[data.draw(st.sampled_from(["1", "-1", "2.5"]) if i <= k else later) for _ in range(width)]
+            for i in range(n)]
+    for row in rows[k + 1 :]:
+        del row[: data.draw(st.integers(0, 1))]  # a short row
+    fault = data.draw(st.sampled_from(["break", "text", "short"]))
+    if fault == "break":
+        rows[k][j] = data.draw(st.sampled_from(["", "1"])) + data.draw(_BREAKS)
+        error = f"malformed row: c{j} {rows[k][j]!r} is not a number"
+    elif fault == "text":
+        rows[k][j] = "x"
+        error = f"malformed row: c{j} 'x' is not a number"
+    else:
+        del rows[k][j]
+        error = f"malformed row: {width - 1} cells, expected {width}"
+    header = [f"c{c}" for c in range(width)]
     path = tmp_path / "t.csv"
-    write_table(path, ["name", "x"], [names, x])
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        ends = [reader.line_num for _ in reader]  # the last line of the header and of each row
-    where = f"{path}:{ends[bad] + 1}: x -1.0 must be finite and non-negative"
+    path.write_text("".join(",".join(f'"{c}"' if "\r" in c or "\n" in c else c for c in row) + "\r\n"
+                            for row in [header, *rows]), newline="")
+    where = f"{path}:{k + 2}: {error}"
     with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="^" + re.escape(where)):
         mp.setattr(tables, "_BLOCK_CELLS", block_cells)  # rows split at every seam
-        read_table(path, {"name": TEXT, "x": NON_NEGATIVE})
+        read_table(path, dict.fromkeys(header, NON_NEGATIVE))
 
 
 @pytest.mark.parametrize(
@@ -300,9 +319,9 @@ def test_read_table_reads_each_named_column(tmp_path):
 
 def test_read_table_empty_body(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("hour,who\n")
-    cols = read_table(path, {"hour": FINITE, "who": TEXT})
-    assert len(cols["hour"]) == len(cols["who"]) == 0
+    path.write_text("hour,a\n")
+    cols = read_table(path, {"hour": FINITE, "a": NON_NEGATIVE})
+    assert [(name, c.dtype, len(c)) for name, c in cols.items()] == [("hour", float, 0), ("a", float, 0)]
 
 
 @pytest.mark.parametrize(
