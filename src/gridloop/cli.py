@@ -10,8 +10,9 @@ Subcommands mirror the pipeline stages:
     run_experiment  full protocol sweep into an output tree
 
 Every stage but evaluate reads one experiment config JSON (defaults apply
-when --config is omitted), and its --seed flag overrides the config's
-seed; evaluate accepts --config and ignores it, and takes no --seed. synth
+when --config is omitted); evaluate accepts --config and ignores it. The
+stages that draw random numbers, synth, detect and run_experiment, take
+--seed, which overrides the config's seed; the others reject it. synth
 and run_experiment take --templates DIR of minute-level meter CSVs in
 place of the synthetic templates. Chaining subcommands with matching
 --rep/--kappa/--attack reproduces the corresponding run_experiment
@@ -41,8 +42,11 @@ from gridloop.synth import synthetic_hourly_templates
 
 def _add_common(sub):
     sub.add_argument("--config", help="experiment config JSON (defaults if omitted)")
-    sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="output file or directory")
+
+
+def _add_seed(sub):
+    sub.add_argument("--seed", type=int, help="override the config seed")
 
 
 def _add_templates(sub):
@@ -51,7 +55,7 @@ def _add_templates(sub):
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
+    return cfg if getattr(args, "seed", None) is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _hourly_templates(args, cfg):
@@ -166,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="bootstrap a micro-grid as its day picks")
     _add_common(p)
+    _add_seed(p)
     _add_templates(p)
     p.add_argument("--rep", type=int, default=0, help="replication index (seed stream)")
     p.set_defaults(func=cmd_synth)
@@ -185,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run all detectors over a trace")
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--attack", required=True, choices=KINDS, help="attack kind label for the metadata")
@@ -199,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run_experiment", help="full protocol sweep")
     _add_common(p)
+    _add_seed(p)
     _add_templates(p)
     p.set_defaults(func=cmd_run_experiment)
 

@@ -19,8 +19,9 @@ candidate change point is marked attacked.
 
 Supervised detection reuses the same residual-free series directly: each
 row's features are the previous `lags` observations (strictly past, never
-the current one), and training data is doubled with synthetic attacked
-copies so the classifiers see both classes.
+the current one). The classifiers train on the nominal series' rows and
+on the rows of a synthetically attacked copy of it, so they see both
+classes; each series takes its lags from itself alone.
 
 The functions take plain values; ExperimentConfig holds the protocol's
 settings (window, p_fa, k and h as multiples of sigma, sweep sizes, lags).
@@ -193,38 +194,33 @@ def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
 # ---------------------------------------------------------------------------
 # supervised feature pipeline
 
-def make_features(values, labels, lags: int):
-    """Lagged-window design matrix.
+def make_features(values, lags: int) -> np.ndarray:
+    """Lagged-window design matrix, a read-only view of `values`.
 
-    Row for index t (t = lags .. n-1) holds values[t-lags .. t-1] -- only
-    strictly past observations -- and is labeled labels[t]. Returns
-    (X of shape (n - lags, lags), y).
+    Row i scores hour t = lags + i and holds values[t-lags .. t-1] -- only
+    strictly past observations. Its shape is (n - lags, lags).
     """
     values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
     if lags < 1:
         raise ValueError("lags must be >= 1")
     if len(values) <= lags:
         raise ValueError(f"need more than {lags} observations")
-    if labels.shape != values.shape:
-        raise ValueError("values and labels must have equal length")
-    X = np.lib.stride_tricks.sliding_window_view(values, lags)[:-1]
-    return X.copy(), labels[lags:].copy()
+    return np.lib.stride_tricks.sliding_window_view(values, lags)[:-1]
 
 
 def build_training_set(train_values, rng: np.random.Generator):
-    """Double a nominal training series with a synthetically attacked copy.
+    """A synthetically attacked copy of a nominal training series, and its per-hour labels.
 
     The copy is split into three equal parts carrying a ramp (step drawn
     uniform [2, 10]), a sudden shift (level uniform [50, 300]), and point
     spikes (five per day, each uniform [50, 300]; a trailing partial day
-    gets a proportional count, at least one). The whole copy is labeled 1,
-    the nominal half 0.
+    gets a proportional count, at least one). Every hour of the copy is
+    labeled 1.
     """
     train = np.asarray(train_values, dtype=float)
     n = len(train)
     if n < 6:
-        raise ValueError("training series too short to double")
+        raise ValueError("training series too short to attack in three parts")
     third = n // 3
     copy = train.copy()
 
@@ -242,6 +238,4 @@ def build_training_set(train_values, rng: np.random.Generator):
         copy[start + np.sort(hours)] += rng.uniform(50.0, 300.0, size=k)
         start += chunk
 
-    values = np.concatenate([train, copy])
-    labels = np.concatenate([np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)])
-    return values, labels
+    return copy, np.ones(n, dtype=np.int8)

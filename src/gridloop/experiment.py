@@ -248,11 +248,10 @@ def prepare_detectors(
     predictions = forecast.forecast(model, cfg.test_hours)
 
     rng = stream(cfg.seed, "train_attacks", rep, kappa_index)
-    doubled, labels = detect.build_training_set(train_series, rng)
-    n = len(train_series)  # features per half, so no attacked row lags into the nominal half
-    nominal = detect.make_features(doubled[:n], labels[:n], cfg.feature_lags)
-    attacked = detect.make_features(doubled[n:], labels[n:], cfg.feature_lags)
-    X, y = np.vstack([nominal[0], attacked[0]]), np.concatenate([nominal[1], attacked[1]])
+    attacked, labels = detect.build_training_set(train_series, rng)
+    lags = cfg.feature_lags  # each series lags itself alone: no attacked row holds a nominal hour
+    X = np.vstack([detect.make_features(train_series, lags), detect.make_features(attacked, lags)])
+    y = np.concatenate([np.zeros(len(train_series) - lags, dtype=np.int8), labels[lags:]])
     models = {
         "logreg": classifiers.LogisticRegression().fit(X, y),
         "gnb": classifiers.GaussianNaiveBayes().fit(X, y),
@@ -299,8 +298,7 @@ def detect_stage(
     glrt_res = detect.glrt_detect(residuals, sigma, cfg.glrt_window, cfg.glrt_p_fa)
     cusum_res = detect.cusum_detect(residuals, cfg.cusum_k_sigma * sigma, cfg.cusum_h_sigma * sigma)
 
-    X_all, _ = detect.make_features(observed, labels, cfg.feature_lags)
-    X_test = X_all[cfg.train_hours - cfg.feature_lags :]
+    X_test = detect.make_features(observed[cfg.train_hours - cfg.feature_lags :], cfg.feature_lags)
     scores = {name: model.predict_score(X_test) for name, model in shared.models.items()}
 
     out_dir = Path(out_dir)
@@ -312,7 +310,7 @@ def detect_stage(
         **{name: (s, s >= 0.5) for name, s in scores.items()},  # logreg, gnb, forest
     }
     write_table(out_dir / "detections.csv", list(_DETECTION_COLUMNS), [
-        trace.hour[cfg.train_hours :], test_labels, residuals,
+        np.arange(cfg.train_hours, cfg.horizon), test_labels, residuals,
         *(column for name in DETECTORS for column in (outputs[name][0], outputs[name][1].astype(np.int8))),
     ])
 

@@ -110,13 +110,12 @@ class GridConfig:
 
 @dataclass
 class SimulationTrace:
-    """Hourly record of one closed-loop run.
+    """Hourly record of one closed-loop run; an array's position is its hour.
 
     clamped counts household loads that a direct manipulation pushed below
     zero (truncated to 0).
     """
 
-    hour: np.ndarray
     price: np.ndarray
     base_load: np.ndarray
     forecast: np.ndarray
@@ -127,7 +126,7 @@ class SimulationTrace:
     clamped: int = 0
 
     def __len__(self) -> int:
-        return len(self.hour)
+        return len(self.observed_load)
 
 
 def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
@@ -222,7 +221,6 @@ def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
         truth[t] = 1
 
     return SimulationTrace(
-        hour=np.arange(n_hours),
         price=price,
         base_load=base_total,
         forecast=forecast,
@@ -246,7 +244,7 @@ def inject_post_hoc(trace: SimulationTrace, schedule) -> SimulationTrace:
         raise ValueError(
             "a price schedule acts only inside the loop (gridloop simulate --schedule)"
         )
-    values = np.array([schedule.value_at(int(t)) for t in trace.hour])
+    values = np.array([schedule.value_at(t) for t in range(len(trace))])
     observed = trace.observed_load + values
     neg = observed < 0
     truth = np.where(values != 0.0, 1, trace.attack_truth).astype(np.int8)
@@ -266,13 +264,15 @@ def _out_of_float_range(t: int, eps: float, eps_hat: float) -> ValueError:
 
 
 def write_trace(trace: SimulationTrace, path: str) -> None:
-    """Aggregate trace CSV, one row per hour."""
-    write_table(path, TRACE_COLUMNS, [getattr(trace, c) for c in TRACE_COLUMNS])
+    """Aggregate trace CSV, one row per hour; its hour column is the row's position."""
+    write_table(path, TRACE_COLUMNS, [np.arange(len(trace)), *(getattr(trace, c) for c in TRACE_COLUMNS[1:])])
 
 
 def read_trace(path: str) -> SimulationTrace:
-    """Read a trace CSV; prices positive, loads non-negative, truth 0 or 1."""
+    """Read a trace CSV; hours 0..n-1 down the rows, prices positive, loads non-negative, truth 0 or 1."""
     col = read_table(path, _TRACE_DOMAINS)
-    col["hour"] = col["hour"].astype(np.int64)
+    hour = col.pop("hour")
+    if len(off := np.flatnonzero(hour != np.arange(len(hour)))):
+        raise ValueError(f"{path}:{off[0] + 2}: hour must be {off[0]}, the row's position")
     col["attack_truth"] = col["attack_truth"].astype(np.int8)
     return SimulationTrace(**col)

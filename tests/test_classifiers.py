@@ -294,7 +294,10 @@ def _lagged_case():
     rng = np.random.default_rng(31)
     hours = np.arange(14 * 24)
     series = 100.0 + 30.0 * np.sin(2 * np.pi * hours / 24) + rng.normal(0.0, 5.0, len(hours))
-    X, y = make_features(*build_training_set(series, np.random.default_rng(32)), lags=24)
+    # the nominal series and its attacked copy, lagged as one series across the seam
+    attacked, labels = build_training_set(series, np.random.default_rng(32))
+    X = make_features(np.concatenate([series, attacked]), lags=24)
+    y = np.concatenate([np.zeros(len(series), dtype=np.int8), labels])[24:]
     return X, y, dict(n_trees=20, seed=33)
 
 

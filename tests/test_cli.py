@@ -163,6 +163,20 @@ def test_attack_rejects_a_trace_of_another_horizon(tiny_cfg, cfg_json, tmp_path,
     assert not out.parent.exists()
 
 
+def test_attack_rejects_a_trace_whose_hours_are_shifted(cfg_json, tmp_path, capsys):
+    # the attack lands by row; a trace numbered 10..135 once took it 10 rows early
+    grid, trace, out = tmp_path / "grid.json", tmp_path / "shift.csv", tmp_path / "out" / "attacked.csv"
+    assert run("synth", "--config", cfg_json, "--out", grid) == 0
+    assert run("simulate", "--config", cfg_json, "--grid", grid, "--kappa", 0.2, "--out", trace) == 0
+    header, *lines = trace.read_text().splitlines()
+    rows = [ln.split(",", 1) for ln in lines]
+    trace.write_text("\n".join([header, *(f"{int(h) + 10},{rest}" for h, rest in rows)]) + "\n")
+    capsys.readouterr()
+    assert run("attack", "--config", cfg_json, "--trace", trace, "--kind", "sudden", "--out", out) == 2
+    assert capsys.readouterr().err == f"gridloop: error: {trace}:2: hour must be 0, the row's position\n"
+    assert not out.parent.exists()
+
+
 def test_overflowing_price_power_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"target": 800, "eps_dsm": -1100, "eps_dsm_hat": -1}))
@@ -210,14 +224,17 @@ def test_templates_flag_only_where_read(argv, tmp_path, capsys):
 
 
 def test_evaluate_has_no_seed_flag(capsys):
-    # evaluate reads no config value, so a seed could change nothing
-    with pytest.raises(SystemExit) as exc:
-        run("evaluate", "--detections", "det", "--seed", 1)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: gridloop")
-    assert err.splitlines()[-1] == "gridloop: error: unrecognized arguments: --seed 1"
-    assert "Traceback" not in err
+    # evaluate reads no config value, and simulate and attack draw nothing, so a seed could change
+    # nothing; only synth, detect and run_experiment take one
+    for argv in (["evaluate", "--detections", "det"], ["simulate", "--grid", "g.json", "--kappa", 0.2],
+                 ["attack", "--trace", "t.csv", "--kind", "sudden"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", 1)
+        assert exc.value.code == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gridloop")
+        assert err.splitlines()[-1] == "gridloop: error: unrecognized arguments: --seed 1"
+        assert "Traceback" not in err
 
 
 def test_schedule_missing_key_exits_2(cfg_json, tmp_path, capsys):
@@ -448,12 +465,14 @@ def test_malformed_grid_exits_2(cfg_json, tmp_path, capsys, edit, fragment):
     "edit, fragment",
     [
         (lambda rows: rows[:-1], ": trace has 125 hours, config wants 126"),
-        (lambda rows: rows + rows[-1:], ": trace has 127 hours, config wants 126"),
+        (lambda rows: rows + [["126", *rows[-1][1:]]], ": trace has 127 hours, config wants 126"),
         # the tiny config trains on its first 96 hours; attack_truth is the last column
         (lambda rows: rows[:10] + [rows[10][:-1] + ["1"]] + rows[11:],
          ": training window is attacked; detectors assume a clean train set"),
+        # attacks land and detectors slice by row, so the hours must be the rows' positions
+        (lambda rows: [[str(int(r[0]) + 10), *r[1:]] for r in rows], ":2: hour must be 0, the row's position"),
     ],
-    ids=["short", "long", "attacked-train-window"],
+    ids=["short", "long", "attacked-train-window", "shifted-hours"],
 )
 def test_bad_trace_for_detect_exits_2(cfg_json, tmp_path, capsys, edit, fragment):
     grid, trace, det = tmp_path / "grid.json", tmp_path / "trace.csv", tmp_path / "det"

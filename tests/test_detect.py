@@ -294,40 +294,36 @@ def test_golden_glrt_sweep_rows():
 
 def test_make_features_uses_strictly_past_values():
     values = np.arange(30.0)
-    labels = (np.arange(30) % 2).astype(np.int8)
-    X, y = make_features(values, labels, lags=24)
+    X = make_features(values, lags=24)
     assert X.shape == (6, 24)
     assert np.array_equal(X[0], np.arange(24.0))  # hour 24 sees hours 0..23
-    assert y[0] == labels[24]
     assert np.array_equal(X[5], np.arange(5.0, 29.0))
-    assert X[0].max() == 23.0  # the labeled hour itself is excluded
+    assert X[0].max() == 23.0  # the scored hour itself is excluded
+    # a read-only view: no copy, and no caller can write through it into the series
+    assert np.shares_memory(X, values) and not X.flags.writeable
 
 
 def test_make_features_default_lag_count():
     # the lag count lives in ExperimentConfig alone
     lags = ExperimentConfig().feature_lags
     assert lags == 24
-    X, y = make_features(np.zeros(1344), np.zeros(1344, dtype=int), lags)
-    assert X.shape == (1320, 24)
+    assert make_features(np.zeros(1344), lags).shape == (1320, 24)
 
 
 def test_make_features_validation():
     with pytest.raises(ValueError, match="lags"):
-        make_features(np.zeros(30), np.zeros(30), lags=0)
+        make_features(np.zeros(30), lags=0)
     with pytest.raises(ValueError, match="more than"):
-        make_features(np.zeros(10), np.zeros(10), lags=24)
-    with pytest.raises(ValueError, match="equal length"):
-        make_features(np.zeros(30), np.zeros(29), lags=24)
+        make_features(np.zeros(10), lags=24)
 
 
 def test_training_set_doubling_layout():
     train = np.full(96, 100.0)
-    values, labels = build_training_set(train, np.random.default_rng(0))
-    assert len(values) == 192
-    assert labels.tolist() == [0] * 96 + [1] * 96
-    assert np.array_equal(values[:96], train)
+    attacked, labels = build_training_set(train, np.random.default_rng(0))
+    assert len(attacked) == 96
+    assert labels.dtype == np.int8 and labels.tolist() == [1] * 96
+    assert np.array_equal(train, np.full(96, 100.0))  # the nominal series is not touched
 
-    attacked = values[96:]
     third = 32
     ramp = attacked[:third] - 100.0
     steps = np.diff(ramp)

@@ -416,8 +416,8 @@ def test_detect_stage_rejects_attacked_train_window(tiny_cfg, tiny_run, tmp_path
 
 
 def test_supervised_training_rows_never_lag_across_the_seam(tiny_cfg, tiny_run, monkeypatch):
-    """Each half of the doubled training series gets its own lags: n - lags rows apiece,
-    nominal rows first, and no attacked row holds an hour of the nominal half."""
+    """The nominal series and its attacked copy each get their own lags: n - lags rows apiece,
+    nominal rows first, and no attacked row holds a nominal hour."""
     seen = {}
     for model in (classifiers.LogisticRegression, classifiers.GaussianNaiveBayes, classifiers.RandomForest):
         def fit(self, X, y, _fit=model.fit, _name=model.__name__):
@@ -428,14 +428,14 @@ def test_supervised_training_rows_never_lag_across_the_seam(tiny_cfg, tiny_run, 
     train = trace.observed_load[: tiny_cfg.train_hours]
     prepare_detectors(train, tiny_cfg, 0, 0)
     n, lags = tiny_cfg.train_hours, tiny_cfg.feature_lags
-    doubled, _ = build_training_set(train, stream(tiny_cfg.seed, "train_attacks", 0, 0))
+    attacked, _ = build_training_set(train, stream(tiny_cfg.seed, "train_attacks", 0, 0))
     windows = np.lib.stride_tricks.sliding_window_view
     assert len(seen) == 3
     for X, y in seen.values():
         assert y.tolist() == [0] * (n - lags) + [1] * (n - lags)
-        assert np.array_equal(X[y == 0], windows(doubled[:n], lags)[:-1])
-        assert np.array_equal(X[y == 1], windows(doubled[n:], lags)[:-1])
-        assert np.array_equal(X[n - lags], doubled[n : n + lags])  # the first attacked row
+        assert np.array_equal(X[y == 0], windows(train, lags)[:-1])
+        assert np.array_equal(X[y == 1], windows(attacked, lags)[:-1])
+        assert np.array_equal(X[n - lags], attacked[:lags])  # the first attacked row
 
 
 def test_evaluate_stage_rejects_bad_header(tiny_run, tmp_path):

@@ -328,7 +328,8 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(trace, str(path))
     back = read_trace(str(path))
-    for col in TRACE_COLUMNS:
+    assert len(back) == len(trace) == 5
+    for col in TRACE_COLUMNS[1:]:  # the hour column is the row's position, not a field
         assert np.array_equal(getattr(back, col), getattr(trace, col)), col
 
 
@@ -355,6 +356,23 @@ def test_read_trace_rejects_bad_values(tmp_path, column, value, rule):
     path.write_text("\n".join(lines) + "\n")
     want = f"{path}:3: {column} {float(value)!r} {rule}"
     with pytest.raises(ValueError, match="^" + re.escape(want)):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "hours, line, want",
+    [([1, 2, 3, 4], 2, 0), ([0, 1, 1, 2], 4, 2), ([0, 1, 3, 4], 4, 2), ([0, 1, 2, 2], 5, 3)],
+    ids=["shifted", "repeated", "skipped", "last-repeated"],
+)
+def test_read_trace_rejects_hours_off_their_rows(tmp_path, hours, line, want):
+    # attacks land and detectors slice by row, so an hour column that disagrees is malformed
+    path = tmp_path / "trace.csv"
+    write_trace(simulate(np.full((4, 1), 2.0), GridConfig(n_homes=1, kappa=0.5, target=1.0)), str(path))
+    header, *rows = path.read_text().splitlines()
+    rows = [f"{h},{row.split(',', 1)[1]}" for h, row in zip(hours, rows, strict=True)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    want = f"{path}:{line}: hour must be {want}, the row's position"
+    with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
         read_trace(str(path))
 
 

@@ -36,7 +36,6 @@ from gridloop.tables import (
 
 def test_trace_bytes(tmp_path):
     trace = SimulationTrace(
-        hour=np.arange(2),
         price=np.array([0.1, 1 / 3]),
         base_load=np.array([1e-300, 2.0]),
         forecast=np.array([250.0, 0.30000000000000004]),
