@@ -15,7 +15,9 @@ CUSUM: g_t = max(0, g_{t-1} + x_t - k) accumulates drift-corrected
 evidence; crossing h raises an alarm and resets g. Times where the
 pre-reset statistic sits at zero are candidate change points, which also
 yields an interval-scored variant: on an alarm, every step since the last
-candidate change point is marked attacked.
+candidate change point is marked attacked. One pass of the recursion, with
+g a vector over thresholds, serves both the detector at its one h and the
+h sweep.
 
 Supervised detection reuses the same residual-free series directly: each
 row's features are the previous `lags` observations (strictly past, never
@@ -119,7 +121,6 @@ class CusumResult:
 
 
 def _finite_residuals(x):
-    # a NaN would reset cusum_detect's max(0, g) but stick in cusum_sweep's np.maximum
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("CUSUM residuals must be finite (no NaN or inf)")
@@ -131,36 +132,46 @@ def _check_drift(k: float) -> None:
         raise ValueError("drift k must be finite and >= 0")
 
 
+def _cusum(x, k: float, hs):
+    """The CUSUM recursion at drift k for every threshold in hs, in one pass over x.
+
+    Returns the pre-reset statistic g_t, the int8 point alarms g_t > h (each
+    resets g to 0) and the int8 interval alarms, each of shape (len(hs), len(x)).
+    An hour is in an alarm's interval when the first hour from it on where g is
+    0 or an alarm fires is an alarm: the climb since g last sat at zero.
+    """
+    hs = np.asarray(hs, dtype=float)
+    scores = np.empty((len(x), len(hs)))  # hours down the rows until the return
+    g = np.zeros(len(hs))
+    for t in range(len(x)):
+        # max(0.0, -0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0, but (g + x_t) - k is -0.0
+        # only where g is, and g starts at +0.0
+        g = np.maximum(0.0, g + x[t] - k)
+        scores[t] = g
+        g[g > hs] = 0.0
+    alarms = scores > hs
+    # per hour, the first hour from it on where g is 0 or an alarm fires; len(x) where none does
+    hours = np.arange(len(x))[:, None]
+    next_event = np.minimum.accumulate(np.where(alarms | (scores == 0.0), hours, len(x))[::-1])[::-1]
+    intervals = np.take_along_axis(np.pad(alarms, ((0, 1), (0, 0))), next_event, axis=0)
+    return scores.T.copy(), alarms.T.astype(np.int8, order="C"), intervals.T.astype(np.int8, order="C")
+
+
 def cusum_detect(x, k: float, h: float) -> CusumResult:
-    """The one-sided CUSUM recursion at drift k and alarm threshold h."""
+    """The one-sided CUSUM recursion at drift k and alarm threshold h: the sweep's kernel at one h."""
     _check_drift(k)
     if not 0.0 < h < np.inf:
         raise ValueError("threshold h must be finite and > 0")
-    x = _finite_residuals(x)
-    scores = np.empty(len(x))
-    alarms = np.zeros(len(x), dtype=np.int8)
-    intervals = np.zeros(len(x), dtype=np.int8)
-    g = 0.0
-    last_zero = -1
-    for t in range(len(x)):
-        g = max(0.0, g + x[t] - k)
-        scores[t] = g
-        if g == 0.0:
-            last_zero = t
-        elif g > h:
-            alarms[t] = 1
-            intervals[last_zero + 1 : t + 1] = 1
-            g = 0.0
-            last_zero = t
-    return CusumResult(scores=scores, decisions=alarms, interval_decisions=intervals)
+    scores, alarms, intervals = _cusum(_finite_residuals(x), k, [h])
+    return CusumResult(scores=scores[0], decisions=alarms[0], interval_decisions=intervals[0])
 
 
 def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
     """Point and interval decisions at drift k over hs = linspace(0, h_max_sigmas*sigma).
 
-    Returns (hs, alarms, intervals), both matrices (n_points, len(x)) from one
-    pass. h = 0 is allowed inside the sweep (it alarms on any positive g) even
-    though cusum_detect requires h > 0.
+    Returns (hs, alarms, intervals), both matrices (n_points, len(x)) from the
+    one pass cusum_detect also makes. h = 0 is allowed inside the sweep (it
+    alarms on any positive g) even though cusum_detect requires h > 0.
     """
     _check_sigma(sigma)
     _check_drift(k)
@@ -171,24 +182,7 @@ def cusum_sweep(x, sigma: float, k: float, n_points: int, h_max_sigmas: float):
         raise ValueError(f"h_max_sigmas * sigma = {h_max_sigmas!r} * {sigma!r} exceeds the largest float")
     x = _finite_residuals(x)
     hs = np.linspace(0.0, h_max, n_points)
-    n = len(x)
-    # the cusum_detect recursion for every threshold at once
-    g = np.zeros(n_points)
-    last_zero = np.full(n_points, -1)
-    alarms = np.zeros((n_points, n), dtype=np.int8)
-    # +1 where an alarm's interval starts, -1 just after it ends; intervals never overlap
-    marks = np.zeros((n_points, n + 1), dtype=np.int64)
-    for t in range(n):
-        g = np.maximum(0.0, g + x[t] - k)
-        zero = g == 0.0
-        fire = ~zero & (g > hs)
-        alarms[:, t] = fire
-        i = np.flatnonzero(fire)
-        marks[i, last_zero[i] + 1] += 1
-        marks[i, t + 1] -= 1
-        g[i] = 0.0
-        last_zero[zero | fire] = t
-    return hs, alarms, (np.cumsum(marks[:, :n], axis=1) > 0).astype(np.int8)
+    return hs, *_cusum(x, k, hs)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,9 @@ _DETECTION_COLUMNS = {"hour": WHOLE, "label": BINARY, "residual": FINITE,
                       **{f"{name}_{col}": domain for name in DETECTORS
                          for col, domain in (("score", FINITE), ("decision", BINARY))}}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
-_META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "glrt.window": COUNT,
-              "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE, "sweep.cusum_k": NON_NEGATIVE}
+_META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "train_hours": WHOLE,
+              "glrt.window": COUNT, "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE,
+              "sweep.cusum_k": NON_NEGATIVE}
 
 _NUMBER = (int, float)
 # config field type -> (what its JSON value must be, the check); bools are no numbers
@@ -335,9 +336,13 @@ def detect_stage(
 # ---------------------------------------------------------------------------
 # evaluate stage
 
-def _read_detections(path):
-    """Every column of detections.csv by name; the labels must hold both classes."""
+def _read_detections(path, train_hours: int):
+    """Every column of detections.csv by name; hours train_hours, train_hours + 1, ... down
+    the rows, and labels holding both classes."""
     table = read_table(path, _DETECTION_COLUMNS)
+    hour = table["hour"]
+    if len(off := np.flatnonzero(hour != np.arange(train_hours, train_hours + len(hour)))):
+        raise ValueError(f"{path}:{off[0] + 2}: hour must be {train_hours + off[0]}, the row's test hour")
     if (classes := len(np.unique(table["label"]))) < 2:
         raise ValueError(f"{path}: the labels hold {classes} of the 2 classes a ROC curve needs")
     return table
@@ -367,7 +372,7 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
     meta = read_json(meta_path, _META_KEYS)
     if meta["attack_type"] not in KINDS:
         raise ValueError(f"{meta_path}: attack_type {meta['attack_type']!r} is not one of {', '.join(KINDS)}")
-    table = _read_detections(det_dir / "detections.csv")
+    table = _read_detections(det_dir / "detections.csv", int(meta["train_hours"]))
     residuals, labels = table["residual"], table["label"]
     sigma = float(meta["sigma"])
     sweep = meta["sweep"]

@@ -288,9 +288,14 @@ def _drop(rows, *columns):
         (lambda rows: rows[:1], ": the labels hold 0 of the 2 classes a ROC curve needs"),
         (lambda rows: _set(rows, "hour", "0.5"), ":2: hour 0.5 must be a whole number >= 0"),
         (lambda rows: _set(rows, "hour", "-7", row=-1), ":31: hour -7.0 must be a whole number >= 0"),
+        # the sweeps run in row order, so the rows must be the test hours 96..125 in order
+        (lambda rows: [rows[0]] + [["96", *r[1:]] for r in rows[1:]], ":3: hour must be 97, the row's test hour"),
+        (lambda rows: [rows[0]] + rows[:0:-1], ":2: hour must be 96, the row's test hour"),
+        (lambda rows: [rows[0]] + [[str(int(r[0]) + 1), *r[1:]] for r in rows[1:]],
+         ":2: hour must be 96, the row's test hour"),
     ],
     ids=["short-row", "no-residual", "no-forest", "nan-residual", "label-2", "decision-2",
-         "one-class", "empty", "hour-half", "hour-negative"],
+         "one-class", "empty", "hour-half", "hour-negative", "hours-same", "rows-reversed", "hours-shifted"],
 )
 def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
@@ -320,10 +325,12 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
         (lambda meta: meta.update(kappa="bogus"), ": kappa 'bogus' must be a number, in [0, 1]"),
         (lambda meta: meta.update(kappa=None), ": kappa None must be a number, in [0, 1]"),
         (lambda meta: meta.update(kappa=2.0), ": kappa 2.0 must be a number, in [0, 1]"),
+        (lambda meta: meta.pop("train_hours"), ": missing key 'train_hours'"),
+        (lambda meta: meta.update(train_hours=-1), ": train_hours -1 must be a number, a whole number >= 0"),
     ],
     ids=["no-sweep", "attack-bogus", "attack-null", "sigma-x", "window-half", "points-0",
          "points-fraction", "sigma-square-overflows", "sigma-square-underflows", "cusum-span-overflows",
-         "kappa-bogus", "kappa-null", "kappa-2"],
+         "kappa-bogus", "kappa-null", "kappa-2", "no-train-hours", "train-hours-negative"],
 )
 def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragment):
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"

@@ -174,8 +174,8 @@ def test_cusum_sweep_grid_and_consistency():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cusum_rejects_non_finite_residuals(bad):
-    # on [3, nan, 3, 3] at k 0.5, h 2 the recursion would alarm at [1, 0, 1, 1] and
-    # the sweep's h = 2 row at [1, 0, 0, 0]; both refuse the input instead
+    # a NaN would stick in g, since np.maximum propagates it, and silence every later alarm:
+    # on [3, nan, 3, 3] at k 0.5, h 2 the alarms would be [1, 0, 0, 0]; both refuse the input instead
     x = [3.0, bad, 3.0, 3.0]
     with pytest.raises(ValueError, match="must be finite"):
         cusum_detect(x, k=0.5, h=2.0)
@@ -208,24 +208,28 @@ def _glrt_sweep_loop(x, sigma, window, n_points):
     return p_fas, np.array(rows, dtype=np.int8)
 
 
-def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas):
-    hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
-    point, interval = [], []
-    for h in hs:
-        alarms = np.zeros(len(x), dtype=np.int8)
-        intervals = np.zeros(len(x), dtype=np.int8)
+def _cusum_loop(x, k, hs):
+    """The scalar CUSUM recursion, one threshold at a time: pre-reset g, point and interval rows."""
+    scores = np.zeros((len(hs), len(x)))
+    alarms = np.zeros((len(hs), len(x)), dtype=np.int8)
+    intervals = np.zeros((len(hs), len(x)), dtype=np.int8)
+    for i, h in enumerate(hs):
         g, last_zero = 0.0, -1
         for t in range(len(x)):
             g = max(0.0, g + x[t] - k)
+            scores[i, t] = g
             if g == 0.0:
                 last_zero = t
             elif g > h:
-                alarms[t] = 1
-                intervals[last_zero + 1 : t + 1] = 1
+                alarms[i, t] = 1
+                intervals[i, last_zero + 1 : t + 1] = 1
                 g, last_zero = 0.0, t
-        point.append(alarms)
-        interval.append(intervals)
-    return hs, np.array(point), np.array(interval)
+    return scores, alarms, intervals
+
+
+def _cusum_sweep_loop(x, sigma, k, n_points, h_max_sigmas):
+    hs = np.linspace(0.0, h_max_sigmas * sigma, n_points)
+    return hs, *_cusum_loop(x, k, hs)
 
 
 def _sweep_series(kind, seed):
@@ -250,11 +254,50 @@ def test_cusum_sweep_matches_the_per_threshold_loop(kind, interval):
     k, n_points = (0.0, 13) if kind == "integer" else (0.5, 101)
     # one pass gives both outputs; `interval` picks the one a case checks
     hs, alarms, intervals = cusum_sweep(x, 1.0, k=k, n_points=n_points, h_max_sigmas=6.0)
-    ref_hs, ref_alarms, ref_intervals = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0)
+    ref_hs, _, ref_alarms, ref_intervals = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0)
     rows, ref_rows = (intervals, ref_intervals) if interval else (alarms, ref_alarms)
     assert hs[0] == 0.0  # h = 0 alarms on any positive g
     assert np.array_equal(hs, ref_hs)
     assert rows.dtype == np.int8 and np.array_equal(rows, ref_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           st.tuples(st.lists(st.floats(-5, 5), max_size=80), st.floats(0.0, 2.0), st.floats(0.01, 5.0)),
+           # integer steps at k = 0 land g exactly on whole thresholds: g == h must not alarm
+           st.tuples(st.lists(st.integers(-5, 5).map(float), max_size=80), st.just(0.0),
+                     st.integers(1, 5).map(float))),
+       st.integers(1, 25))
+def test_cusum_matches_the_scalar_loop(case, n_points):
+    xs, k, h = case
+    x = np.array(xs, dtype=float)
+    hs, alarms, intervals = cusum_sweep(x, 1.0, k=k, n_points=n_points, h_max_sigmas=6.0)
+    ref_hs, _, ref_alarms, ref_intervals = _cusum_sweep_loop(x, 1.0, k, n_points, 6.0)
+    assert np.array_equal(hs, ref_hs)
+    assert alarms.dtype == intervals.dtype == np.int8
+    assert np.array_equal(alarms, ref_alarms) and np.array_equal(intervals, ref_intervals)
+    # the detector at one h, off the sweep's grid for float residuals
+    res = cusum_detect(x, k=k, h=h)
+    ref_scores, ref_point, ref_interval = _cusum_loop(x, k, [h])
+    assert res.scores.tobytes() == ref_scores[0].tobytes()  # bit for bit, the sign of zero too
+    assert res.decisions.dtype == res.interval_decisions.dtype == np.int8
+    assert np.array_equal(res.decisions, ref_point[0])
+    assert np.array_equal(res.interval_decisions, ref_interval[0])
+
+
+@pytest.mark.parametrize("x, alarm_rows, alarm", [
+    ([], [], []),
+    ([3.0], [1, 1, 0, 0, 0], [1]),  # g = 2.5 against the sweep's 0, 1.5, 3, 4.5, 6 and h = 2
+    ([0.5], [0] * 5, [0]),  # g = 0 alarms nowhere, not even at h = 0
+])
+def test_cusum_on_series_of_zero_and_one_hour(x, alarm_rows, alarm):
+    # one hour has no climb before it: its interval is the alarm hour alone
+    _, alarms, intervals = cusum_sweep(x, 1.0, k=0.5, n_points=5, h_max_sigmas=6.0)
+    assert alarms.shape == intervals.shape == (5, len(x))
+    assert alarms.ravel().tolist() == intervals.ravel().tolist() == alarm_rows
+    res = cusum_detect(x, k=0.5, h=2.0)
+    assert res.scores.tolist() == [max(0.0, v - 0.5) for v in x]
+    assert res.decisions.tolist() == res.interval_decisions.tolist() == alarm
 
 
 @pytest.mark.parametrize("kind", ["noise", "shift", "spikes"])

@@ -340,7 +340,7 @@ def _write_falling_attack_scenario(det_dir):
     for t, (r, y) in enumerate(zip(residuals, labels)):
         lines.append(",".join([str(100 + t), str(y), repr(r), *(f"{values[t]!r},0" for values in scores.values())]))
     (det_dir / "detections.csv").write_text("\n".join(lines) + "\n")
-    meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "glrt": {"window": 4},
+    meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "train_hours": 100, "glrt": {"window": 4},
             "sweep": {"points": 7, "cusum_sigmas": 3.0, "cusum_k": 1.0}}
     (det_dir / "detect_meta.json").write_text(json.dumps(meta))
     return det_dir

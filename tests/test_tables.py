@@ -384,7 +384,7 @@ _READERS = {
     "grid.json": read_microgrid,
     "trace.csv": read_trace,
     "cfg.json": ExperimentConfig.from_json,
-    "detections.csv": _read_detections,
+    "detections.csv": lambda path: _read_detections(path, 96),  # tiny_cfg's train_hours
     "detect_meta.json": lambda path: read_json(path, _META_KEYS),
     "schedule.json": read_schedule,
     "template.csv": load_template,
