@@ -35,7 +35,7 @@ from gridloop.experiment import (
     run_experiment,
 )
 from gridloop.feedback import BaseLoadError, inject_post_hoc, read_trace, simulate, write_trace
-from gridloop.ingest import load_template_dir, resample_hourly
+from gridloop.ingest import load_template_dir
 from gridloop.loadgen import read_microgrid, synthesize_microgrid, write_microgrid
 from gridloop.synth import synthetic_hourly_templates
 
@@ -60,7 +60,7 @@ def _load_cfg(args) -> ExperimentConfig:
 
 def _hourly_templates(args, cfg):
     if args.templates:
-        return [resample_hourly(t) for t in load_template_dir(args.templates)]
+        return load_template_dir(args.templates)
     return synthetic_hourly_templates(cfg.template_homes, cfg.template_days, seed=cfg.seed)
 
 

@@ -1,7 +1,8 @@
 """Sequential detectors over forecast residuals, plus feature building.
 
-Both sequential detectors watch the one-step forecast residuals of the
-aggregate load for a positive mean shift.
+Both sequential detectors watch the aggregate load's forecast residuals
+for a positive mean shift: the errors of one multi-step forecast made at
+the end of the training window, over the whole test window.
 
 GLRT: the score at time t is the mean residual over the trailing window
 (shorter prefix windows are used until the window fills, and a window

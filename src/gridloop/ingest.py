@@ -1,10 +1,11 @@
 """Minute-level meter readings -> hourly energy series.
 
 A template CSV is a gridloop table ``minute,kw`` of one home's instantaneous
-power draw, one reading per minute and row. Hourly energy is the sampling
-period times the mean power over the hour's readings, i.e. for a full hour
-of minutes E[kWh] = mean(kW). Short gaps in the minute index are linearly
-interpolated; anything longer is refused rather than guessed at.
+power draw, one reading per minute and row. The reader checks it, fills
+short gaps and returns the home's hourly series at once: hourly energy is
+the sampling period times the mean power over the hour's readings, i.e. for
+a full hour of minutes E[kWh] = mean(kW). Short gaps in the minute index are
+linearly interpolated; anything longer is refused rather than guessed at.
 """
 
 from __future__ import annotations
@@ -18,34 +19,12 @@ from gridloop.tables import NON_NEGATIVE, WHOLE, read_table
 
 __all__ = [
     "HourlySeries",
-    "TemplateHome",
+    "hourly_series",
     "load_template",
     "load_template_dir",
-    "resample_hourly",
 ]
 
 MAX_GAP_MINUTES = 5
-
-
-@dataclass
-class TemplateHome:
-    """One home's minute-resolution power trace (kW, 0-based minute index)."""
-
-    home_id: str
-    minutes: np.ndarray
-    kw: np.ndarray
-
-    def __post_init__(self):
-        self.minutes = np.asarray(self.minutes, dtype=np.int64)
-        self.kw = np.asarray(self.kw, dtype=float)
-        if self.minutes.shape != self.kw.shape or self.minutes.ndim != 1:
-            raise ValueError("minutes and kw must be 1-d arrays of equal length")
-        if len(self.minutes) == 0:
-            raise ValueError("template has no readings")
-        if np.any(np.diff(self.minutes) <= 0):
-            raise ValueError("minute index must be strictly increasing")
-        if np.any(self.kw < 0) or not np.all(np.isfinite(self.kw)):
-            raise ValueError("invalid reading: power must be finite and non-negative")
 
 
 @dataclass
@@ -67,8 +46,8 @@ class HourlySeries:
             raise ValueError("invalid reading: energy must be finite and non-negative")
 
 
-def load_template(path: str) -> TemplateHome:
-    """Read one ``minute,kw`` table into a TemplateHome, short gaps filled.
+def load_template(path: str) -> HourlySeries:
+    """Read one ``minute,kw`` table into its hourly series, short gaps filled.
 
     Raises ValueError naming ``path:line`` for a malformed row, negative
     power, a minute index that is outside [0, 2**31) or not increasing, or
@@ -87,7 +66,7 @@ def load_template(path: str) -> TemplateHome:
         raise ValueError(f"{path}:{i + 2}: {why}")
     home_id = os.path.splitext(os.path.basename(path))[0]
     filled_m, filled_kw = _fill_gaps(minutes.astype(np.int64), cols["kw"], path)
-    return TemplateHome(home_id=home_id, minutes=filled_m, kw=filled_kw)
+    return hourly_series(home_id, filled_m, filled_kw)
 
 
 def _fill_gaps(minutes: np.ndarray, kw: np.ndarray, path: str):
@@ -105,7 +84,7 @@ def _fill_gaps(minutes: np.ndarray, kw: np.ndarray, path: str):
     return full, np.interp(full, minutes, kw)
 
 
-def load_template_dir(path: str) -> list[TemplateHome]:
+def load_template_dir(path: str) -> list[HourlySeries]:
     """All ``*.csv`` templates under ``path``, sorted by filename."""
     names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
     if not names:
@@ -113,21 +92,13 @@ def load_template_dir(path: str) -> list[TemplateHome]:
     return [load_template(os.path.join(path, n)) for n in names]
 
 
-def resample_hourly(home: TemplateHome) -> HourlySeries:
-    """Aggregate minute kW readings into hourly kWh.
+def hourly_series(home_id: str, minutes: np.ndarray, kw: np.ndarray) -> HourlySeries:
+    """Aggregate gap-free minute kW readings into hourly kWh.
 
-    Each hour bucket (minute // 60) may carry 1..60 readings; its energy is
+    Each hour bucket (minute // 60) carries 1..60 readings; its energy is
     the bucket's mean power times the one-hour period. Buckets are indexed
     from the first hour present so the output is contiguous.
     """
-    bucket = home.minutes // 60
-    first = bucket[0]
-    idx = bucket - first
-    n_hours = int(idx[-1]) + 1
-    sums = np.bincount(idx, weights=home.kw, minlength=n_hours)
-    counts = np.bincount(idx, minlength=n_hours)
-    if np.any(counts == 0):
-        # cannot happen after gap filling, but guard the direct-construction path
-        h = int(np.where(counts == 0)[0][0]) + first
-        raise ValueError(f"unfillable gap: hour {h} has no readings")
-    return HourlySeries(home_id=home.home_id, hours=np.arange(n_hours), kwh=sums / counts)
+    idx = minutes // 60 - minutes[0] // 60
+    kwh = np.bincount(idx, weights=kw) / np.bincount(idx)
+    return HourlySeries(home_id=home_id, hours=np.arange(len(kwh)), kwh=kwh)

@@ -4,7 +4,8 @@ The pipeline is normally driven by real minute-level meter CSVs, but the
 suite must run without that proprietary data, so this module fabricates a
 small fleet of statistically plausible homes: a smooth double-peaked daily
 shape, a slowly wandering day level, lognormal hour-to-hour jitter, and
-minute noise for the resampler to average away. Parameters are tuned so a
+minute noise that ``ingest.hourly_series`` averages into each home's hourly
+kWh series, as it does for a meter CSV. Parameters are tuned so a
 200-home bootstrap aggregate averages ~330 kWh/h with ~2-3% hourly
 dispersion, which keeps attack magnitudes in the tens-of-kWh range
 detectable but not trivial.
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridloop.ingest import HourlySeries, TemplateHome, resample_hourly
+from gridloop.ingest import HourlySeries, hourly_series
 from gridloop.seeds import stream
 
-__all__ = ["synthetic_templates", "synthetic_hourly_templates"]
+__all__ = ["synthetic_hourly_templates"]
 
 # mean-1 daily profile: broad evening peak plus a softer morning shoulder
 _HOURS = np.arange(24)
@@ -34,8 +35,10 @@ _HOUR_JITTER_SIGMA = 0.32  # lognormal sigma of per-hour jitter
 _MINUTE_NOISE_KW = 0.04
 
 
-def synthetic_templates(n_homes: int = 7, days: int = 28, seed: int = 0) -> list[TemplateHome]:
-    """Generate ``n_homes`` minute-resolution templates of ``days`` days each.
+def synthetic_hourly_templates(
+    n_homes: int = 7, days: int = 28, seed: int = 0
+) -> list[HourlySeries]:
+    """Generate ``n_homes`` hourly templates of ``days`` days each from minute readings.
 
     Deterministic: home j draws from RNG stream (seed, "synth", j), so
     adding homes or reordering calls never perturbs existing templates.
@@ -57,18 +60,5 @@ def synthetic_templates(n_homes: int = 7, days: int = 28, seed: int = 0) -> list
         minute_kw = np.repeat(hourly_kw.reshape(-1), 60)
         minute_kw = minute_kw + rng.normal(0.0, _MINUTE_NOISE_KW, size=minute_kw.size)
         np.maximum(minute_kw, 0.0, out=minute_kw)
-        homes.append(
-            TemplateHome(
-                home_id=f"synth_{j}",
-                minutes=np.arange(minute_kw.size),
-                kw=minute_kw,
-            )
-        )
+        homes.append(hourly_series(f"synth_{j}", np.arange(minute_kw.size), minute_kw))
     return homes
-
-
-def synthetic_hourly_templates(
-    n_homes: int = 7, days: int = 28, seed: int = 0
-) -> list[HourlySeries]:
-    """Synthetic templates already pushed through the hourly resampler."""
-    return [resample_hourly(h) for h in synthetic_templates(n_homes, days, seed)]

@@ -10,7 +10,8 @@ import shutil
 import numpy as np
 import pytest
 
-from gridloop import classifiers
+from gridloop import classifiers, detect, experiment
+from gridloop.attack import KINDS
 from gridloop.experiment import (
     DETECTORS,
     METRICS,
@@ -25,7 +26,9 @@ from gridloop.experiment import (
 from gridloop.detect import build_training_set, cusum_sweep
 from gridloop.evaluation import roc_from_sweep
 from gridloop.feedback import read_trace
+from gridloop.ingest import HourlySeries
 from gridloop.seeds import stream
+from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import write_json
 
 
@@ -460,3 +463,78 @@ def test_rerun_is_byte_identical(tiny_cfg, tiny_run, tmp_path):
         "summary.csv",
     ):
         assert (again / rel).read_bytes() == (root / rel).read_bytes(), rel
+
+
+# ---------------------------------------------------------------------------
+# the kWh unit is arbitrary: scaling every kWh quantity by a power of two is exact in floating
+# point, so every output is S times the reference or equal to it, bit for bit
+
+class _KwhDraws:
+    """A generator whose uniform draws, the training attacks' kWh magnitudes, come out times `scale`.
+
+    Scaling the draws, not the function's input and output, leaves a kWh literal in the
+    training attacks unscaled, where the property sees it."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def uniform(self, *args, **kwargs):
+        return self.scale * self.rng.uniform(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+def _scaled_run(cfg, scale, out, monkeypatch):
+    """run_experiment with the templates, target, floor and every attack magnitude times `scale`."""
+    monkeypatch.setattr(experiment, "_RAMP_STEP", scale * experiment._RAMP_STEP)
+    monkeypatch.setattr(experiment, "_SUDDEN_LEVEL", scale * experiment._SUDDEN_LEVEL)
+    monkeypatch.setattr(experiment, "_POINT_PATTERN", tuple((f, scale * m) for f, m in experiment._POINT_PATTERN))
+    build = detect.build_training_set
+    monkeypatch.setattr(detect, "build_training_set", lambda train, rng: build(train, _KwhDraws(rng, scale)))
+    templates = [HourlySeries(t.home_id, t.hours, scale * t.kwh)
+                 for t in synthetic_hourly_templates(cfg.template_homes, cfg.template_days, seed=cfg.seed)]
+    cfg = dataclasses.replace(cfg, target=scale * cfg.target, lstar_floor=scale * cfg.lstar_floor)
+    run_experiment(cfg, out, templates=templates)
+
+
+def _csv_columns(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return dict(zip(next(reader), map(list, zip(*reader))))
+
+
+def _roc_rows(sdir):
+    """roc.csv's detector names and (threshold, fpr, tpr) rows, without gnb's curve."""
+    cols = _csv_columns(sdir / "roc.csv")
+    keep = [i for i, name in enumerate(cols["detector"]) if name != "gnb"]
+    names = [cols["detector"][i] for i in keep]
+    return names, np.array([cols[c] for c in ("threshold", "fpr", "tpr")], dtype=float)[:, keep]
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 2.0**-8])
+def test_kwh_unit_is_arbitrary(tiny_cfg, tmp_path, monkeypatch, scale):
+    cfg = dataclasses.replace(tiny_cfg, attacks=KINDS)  # every attack magnitude takes part
+    run_experiment(cfg, tmp_path / "ref")
+    _scaled_run(cfg, scale, tmp_path / "scaled", monkeypatch)
+    sequential = ("cusum", "cusum_interval")  # their thresholds are in kWh
+    for attack in KINDS:
+        ref, got = (scenario_dir(tmp_path / side, 0.2, attack, 0) for side in ("ref", "scaled"))
+        want, have = (_csv_columns(d / "detections.csv") for d in (ref, got))
+        for name in want:
+            a, b = np.array(want[name], dtype=float), np.array(have[name], dtype=float)
+            if name in ("residual", "glrt_score", "cusum_score", "cusum_interval_score"):
+                assert np.array_equal(b, scale * a), (attack, name)
+            elif name == "gnb_score":  # log(2 pi var) does not scale exactly
+                np.testing.assert_allclose(b, a, rtol=1e-12, err_msg=attack)
+            else:  # hour, label, every decision, the logreg and forest scores
+                assert np.array_equal(b, a), (attack, name)
+        want, have = (json.loads((d / "metrics.json").read_text()) for d in (ref, got))
+        for w, h in zip(want, have):
+            if w["detector"] in sequential:
+                assert float(h.pop("best_threshold")) == scale * float(w.pop("best_threshold")), attack
+            assert w["detector"] == "gnb" or h == w, attack
+        (names, a), (names_b, b) = _roc_rows(ref), _roc_rows(got)
+        assert names_b == names, attack
+        a[0, np.isin(names, sequential)] *= scale
+        assert np.array_equal(b, a), attack

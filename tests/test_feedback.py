@@ -544,6 +544,46 @@ def test_closed_loop_price_attack_equals_its_load_equivalent(case):
 
 
 # ---------------------------------------------------------------------------
+# the loop's gain: with eps_hat = eps a home serves c_t = (1 - kappa) + kappa * L*_t / Phi_{t-1},
+# affine in L*, and goal2 feeds back -dL_{t-1}; so a one-hour load attack of a kWh at t0 moves
+# hour t0 + j by a * (-kappa)^j * Phi_{t0+j} / Phi_{t0} until L* takes its floor
+
+@st.composite
+def _one_hour_attacks(draw):
+    """A random grid and loop with eps_hat = eps, and a one-hour attack of a kWh on every home at t0."""
+    hours, homes = draw(st.integers(2, 72)), draw(st.integers(1, 8))
+    a = draw(st.floats(1.0, 300.0))
+    # the loads round relative to Phi, so the grid's mean total stays within 50 a of the attack
+    base = np.random.default_rng(draw(st.integers(0, 2**31))).uniform(0.2, 3.0, size=(hours, homes))
+    level = draw(st.floats(0.5, 50.0)) * a
+    base *= level / base.sum(axis=1).mean()
+    cfg = GridConfig(n_homes=homes, kappa=draw(st.floats(0.0, 0.95)), eps_dsm=draw(st.floats(-3.0, -0.2)),
+                     target=draw(st.floats(0.5, 2.0)) * level)
+    t0 = draw(st.integers(0, hours - 1))
+    return base, cfg, t0, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_hour_attacks())
+def test_one_hour_load_attack_follows_the_closed_form(case):
+    base, cfg, t0, a = case
+    attack = make_point({t0: a}, window=(t0, t0 + 1))
+    for goal in ("goal1", "goal2"):
+        goal_cfg = dataclasses.replace(cfg, goal=goal)
+        nominal, attacked = simulate(base, goal_cfg), simulate(base, goal_cfg, schedule=attack)
+        diff = attacked.observed_load - nominal.observed_load
+        assert np.all(diff[:t0] == 0.0), goal
+        if goal == "goal1":  # L* is the target: the attack never reaches the price
+            assert np.all(diff[t0 + 1 :] == 0.0)
+            continue
+        phi = nominal.base_load
+        floored = (nominal.lstar <= cfg.lstar_floor) | (attacked.lstar <= cfg.lstar_floor)
+        end = t0 + 1 + int(np.argmax(np.append(floored[t0 + 1 :], True)))
+        want = a * (-cfg.kappa) ** np.arange(end - t0) * phi[t0:end] / phi[t0]
+        assert np.max(np.abs(diff[t0:end] - want)) <= 1e-12 * a
+
+
+# ---------------------------------------------------------------------------
 # the closed loop's bytes on paths run_experiment never takes: goal2, kappa
 # 0 and 1, a mismatched utility elasticity, and schedules inside the loop
 
