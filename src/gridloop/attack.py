@@ -152,7 +152,12 @@ def read_schedule(path: str) -> AttackSchedule:
         raise ValueError(f"{path}: 'params' must be an object")
     try:
         if payload["kind"] == "point" and isinstance(params.get("values"), dict):
-            params = {**params, "values": {int(t): v for t, v in params["values"].items()}}
+            values = {}
+            for t, v in params["values"].items():  # "15" and "015" are one hour
+                if (hour := int(t)) in values:
+                    raise ValueError(f"point hour {hour} is given twice")
+                values[hour] = v
+            params = {**params, "values": values}
         return AttackSchedule(
             mode=payload["mode"],
             kind=payload["kind"],

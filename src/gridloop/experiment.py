@@ -18,6 +18,7 @@ run_experiment scenario bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -64,14 +65,19 @@ _META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "train_hour
               "glrt.window": COUNT, "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE,
               "sweep.cusum_k": NON_NEGATIVE}
 
-_NUMBER = (int, float)
-# config field type -> (what its JSON value must be, the check); bools are no numbers
+
+def _number(v) -> bool:
+    """A float, or an integer inside the float range; bools are no numbers."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+# config field type -> (what its JSON value must be, the check)
 _CONFIG_JSON = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in _NUMBER),
-    "float | None": ("a number or null", lambda v: v is None or type(v) in _NUMBER),
+    "float": ("a number", _number),
+    "float | None": ("a number or null", lambda v: v is None or _number(v)),
     "str": ("a string", lambda v: type(v) is str),
-    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and {*map(type, v)} <= {*_NUMBER}),
+    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and all(map(_number, v))),
     "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
 }
 

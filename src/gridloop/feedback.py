@@ -14,13 +14,13 @@ aggregate base load Phi and, under attack, the victims' share Phi_v:
 
 under a price offset a, and c * (Phi - Phi_v) + sum_v max(0, c * phi_v + d)
 under a load delta d per victim, the only case that reads single homes.
-The utility inverts the same model to steer the aggregate
-toward a target L': given a forecast of the aggregate base load and an
+The utility inverts the same model to steer the aggregate toward one
+target load L': given a forecast of the aggregate base load and an
 assumed elasticity it posts
 
-    P_t = (L* / forecast) ** (1 / eps_hat)
+    P_t = (L*_t / forecast) ** (1 / eps_hat)
 
-where L* is the (possibly history-corrected) adjusted target. Because the
+where L*_t is hour t's adjusted target (see the goals below). Because the
 posted price shapes the very loads the utility observes next, the two form
 a closed loop -- which is exactly the surface the attack and detection
 modules probe. simulate applies an attack schedule inside that loop;
@@ -28,17 +28,16 @@ inject_post_hoc instead forges the recorded aggregate of a finished run.
 
 Targeting goals
 ---------------
-goal1: L* = L'_t (track the target directly)
-goal2: L* = L'_t + (L'_{t-1} - L_{t-1}) (correct last hour's miss)
+goal1: L*_t = L' (track the target directly)
+goal2: L*_t = L' + (L' - L_{t-1}) (correct last hour's miss)
 
-A non-positive L* is replaced by a small positive floor so the posted
+A non-positive L*_t is replaced by a small positive floor so the posted
 price stays physical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +71,7 @@ class BaseLoadError(ValueError):
 class GridConfig:
     """Closed-loop simulation parameters.
 
-    target may be a scalar (constant target) or a per-hour sequence.
+    target is the load L' the utility steers every hour toward.
     eps_dsm_hat is the utility's assumed elasticity; None means it matches
     the true household elasticity.
     """
@@ -82,7 +81,7 @@ class GridConfig:
     eps_dsm: float = -1.0
     eps_dsm_hat: float | None = None
     goal: str = "goal1"
-    target: float | Sequence[float] = 200.0
+    target: float = 200.0
     lstar_floor: float = 10.0
 
     def __post_init__(self):
@@ -97,9 +96,8 @@ class GridConfig:
             raise ValueError("eps_dsm_hat must be finite and negative")
         if self.goal not in ("goal1", "goal2"):
             raise ValueError(f"unknown goal {self.goal!r}")
-        t = np.asarray(self.target, dtype=float)
-        if np.any(t <= 0) or not np.all(np.isfinite(t)):
-            raise ValueError("target must be positive")
+        if not 0 < self.target < np.inf:
+            raise ValueError("target must be finite and positive")
         if not 0 < self.lstar_floor < np.inf:
             raise ValueError("lstar_floor must be finite and positive")
 
@@ -148,13 +146,8 @@ def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
     if n_homes != cfg.n_homes:
         raise ValueError(f"grid has {n_homes} homes but config says {cfg.n_homes}")
 
-    targets = np.broadcast_to(np.asarray(cfg.target, dtype=float).ravel(), (n_hours,)) \
-        if np.ndim(cfg.target) == 0 else np.asarray(cfg.target, dtype=float)
-    if targets.shape != (n_hours,):
-        raise ValueError("per-hour target length must match the horizon")
-
     # the pricing step stays on Python floats, whose ** raises on overflow
-    eps, eps_hat = float(cfg.eps_dsm), float(cfg.effective_eps_hat)
+    eps, eps_hat, target = float(cfg.eps_dsm), float(cfg.effective_eps_hat), float(cfg.target)
     goal2, lstar_floor = cfg.goal == "goal2", float(cfg.lstar_floor)
 
     victims = schedule.victim_indices(n_homes) if schedule is not None else None
@@ -177,9 +170,7 @@ def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
                                 "must be finite and positive")
 
         # goal2 adds last hour's miss to the target; a non-positive L* takes the floor
-        l_t = float(targets[t])
-        if goal2 and t > 0:
-            l_t = l_t + (float(targets[t - 1]) - float(observed[t - 1]))
+        l_t = target + (target - float(observed[t - 1])) if goal2 and t > 0 else target
         if l_t <= 0:
             l_t = lstar_floor
         try:
@@ -224,7 +215,7 @@ def simulate(grid, cfg: GridConfig, schedule=None) -> SimulationTrace:
         price=price,
         base_load=base_total,
         forecast=forecast,
-        target=targets.copy(),
+        target=np.full(n_hours, target),
         lstar=lstar,
         observed_load=observed,
         attack_truth=truth,

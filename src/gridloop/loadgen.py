@@ -9,8 +9,8 @@ day); the (hours x homes) base-load matrix is built from them on first use.
 Day d of home i is pick ``hash_integers((seed, "home"), i, d, blocks_i)``,
 a counter-based hash of (seed, home, day), so growing the population or
 the horizon never reshuffles a home's days. The picks are drawn for a
-block of homes at once, and the matrix is filled one simulated day at a
-time across such a block.
+block of homes at once, and the matrix is filled one simulated day of
+every home at a time.
 """
 
 from __future__ import annotations
@@ -74,13 +74,12 @@ class Microgrid:
 
     @cached_property
     def kwh(self) -> np.ndarray:
+        if not 0 <= self.picks.min() <= self.picks.max() < self.day_rows.shape[1]:
+            raise ValueError(f"every pick must be a day block (0..{self.day_rows.shape[1] - 1})")
         out = np.empty((self.n_hours, self.n_homes))
-        # np.take buffers its whole `out`, so each call fills one day of one block of homes
-        for lo in range(0, self.n_homes, _BLOCK_HOMES):
-            block = self.picks[lo : lo + _BLOCK_HOMES]
-            for d in range(block.shape[1]):
-                rows = slice(d * BLOCK_HOURS, (d + 1) * BLOCK_HOURS)
-                np.take(self.day_rows, block[:, d], axis=1, out=out[rows, lo : lo + len(block)])
+        for d, day in enumerate(out.reshape(-1, BLOCK_HOURS, self.n_homes)):
+            # mode="raise" would fill a buffer the size of `day`; the check above makes "clip" a no-op
+            np.take(self.day_rows, self.picks[:, d], axis=1, out=day, mode="clip")
         return out
 
 

@@ -152,21 +152,31 @@ def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:
     return ValueError(f"{path}:{line}: not {exc.encoding} text: byte 0x{data[exc.start]:02x}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; a key given twice raises, where json.load keeps the last."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
 def read_json(path, required: dict | None = None) -> dict:
     """Read a JSON object holding every key of `required`.
 
     A dotted key reaches into nested objects (``"sweep.points"``). A key
     mapped to a domain must hold a number in that domain; one mapped to
-    None may hold any value.
+    None may hold any value. A key given twice in one object is rejected.
     """
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
-    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or deep nesting
+    except (ValueError, RecursionError) as exc:  # a repeated key, too many digits, or deep nesting
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")

@@ -407,6 +407,9 @@ def test_absurd_sweep_size_exits_2(tiny_run, tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.json").exists()
 
 
+_HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -417,9 +420,17 @@ def test_absurd_sweep_size_exits_2(tiny_run, tmp_path, capsys):
         ('{"attacks": ["sudden", 3]}', ": attacks ['sudden', 3] must be a list of strings"),
         ('{"kappas": [0.5, 2]}', ": kappa must lie in [0, 1]"),
         ("{", ":1: Expecting property name"),
+        ('{"seed": 1, "seed": 2}', ": repeated key 'seed'"),
+        # integers past the float range, which the stages would convert to float
+        ('{"target": %s}' % _HUGE, f": target {_HUGE} must be a number"),
+        ('{"kappas": [0.5, %s]}' % _HUGE, f": kappas [0.5, {_HUGE}] must be a list of numbers"),
+        ('{"lstar_floor": %s}' % _HUGE, f": lstar_floor {_HUGE} must be a number"),
+        ('{"eps_dsm": -%s}' % _HUGE, f": eps_dsm -{_HUGE} must be a number"),
+        ('{"cusum_k_sigma": %s}' % _HUGE, f": cusum_k_sigma {_HUGE} must be a number"),
     ],
     ids=["list", "kappas-number", "n_homes-string", "seed-float", "attacks-mixed", "kappa-range",
-         "truncated"],
+         "truncated", "repeated-key", "target-huge", "kappas-huge", "lstar_floor-huge", "eps_dsm-huge",
+         "cusum_k_sigma-huge"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, text, fragment):
     path = tmp_path / "cfg.json"
@@ -566,6 +577,8 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
         (_SUDDEN.replace("1.0", '"x"'), ": sudden needs a finite 'level' parameter"),
         ('{"mode": "load", "kind": "point", "window": [0, 4], "params": {"values": [1, 2]}}',
          ": point needs a non-empty 'values' map"),
+        ('{"mode": "load", "kind": "point", "window": [0, 24], "params": {"values": {"15": 5, "015": 6}}}',
+         ": point hour 15 is given twice"),
         ("{", ":1: Expecting property name"),
         (_SUDDEN.replace("}}", '}, "victims": [0, 6]}'), ": victim index out of range for 6 homes"),
         (_SUDDEN.replace("}}", '}, "victims": [1180591620717411303424]}'),
@@ -573,8 +586,8 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
         ('{"mode": "load", "kind": "ramp", "window": [100, 110], "params": {"step": 1e308}}',
          ": ramp step 1e+308 over window [100, 110) exceeds the largest float"),
     ],
-    ids=["window-number", "victims-number", "level-string", "point-values-list", "truncated",
-         "victim-out-of-range", "victim-huge", "ramp-overflow"],
+    ids=["window-number", "victims-number", "level-string", "point-values-list", "point-hour-twice",
+         "truncated", "victim-out-of-range", "victim-huge", "ramp-overflow"],
 )
 def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     grid = tmp_path / "grid.json"

@@ -66,34 +66,34 @@ def test_household_load_validation():
 # (kappa = 0 serves the whole need); the forecast is the true total at
 # hour 0 and hour 0's total (persistence) at hour 1
 
-def _price_step(totals, targets, goal="goal1", lstar_floor=10.0):
+def _price_step(totals, target, goal="goal1", lstar_floor=10.0):
     """(price, L*) of the grid's last hour."""
     base = np.asarray(totals, dtype=float)[:, None]
-    cfg = GridConfig(n_homes=1, kappa=0.0, eps_dsm=-1.0, goal=goal, target=targets,
+    cfg = GridConfig(n_homes=1, kappa=0.0, eps_dsm=-1.0, goal=goal, target=target,
                      lstar_floor=lstar_floor)
     trace = simulate(base, cfg)
     return float(trace.price[-1]), float(trace.lstar[-1])
 
 
 def test_price_tracks_target():
-    assert _price_step([400.0], [200.0]) == (2.0, 200.0)
-    assert _price_step([400.0], [400.0]) == (1.0, 400.0)
+    assert _price_step([400.0], 200.0) == (2.0, 200.0)
+    assert _price_step([400.0], 400.0) == (1.0, 400.0)
 
 
 def test_goal2_folds_in_tracking_error():
-    # hour 0 overshoots its target of 300 by 100 -> aim 100 below 200 at hour 1
-    assert _price_step([400.0, 400.0], [300.0, 200.0], goal="goal2") == (4.0, 100.0)
-    assert _price_step([400.0, 400.0], [300.0, 200.0], goal="goal1") == (2.0, 200.0)
+    # hour 0 overshoots the target of 200 by 100 -> aim 100 below it at hour 1
+    assert _price_step([300.0, 300.0], 200.0, goal="goal2") == (3.0, 100.0)
+    assert _price_step([300.0, 300.0], 200.0, goal="goal1") == (1.5, 200.0)
 
 
 def test_goal2_without_history_matches_goal1():
-    assert _price_step([400.0], [200.0], goal="goal2") == _price_step([400.0], [200.0])
+    assert _price_step([400.0], 200.0, goal="goal2") == _price_step([400.0], 200.0)
 
 
 def test_adjusted_target_floor():
     # 40 + (40 - 160) < 0 -> the floor, against a forecast of 160
-    assert _price_step([160.0, 160.0], [40.0, 40.0], goal="goal2") == (16.0, 10.0)
-    assert _price_step([160.0, 160.0], [40.0, 40.0], goal="goal2", lstar_floor=20.0) == (8.0, 20.0)
+    assert _price_step([160.0, 160.0], 40.0, goal="goal2") == (16.0, 10.0)
+    assert _price_step([160.0, 160.0], 40.0, goal="goal2", lstar_floor=20.0) == (8.0, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +128,19 @@ def test_full_participation_oracle_tracks_target():
     base = rng.uniform(0.5, 2.5, size=(48, 5))
     cfg = GridConfig(n_homes=5, kappa=1.0, target=60.0)
     trace = simulate(base, cfg)
+    assert np.array_equal(trace.target, np.full(48, 60.0))
     assert np.array_equal(trace.lstar, np.full(48, 60.0))
     assert _tracking_error(trace) <= 1e-9
 
 
 @st.composite
 def _identity_cases(draw, same_eps_hat=False):
-    """A random grid, elasticity, utility elasticity, goal and target (scalar or per hour)."""
+    """A random grid, elasticity, utility elasticity, goal and target."""
     hours, homes = draw(st.integers(1, 48)), draw(st.integers(1, 8))
     base = np.random.default_rng(draw(st.integers(0, 2**31))).uniform(0.05, 5.0, size=(hours, homes))
     eps = draw(st.floats(-3.0, -0.2))
     eps_hat = draw(st.sampled_from([None, eps]) if same_eps_hat else st.one_of(st.none(), st.floats(-3.0, -0.2)))
-    scale = base.sum(axis=1)
-    target = draw(st.one_of(
-        st.floats(0.5, 2.0).map(lambda f: f * float(scale.mean())),
-        st.lists(st.floats(0.5, 2.0), min_size=hours, max_size=hours).map(lambda fs: tuple(fs * scale)),
-    ))
+    target = draw(st.floats(0.5, 2.0)) * float(base.sum(axis=1).mean())
     goal = draw(st.sampled_from(["goal1", "goal2"]))
     return base, GridConfig(homes, 0.0, eps_dsm=eps, eps_dsm_hat=eps_hat, goal=goal, target=target)
 
@@ -164,20 +161,6 @@ def test_full_participation_oracle_tracking_property(case):
     base, cfg = case
     trace = simulate(base, dataclasses.replace(cfg, kappa=1.0))
     assert _tracking_error(trace) <= 1e-6
-
-
-def test_per_hour_targets():
-    base = _flat_grid(3, 2)
-    targets = [100.0, 200.0, 300.0]
-    cfg = GridConfig(n_homes=2, kappa=1.0, target=targets)
-    trace = simulate(base, cfg)
-    assert np.allclose(trace.observed_load, targets, rtol=1e-12)  # a flat grid forecasts perfectly
-    assert np.array_equal(trace.target, targets)
-    # on a varying grid, the load a perfect forecast would serve tracks each hour's target
-    rng = np.random.default_rng(4)
-    trace = simulate(rng.uniform(0.5, 2.5, size=(3, 2)), cfg)
-    assert np.array_equal(trace.lstar, targets)
-    assert _tracking_error(trace) <= 1e-12
 
 
 def test_goal2_recursion_hand_case():
@@ -290,8 +273,6 @@ def test_simulate_validation():
         simulate(base, GridConfig(n_homes=3, kappa=0.5))
     with pytest.raises(ValueError, match="matrix"):
         simulate(np.ones(5), GridConfig(n_homes=1, kappa=0.5))
-    with pytest.raises(ValueError, match="target length"):
-        simulate(base, GridConfig(n_homes=2, kappa=0.5, target=[1.0, 2.0]))
 
 
 def test_grid_config_validation():
@@ -304,8 +285,8 @@ def test_grid_config_validation():
         GridConfig(n_homes=1, kappa=0.5, eps_dsm=0.0)
     with pytest.raises(ValueError, match="unknown goal"):
         GridConfig(n_homes=1, kappa=0.5, goal="goal9")
-    for target in (-1.0, 0.0, float("nan"), [1.0, -1.0]):
-        with pytest.raises(ValueError, match="target must be positive"):
+    for target in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="target must be finite and positive"):
             GridConfig(n_homes=1, kappa=0.5, target=target)
     # NaN fails every comparison; each check rejects it and the infinities
     for bad in (float("nan"), float("-inf"), float("inf")):
@@ -403,11 +384,11 @@ def _per_home_loop(base, cfg, schedule):
     observed, truth, clamped, well_posed). The two forms round the loads
     differently, so an hour is ill-posed for comparison where an attacked
     victim's load lies within 1e-9 of zero (it may clamp in one form only)
-    or where goal2's target + (prev_target - prev_load) cancels to under
+    or where goal2's target + (target - prev_load) cancels to under
     5% of its terms (the cancellation magnifies the rounding difference).
     """
     n_hours, n_homes = base.shape
-    targets = np.broadcast_to(np.asarray(cfg.target, dtype=float), (n_hours,))
+    target = cfg.target
     total = base.sum(axis=1)
     victims = schedule.victim_indices(n_homes) if schedule is not None else None
     kappa, eps = cfg.kappa, cfg.eps_dsm
@@ -415,10 +396,10 @@ def _per_home_loop(base, cfg, schedule):
     truth = np.zeros(n_hours, dtype=np.int8)
     clamped, well_posed = 0, True
     for t in range(n_hours):
-        raw = targets[t]
+        raw = target
         if cfg.goal == "goal2" and t:
-            terms = targets[t] + targets[t - 1] + observed[t - 1]
-            raw = targets[t] + (targets[t - 1] - observed[t - 1])
+            terms = target + target + observed[t - 1]
+            raw = target + (target - observed[t - 1])
             well_posed &= abs(raw) > 0.05 * terms
         lstar[t] = raw if raw > 0 else cfg.lstar_floor
         price[t] = (lstar[t] / total[max(t - 1, 0)]) ** (1.0 / cfg.effective_eps_hat)
@@ -598,11 +579,10 @@ _GOLDEN_SCHEDULES = (
 def test_golden_closed_loop_traces():
     rng = np.random.default_rng(20190927)
     base = rng.uniform(0.2, 3.0, size=(24, 5))
-    # per-hour targets off the binary grid, so goal2's association shows in the last bits
-    target = tuple(rng.uniform(6.0, 10.0, size=24))
+    # each run's target off the binary grid, so goal2's association shows in the last bits
     runs = [
         (GridConfig(n_homes=5, kappa=kappa, eps_dsm=-0.8, eps_dsm_hat=eps_hat, goal=goal,
-                    target=target), schedule)
+                    target=float(rng.uniform(6.0, 10.0))), schedule)
         for goal in ("goal1", "goal2")
         for kappa in (0.0, 0.5, 1.0)
         for eps_hat in (None, -1.3)
@@ -622,4 +602,4 @@ def test_golden_closed_loop_traces():
         clamped += trace.clamped
     assert clamped > 0
     assert np.sum(trace.lstar == floor_cfg.lstar_floor) > 0
-    assert digest.hexdigest() == "f3732e4f413aff68ce8fb10b45c8f1b336f73e1f059d6167bea1f2ae41ddafd6"
+    assert digest.hexdigest() == "d903be037d0cc6112a517ad9c864820d1fad717f43c09a7fb8e8fb4949c0eb8f"

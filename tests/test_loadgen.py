@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from gridloop.ingest import HourlySeries
 from gridloop.loadgen import (
     _BLOCK_HOMES,
     BootstrapConfig,
+    Microgrid,
     read_microgrid,
     synthesize_microgrid,
     write_microgrid,
@@ -267,17 +269,27 @@ def test_golden_grid_spans_a_block_seam():
     assert _BLOCK_HOMES + 1 == 4097
 
 
+def test_hand_built_grid_rejects_a_pick_past_its_day_blocks():
+    # the fill clips its indices, so it checks every pick first
+    days = np.arange(48.0).reshape(24, 2)
+    for picks in (np.array([[0, 2]], dtype=np.uint8), np.array([[1], [-1]])):
+        with pytest.raises(ValueError, match=re.escape("every pick must be a day block (0..1)")):
+            Microgrid(day_rows=days, picks=picks).kwh
+
+
 def test_bootstrap_memory_stays_beside_the_grid():
-    # the homes are drawn in blocks, so scratch memory does not grow with the population
+    # the homes are drawn in blocks and the grid is filled in place, so scratch memory does not
+    # grow with the population
     templates = synthetic_hourly_templates(7, 28, seed=0)
     synthesize_microgrid(templates, BootstrapConfig(10, 2))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         grid = synthesize_microgrid(templates, BootstrapConfig(20_000, 31))
-        kwh = grid.kwh  # built here, a day of a block of homes per np.take
+        kwh = grid.kwh  # built here, a day of every home per np.take
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # a whole-width fill per day holds 4.4 MB more than the grid; the blocked fill and the picks 1.4 MB
+    # a fill buffered by np.take's mode="raise" holds 4.4 MB more than the grid; the picks and the
+    # unbuffered fill 0.8 MB
     assert peak - kwh.nbytes < 3 * 2**20

@@ -337,12 +337,14 @@ def test_read_table_empty_body(tmp_path):
         ('{"a": 1, "b": {"c": -1}}', ": b.c -1 must be a number, finite and positive"),
         ('{"a": 1, "b": {"c": 1e400}}', ": b.c inf must be a number, finite and positive"),
         ('{"a": 1, "b": {"c": 1%s}}' % ("0" * 400), ": b.c 1000"),
+        ('{"a": 1, "b": {"c": 1, "c": 2}}', ": repeated key 'c'"),
         ('{"a":\n "\udcff"}', ":2: not utf-8 text: byte 0xff"),
         ('{"a": 1%s}' % ("0" * 5000), ": Exceeds the limit (4300 digits)"),
         ("[" * 100_000, ": maximum recursion depth exceeded"),
     ],
     ids=["truncated", "extra-data", "list", "missing", "missing-nested", "string", "bool", "nan",
-         "negative", "overflowing-float", "overflowing-int", "bad-byte", "too-many-digits", "too-deep"],
+         "negative", "overflowing-float", "overflowing-int", "repeated-key", "bad-byte", "too-many-digits",
+         "too-deep"],
 )
 def test_read_json_names_path_and_key(tmp_path, text, where):
     path = tmp_path / "x.json"
