@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gridloop.tables import read_json
+from gridloop.tables import number, read_json
 
 __all__ = [
     "AttackSchedule",
@@ -115,7 +115,7 @@ class AttackSchedule:
 def make_ramp(window, step: float, mode: str = "load", victims=None) -> AttackSchedule:
     """Magnitude step, 2*step, ... across the window."""
     return AttackSchedule(
-        mode=mode, kind="ramp", window=tuple(window), params={"step": float(step)},
+        mode=mode, kind="ramp", window=tuple(window), params={"step": step},
         victims=None if victims is None else tuple(victims),
     )
 
@@ -123,14 +123,14 @@ def make_ramp(window, step: float, mode: str = "load", victims=None) -> AttackSc
 def make_sudden(window, level: float, mode: str = "load", victims=None) -> AttackSchedule:
     """Constant magnitude across the window."""
     return AttackSchedule(
-        mode=mode, kind="sudden", window=tuple(window), params={"level": float(level)},
+        mode=mode, kind="sudden", window=tuple(window), params={"level": level},
         victims=None if victims is None else tuple(victims),
     )
 
 
 def make_point(values: dict, window, mode: str = "load", victims=None) -> AttackSchedule:
     """Isolated spikes {hour: magnitude}, each hour inside the window."""
-    values = {int(t): float(v) for t, v in values.items()}
+    values = {int(t): v for t, v in values.items()}
     return AttackSchedule(
         mode=mode, kind="point", window=tuple(window), params={"values": values},
         victims=None if victims is None else tuple(victims),
@@ -174,4 +174,4 @@ def _int_list(value) -> bool:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and abs(value) <= sys.float_info.max
+    return number(value) and abs(value) <= sys.float_info.max

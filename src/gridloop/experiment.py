@@ -18,7 +18,6 @@ run_experiment scenario bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, UNIT, WHOLE,
-                             read_json, read_table, write_json, write_table)
+                             number, read_json, read_table, write_json, write_table)
 
 __all__ = [
     "DETECTORS",
@@ -62,22 +61,16 @@ _DETECTION_COLUMNS = {"hour": WHOLE, "label": BINARY, "residual": FINITE,
                          for col, domain in (("score", FINITE), ("decision", BINARY))}}
 # what evaluate_stage reads from detect_meta.json: any value (None) or a number in a domain
 _META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "train_hours": WHOLE,
-              "glrt.window": COUNT, "sweep.points": COUNT, "sweep.cusum_sigmas": POSITIVE,
-              "sweep.cusum_k": NON_NEGATIVE}
-
-
-def _number(v) -> bool:
-    """A float, or an integer inside the float range; bools are no numbers."""
-    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
-
+              "glrt_window": COUNT, "sweep_points": COUNT, "cusum_sweep_sigmas": POSITIVE,
+              "cusum_k": NON_NEGATIVE}
 
 # config field type -> (what its JSON value must be, the check)
 _CONFIG_JSON = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", _number),
-    "float | None": ("a number or null", lambda v: v is None or _number(v)),
+    "float": ("a number", number),
+    "float | None": ("a number or null", lambda v: v is None or number(v)),
     "str": ("a string", lambda v: type(v) is str),
-    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and all(map(_number, v))),
+    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and all(map(number, v))),
     "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
 }
 
@@ -144,18 +137,18 @@ class ExperimentConfig:
             raise ValueError("glrt_p_fa must lie strictly inside (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0.0 <= self.cusum_k_sigma < math.inf:
+        if not (number(self.cusum_k_sigma) and 0.0 <= self.cusum_k_sigma < math.inf):
             raise ValueError("cusum_k_sigma must be finite and >= 0")
         for name in ("cusum_h_sigma", "cusum_sweep_sigmas"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not (number(v := getattr(self, name)) and 0.0 < v < math.inf):
                 raise ValueError(f"{name} must be finite and > 0")
+        for k in self.kappas:  # GridConfig range-checks each kappa and the grid parameters
+            self.grid_config(k)
         labels = [_kappa_dir(k) for k in self.kappas]
         if len(set(labels)) != len(labels):
             raise ValueError(
                 f"kappas {self.kappas} share a scenario directory ({', '.join(labels)})"
             )
-        for k in self.kappas:  # GridConfig range-checks each kappa and the grid parameters
-            self.grid_config(k)
 
     @property
     def train_hours(self) -> int:
@@ -282,8 +275,9 @@ def detect_stage(
 
     Writes detections.csv (one row per test hour: the truth label, the raw
     forecast residual, and each detector's score and default-config
-    decision) and detect_meta.json (noise scale and detector settings,
-    enough for the evaluate stage to rebuild threshold sweeps exactly).
+    decision) and detect_meta.json (one flat object: the scenario, noise
+    scale and detector settings, enough for the evaluate stage to rebuild
+    threshold sweeps exactly).
     """
     if shared is None and kappa not in cfg.kappas:
         raise ValueError(f"kappa {kappa} not in config kappas {cfg.kappas}")
@@ -328,13 +322,12 @@ def detect_stage(
         "sigma": sigma,
         "ar_order": shared.ar_model.order,
         "train_hours": cfg.train_hours,
-        "glrt": {"window": cfg.glrt_window, "p_fa": cfg.glrt_p_fa},
-        "cusum": {"k": cfg.cusum_k_sigma * sigma, "h": cfg.cusum_h_sigma * sigma},
-        "sweep": {
-            "points": cfg.sweep_points,
-            "cusum_sigmas": cfg.cusum_sweep_sigmas,
-            "cusum_k": cfg.cusum_k_sigma * sigma,
-        },
+        "glrt_window": cfg.glrt_window,
+        "glrt_p_fa": cfg.glrt_p_fa,
+        "cusum_k": cfg.cusum_k_sigma * sigma,
+        "cusum_h": cfg.cusum_h_sigma * sigma,
+        "sweep_points": cfg.sweep_points,
+        "cusum_sweep_sigmas": cfg.cusum_sweep_sigmas,
     }
     write_json(out_dir / "detect_meta.json", meta)
 
@@ -380,13 +373,12 @@ def evaluate_stage(det_dir, out_dir=None) -> list[dict]:
         raise ValueError(f"{meta_path}: attack_type {meta['attack_type']!r} is not one of {', '.join(KINDS)}")
     table = _read_detections(det_dir / "detections.csv", int(meta["train_hours"]))
     residuals, labels = table["residual"], table["label"]
-    sigma = float(meta["sigma"])
-    sweep = meta["sweep"]
+    sigma, points = float(meta["sigma"]), int(meta["sweep_points"])
 
     try:  # the residuals are finite, so only the settings read from the meta file can be out of range
-        glrt = detect.glrt_sweep(residuals, sigma, int(meta["glrt"]["window"]), int(sweep["points"]))
+        glrt = detect.glrt_sweep(residuals, sigma, int(meta["glrt_window"]), points)
         hs, alarms, intervals = detect.cusum_sweep(
-            residuals, sigma, float(sweep["cusum_k"]), int(sweep["points"]), float(sweep["cusum_sigmas"]))
+            residuals, sigma, float(meta["cusum_k"]), points, float(meta["cusum_sweep_sigmas"]))
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     sweeps = {"glrt": glrt, "cusum": (hs, alarms), "cusum_interval": (hs, intervals)}

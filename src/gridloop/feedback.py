@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, read_table, write_table
+from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, number, read_table, write_table
 
 __all__ = [
     "BaseLoadError",
@@ -87,18 +87,18 @@ class GridConfig:
     def __post_init__(self):
         if self.n_homes < 1:
             raise ValueError("n_homes must be >= 1")
-        if not 0.0 <= self.kappa <= 1.0:
+        # a number (tables.number) in range; NaN fails every range check
+        if not (number(self.kappa) and 0.0 <= self.kappa <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
-        # range checks, which NaN fails too
-        if not -np.inf < self.eps_dsm < 0:
+        if not (number(self.eps_dsm) and -np.inf < self.eps_dsm < 0):
             raise ValueError("eps_dsm must be finite and negative")
-        if self.eps_dsm_hat is not None and not -np.inf < self.eps_dsm_hat < 0:
+        if self.eps_dsm_hat is not None and not (number(self.eps_dsm_hat) and -np.inf < self.eps_dsm_hat < 0):
             raise ValueError("eps_dsm_hat must be finite and negative")
         if self.goal not in ("goal1", "goal2"):
             raise ValueError(f"unknown goal {self.goal!r}")
-        if not 0 < self.target < np.inf:
+        if not (number(self.target) and 0 < self.target < np.inf):
             raise ValueError("target must be finite and positive")
-        if not 0 < self.lstar_floor < np.inf:
+        if not (number(self.lstar_floor) and 0 < self.lstar_floor < np.inf):
             raise ValueError("lstar_floor must be finite and positive")
 
     @property

@@ -22,7 +22,7 @@ import numpy as np
 
 from gridloop.ingest import HourlySeries
 from gridloop.seeds import hash_integers
-from gridloop.tables import read_json, write_json
+from gridloop.tables import number, read_json, write_json
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
@@ -121,13 +121,9 @@ def read_microgrid(path: str) -> Microgrid:
     payload = read_json(path, {"days": None, "picks": None})
     days, picks = payload["days"], payload["picks"]
     if not (isinstance(days, list) and days and all(
-            isinstance(day, list) and len(day) == BLOCK_HOURS and all(type(v) in (int, float) for v in day)
-            for day in days)):
+            isinstance(day, list) and len(day) == BLOCK_HOURS and all(map(number, day)) for day in days)):
         raise ValueError(f"{path}: days must be a non-empty list of lists of {BLOCK_HOURS} numbers")
-    try:
-        loads = np.array(days, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{path}: days hold an integer past the float range") from None
+    loads = np.array(days, dtype=float)
     bad = np.argwhere(~(np.isfinite(loads) & (loads >= 0)))
     if len(bad):
         j, h = bad[0]
@@ -135,9 +131,11 @@ def read_microgrid(path: str) -> Microgrid:
     if not (isinstance(picks, list) and picks and all(isinstance(row, list) for row in picks)
             and picks[0] and all(len(row) == len(picks[0]) for row in picks)):
         raise ValueError(f"{path}: picks must be a non-empty list of equal-length, non-empty lists")
-    for i, row in enumerate(picks):
-        for d, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < len(days):
-                raise ValueError(f"{path}: picks[{i}][{d}] {v!r} is not a day block (0..{len(days) - 1})")
+    # one pass over the types (a bool, float or list is no pick: -1), then one range comparison;
+    # an int past int64 makes a float or object array, which compares all the same
+    index = np.array([v if type(v) is int else -1 for row in picks for v in row])
+    if len(bad := np.flatnonzero((index < 0) | (index >= len(days)))):
+        i, d = divmod(int(bad[0]), len(picks[0]))
+        raise ValueError(f"{path}: picks[{i}][{d}] {picks[i][d]!r} is not a day block (0..{len(days) - 1})")
     return Microgrid(day_rows=np.ascontiguousarray(loads.T),
-                     picks=np.array(picks, dtype=np.min_scalar_type(len(days) - 1)))
+                     picks=index.reshape(len(picks), -1).astype(np.min_scalar_type(len(days) - 1)))

@@ -7,7 +7,9 @@ once.
 The readers raise one ValueError naming ``path:line`` (tables: the first
 malformed row, else the first value out of its column's domain; every cell
 is a number, so a line break in a cell is malformed) or ``path: key``
-(JSON), also for undecodable text and rows csv refuses.
+(JSON), also for undecodable text and rows csv refuses. ``number`` is the
+one rule for what a number is, in a JSON file or a config: an int or a
+float, never a bool, and an int only inside the float range.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 __all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "UNIT", "WHOLE",
-           "read_json", "read_table", "write_json", "write_table"]
+           "number", "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
 FINITE = "finite"
@@ -46,6 +48,13 @@ _SPECIAL = re.compile('[,"\r\n]')
 # the reader takes rows in blocks of about this many cells, so a long table
 # (a year of minute readings is 525,600 rows) is never held whole as text
 _BLOCK_CELLS = 1 << 15
+
+
+def number(v) -> bool:
+    """An int or a float, Python or numpy scalar; never a bool, and an int only inside the float range."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, (float, np.integer, np.floating))
 
 
 def write_table(path, header, columns) -> None:
@@ -163,11 +172,11 @@ def _unique_keys(pairs) -> dict:
 
 
 def read_json(path, required: dict | None = None) -> dict:
-    """Read a JSON object holding every key of `required`.
+    """Read a JSON object holding every key of `required` at its top level.
 
-    A dotted key reaches into nested objects (``"sweep.points"``). A key
-    mapped to a domain must hold a number in that domain; one mapped to
-    None may hold any value. A key given twice in one object is rejected.
+    A key mapped to a domain must hold a number (see ``number``) in that
+    domain; one mapped to None may hold any value. A key given twice in one
+    object is rejected.
     """
     try:
         with open(path) as fh:
@@ -181,12 +190,9 @@ def read_json(path, required: dict | None = None) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key, domain in (required or {}).items():
-        value, parts = payload, key.split(".")
-        for n, part in enumerate(parts):
-            if not isinstance(value, dict) or part not in value:
-                raise ValueError(f"{path}: missing key {'.'.join(parts[: n + 1])!r}")
-            value = value[part]
-        number = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        if domain is not None and not (number and _CHECKS[domain](float(value))):
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+        value = payload[key]
+        if domain is not None and not (number(value) and _CHECKS[domain](float(value))):
             raise ValueError(f"{path}: {key} {value!r} must be a number, {domain}")
     return payload

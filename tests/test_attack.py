@@ -51,6 +51,13 @@ def test_schedule_validation():
         make_ramp((0, 5), step=float("nan"))
     with pytest.raises(ValueError, match="finite 'step'"):  # a whole number past the float range
         AttackSchedule(mode="load", kind="ramp", window=(0, 5), params={"step": 10**400})
+    # the builders pass the magnitude on as given, so one past the float range is rejected, not overflowed
+    with pytest.raises(ValueError, match="finite 'step'"):
+        make_ramp((0, 5), step=10**400)
+    with pytest.raises(ValueError, match="finite 'level'"):
+        make_sudden((0, 5), level=-(10**400))
+    with pytest.raises(ValueError, match="point value at hour 2 must be finite"):
+        make_point({1: 1.0, 2: 10**400}, window=(0, 5))
     with pytest.raises(ValueError, match=re.escape("ramp step -1e+308 over window [100, 110) exceeds")):
         make_ramp((100, 110), step=-1e308)
     assert np.isfinite(make_ramp((100, 110), step=1.7e307).value_at(109))  # the largest magnitude

@@ -310,17 +310,17 @@ def test_malformed_detections_exit_2(tiny_run, tmp_path, capsys, edit, fragment)
 @pytest.mark.parametrize(
     "edit, fragment",
     [
-        (lambda meta: meta.pop("sweep"), ": missing key 'sweep'"),
+        (lambda meta: meta.pop("sweep_points"), ": missing key 'sweep_points'"),
         (lambda meta: meta.update(attack_type="bogus"), ": attack_type 'bogus' is not one of ramp, sudden"),
         (lambda meta: meta.update(attack_type=None), ": attack_type None is not one of ramp, sudden, point"),
         (lambda meta: meta.update(sigma="x"), ": sigma 'x' must be a number, finite and positive"),
-        (lambda meta: meta["glrt"].update(window=0.5), ": glrt.window 0.5 must be a number, a whole"),
-        (lambda meta: meta["sweep"].update(points=0), ": sweep.points 0 must be a number, a whole"),
-        (lambda meta: meta["sweep"].update(points=2.5), ": sweep.points 2.5 must be a number, a whole"),
+        (lambda meta: meta.update(glrt_window=0.5), ": glrt_window 0.5 must be a number, a whole"),
+        (lambda meta: meta.update(sweep_points=0), ": sweep_points 0 must be a number, a whole"),
+        (lambda meta: meta.update(sweep_points=2.5), ": sweep_points 2.5 must be a number, a whole"),
         # each value lies in its domain; the sweeps' products of them leave the float range
         (lambda meta: meta.update(sigma=1e300), ": sigma 1e+300 squared leaves the float range"),
         (lambda meta: meta.update(sigma=1e-300), ": sigma 1e-300 squared leaves the float range"),
-        (lambda meta: meta.update(sigma=1e10, sweep={**meta["sweep"], "cusum_sigmas": 1e300}),
+        (lambda meta: meta.update(sigma=1e10, cusum_sweep_sigmas=1e300),
          ": h_max_sigmas * sigma = 1e+300 * 10000000000.0 exceeds the largest float"),
         (lambda meta: meta.update(kappa="bogus"), ": kappa 'bogus' must be a number, in [0, 1]"),
         (lambda meta: meta.update(kappa=None), ": kappa None must be a number, in [0, 1]"),
@@ -348,8 +348,8 @@ def test_malformed_detect_meta_exits_2(tiny_run, tmp_path, capsys, edit, fragmen
     [
         ("cusum_k", -1e6, "finite and non-negative"),
         ("cusum_k", -0.5, "finite and non-negative"),
-        ("cusum_sigmas", -6.0, "finite and positive"),
-        ("cusum_sigmas", 0.0, "finite and positive"),
+        ("cusum_sweep_sigmas", -6.0, "finite and positive"),
+        ("cusum_sweep_sigmas", 0.0, "finite and positive"),
     ],
     ids=["k-huge-negative", "k-negative", "sigmas-negative", "sigmas-zero"],
 )
@@ -359,11 +359,11 @@ def test_out_of_range_cusum_sweep_exits_2(tiny_run, tmp_path, capsys, key, value
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
     shutil.copy(sdir / "detections.csv", tmp_path / "detections.csv")
     meta = json.loads((sdir / "detect_meta.json").read_text())
-    meta["sweep"][key] = value
+    meta[key] = value
     path = tmp_path / "detect_meta.json"
     path.write_text(json.dumps(meta))
     assert run("evaluate", "--detections", tmp_path) == 2
-    _assert_names_file(capsys, path, f": sweep.{key} {value!r} must be a number, {domain}")
+    _assert_names_file(capsys, path, f": {key} {value!r} must be a number, {domain}")
     assert not (tmp_path / "metrics.json").exists()
 
 
@@ -392,7 +392,7 @@ def test_glrt_window_past_the_series_averages_the_whole_prefix(tiny_cfg, tiny_ru
     # evaluate reads the window back from detect_meta.json
     sdir = tiny_run[0] / scenario
     for out, window in (("e_full", tiny_cfg.test_hours), ("e_huge", 1e300)):
-        assert _evaluate_copy(sdir, tmp_path / out, lambda meta: meta["glrt"].update(window=window)) == 0
+        assert _evaluate_copy(sdir, tmp_path / out, lambda meta: meta.update(glrt_window=window)) == 0
     for name in ("metrics.json", "roc.csv"):
         assert (tmp_path / "e_huge" / name).read_bytes() == (tmp_path / "e_full" / name).read_bytes()
 
@@ -401,7 +401,7 @@ def test_absurd_sweep_size_exits_2(tiny_run, tmp_path, capsys):
     # 10**18 points fail at the allocation request; a size a machine could try to allocate
     # would not, so no such size belongs in a test
     sdir = tiny_run[0] / "kappa_0.2" / "sudden" / "rep_000"
-    assert _evaluate_copy(sdir, tmp_path / "out", lambda m: m["sweep"].update(points=10**18)) == 2
+    assert _evaluate_copy(sdir, tmp_path / "out", lambda m: m.update(sweep_points=10**18)) == 2
     err = capsys.readouterr().err
     assert err.startswith("gridloop: error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "metrics.json").exists()
@@ -585,9 +585,16 @@ _SUDDEN = '{"mode": "load", "kind": "sudden", "window": [0, 4], "params": {"leve
          ": victim index out of range for 6 homes"),
         ('{"mode": "load", "kind": "ramp", "window": [100, 110], "params": {"step": 1e308}}',
          ": ramp step 1e+308 over window [100, 110) exceeds the largest float"),
+        # true is no number, so no 1 kWh attack
+        ('{"mode": "load", "kind": "ramp", "window": [0, 4], "params": {"step": true}}',
+         ": ramp needs a finite 'step' parameter"),
+        (_SUDDEN.replace("1.0", "true"), ": sudden needs a finite 'level' parameter"),
+        ('{"mode": "load", "kind": "point", "window": [0, 4], "params": {"values": {"1": 2.0, "3": true}}}',
+         ": point value at hour 3 must be finite"),
     ],
     ids=["window-number", "victims-number", "level-string", "point-values-list", "point-hour-twice",
-         "truncated", "victim-out-of-range", "victim-huge", "ramp-overflow"],
+         "truncated", "victim-out-of-range", "victim-huge", "ramp-overflow", "step-true", "level-true",
+         "point-value-true"],
 )
 def test_malformed_schedule_exits_2(cfg_json, tmp_path, capsys, text, fragment):
     grid = tmp_path / "grid.json"

@@ -80,6 +80,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"feature_lags": 96, "train_days": 4}, "feature_lags must be < train_hours = 96"),
         ({"feature_lags": 200, "train_days": 4}, "feature_lags must be < train_hours = 96"),
         ({"kappas": (-0.0, 0.0)}, r"kappa 0\.0 is repeated"),
+        # integers past the float range, which a stage would fail to convert to float, and bools
+        ({"kappas": (0.5, 10**400)}, r"kappa must lie in \[0, 1\]"),
+        ({"kappas": (True,)}, r"kappa must lie in \[0, 1\]"),
+        ({"target": 10**400}, "target must be finite and positive"),
+        ({"lstar_floor": 10**400}, "lstar_floor must be finite and positive"),
+        ({"eps_dsm": -(10**400)}, "eps_dsm must be finite and negative"),
+        ({"eps_dsm_hat": -(10**400)}, "eps_dsm_hat must be finite and negative"),
+        ({"cusum_k_sigma": 10**400}, "cusum_k_sigma must be finite and >= 0"),
+        ({"cusum_k_sigma": True}, "cusum_k_sigma must be finite and >= 0"),
+        ({"cusum_h_sigma": 10**400}, "cusum_h_sigma must be finite and > 0"),
+        ({"cusum_sweep_sigmas": 10**400}, "cusum_sweep_sigmas must be finite and > 0"),
     ],
 )
 def test_config_validation(kwargs, msg):
@@ -193,8 +204,8 @@ def test_detect_meta_schema(tiny_cfg, tiny_run):
     with open(root / "kappa_0.2" / "sudden" / "rep_000" / "detect_meta.json") as fh:
         meta = json.load(fh)
     assert set(meta) == {
-        "kappa", "attack_type", "rep", "sigma", "ar_order", "train_hours",
-        "glrt", "cusum", "sweep",
+        "kappa", "attack_type", "rep", "sigma", "ar_order", "train_hours", "glrt_window", "glrt_p_fa",
+        "cusum_k", "cusum_h", "sweep_points", "cusum_sweep_sigmas",
     }
     assert meta["kappa"] == 0.2
     assert meta["attack_type"] == "sudden"
@@ -203,14 +214,10 @@ def test_detect_meta_schema(tiny_cfg, tiny_run):
     assert meta["ar_order"] == 2
     sigma = meta["sigma"]
     assert sigma > 0
-    assert meta["glrt"] == {"window": 24, "p_fa": 0.05}
-    assert meta["cusum"]["k"] == pytest.approx(0.5 * sigma)
-    assert meta["cusum"]["h"] == pytest.approx(2.0 * sigma)
-    assert meta["sweep"] == {
-        "points": 21,
-        "cusum_sigmas": 6.0,
-        "cusum_k": meta["cusum"]["k"],
-    }
+    assert (meta["glrt_window"], meta["glrt_p_fa"]) == (24, 0.05)
+    assert meta["cusum_k"] == pytest.approx(0.5 * sigma)
+    assert meta["cusum_h"] == pytest.approx(2.0 * sigma)
+    assert (meta["sweep_points"], meta["cusum_sweep_sigmas"]) == (21, 6.0)
 
 
 def test_metrics_json_schema(tiny_cfg, tiny_run):
@@ -309,9 +316,9 @@ def test_evaluate_stage_scores_each_cusum_output(tiny_run):
     rows = list(csv.DictReader((sdir / "detections.csv").read_text().splitlines()))
     residuals = np.array([float(r["residual"]) for r in rows])
     labels = np.array([int(r["label"]) for r in rows])
-    hs, alarms, intervals = cusum_sweep(residuals, meta["sigma"], k=meta["sweep"]["cusum_k"],
-                                        n_points=meta["sweep"]["points"],
-                                        h_max_sigmas=meta["sweep"]["cusum_sigmas"])
+    hs, alarms, intervals = cusum_sweep(residuals, meta["sigma"], k=meta["cusum_k"],
+                                        n_points=meta["sweep_points"],
+                                        h_max_sigmas=meta["cusum_sweep_sigmas"])
     assert not np.array_equal(alarms, intervals)
     curves = list(csv.DictReader((sdir / "roc.csv").read_text().splitlines()))
     for name, decisions in (("cusum", alarms), ("cusum_interval", intervals)):
@@ -343,8 +350,8 @@ def _write_falling_attack_scenario(det_dir):
     for t, (r, y) in enumerate(zip(residuals, labels)):
         lines.append(",".join([str(100 + t), str(y), repr(r), *(f"{values[t]!r},0" for values in scores.values())]))
     (det_dir / "detections.csv").write_text("\n".join(lines) + "\n")
-    meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "train_hours": 100, "glrt": {"window": 4},
-            "sweep": {"points": 7, "cusum_sigmas": 3.0, "cusum_k": 1.0}}
+    meta = {"kappa": 0.5, "attack_type": "sudden", "sigma": 2.0, "train_hours": 100, "glrt_window": 4,
+            "sweep_points": 7, "cusum_sweep_sigmas": 3.0, "cusum_k": 1.0}
     (det_dir / "detect_meta.json").write_text(json.dumps(meta))
     return det_dir
 
@@ -372,7 +379,7 @@ def test_golden_evaluate_stage(case, tiny_run, tmp_path):
 
 # sha256 of detections.csv + detect_meta.json as detect_stage writes them for the tiny
 # kappa_0.2/sudden/rep_000 scenario, pinned across commits
-_GOLDEN_DETECT = "de6585f00d183bfcd22580b777455b54894304b44a5200607feaeb213d1053f4"
+_GOLDEN_DETECT = "3a9df97af3415c22b16ed72f72a665a355e46a8f903461c2109e8f08657f0b30"
 
 
 def test_golden_detect_stage(tiny_cfg, tiny_run, tmp_path):

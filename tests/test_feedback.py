@@ -297,6 +297,18 @@ def test_grid_config_validation():
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lstar_floor must be finite and positive"):
             GridConfig(n_homes=1, kappa=0.5, lstar_floor=bad)
+    # a number is never a bool, and an int only inside the float range (float() of it would overflow)
+    for bad, negative in ((10**400, -(10**400)), (True, True)):
+        with pytest.raises(ValueError, match=re.escape("kappa must lie in [0, 1]")):
+            GridConfig(n_homes=1, kappa=bad)
+        with pytest.raises(ValueError, match="target must be finite and positive"):
+            GridConfig(n_homes=1, kappa=0.5, target=bad)
+        with pytest.raises(ValueError, match="lstar_floor must be finite and positive"):
+            GridConfig(n_homes=1, kappa=0.5, lstar_floor=bad)
+        with pytest.raises(ValueError, match="eps_dsm must be finite and negative"):
+            GridConfig(n_homes=1, kappa=0.5, eps_dsm=negative)
+        with pytest.raises(ValueError, match="eps_dsm_hat must be finite and negative"):
+            GridConfig(n_homes=1, kappa=0.5, eps_dsm_hat=negative)
     assert GridConfig(n_homes=1, kappa=0.5, eps_dsm_hat=-2.0).effective_eps_hat == -2.0
     assert GridConfig(n_homes=1, kappa=0.5).effective_eps_hat == -1.0
 

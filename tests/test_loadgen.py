@@ -151,7 +151,7 @@ _PICKS = "picks must be a non-empty list of equal-length, non-empty lists"
         ({"days": [_day(5, -2.0), _day(1, 1.0)]}, "days[0][5] -2.0 must be finite and non-negative"),
         ({"days": [_day(0, 1.0), _day(23, float("inf"))]}, "days[1][23] inf must be finite and non-negative"),
         ({"days": [_day(0, 1.0), _day(3, -1)]}, "days[1][3] -1 must be finite and non-negative"),
-        ({"days": [_day(0, 1.0), _day(2, 10**400)]}, "days hold an integer past the float range"),
+        ({"days": [_day(0, 1.0), _day(2, 10**400)]}, _DAYS),  # an integer past the float range
         ({"days": [_day(0, 1.0), _day(2, "x")]}, _DAYS),
         ({"days": [_day(0, 1.0), _day(2, True)]}, _DAYS),
         ({"days": [_day(0, 1.0), _day(2, None)]}, _DAYS),

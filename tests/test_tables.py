@@ -24,6 +24,7 @@ from gridloop.tables import (
     FINITE,
     NON_NEGATIVE,
     POSITIVE,
+    number,
     read_json,
     read_table,
     write_json,
@@ -330,14 +331,15 @@ def test_read_table_empty_body(tmp_path):
         ("{}\n\n]", ":3: Extra data"),
         ("[1, 2]", ": expected a JSON object"),
         ('{"a": 1}', ": missing key 'b'"),
-        ('{"a": 1, "b": 2}', ": missing key 'b.c'"),
-        ('{"a": 1, "b": {"c": "x"}}', ": b.c 'x' must be a number, finite and positive"),
-        ('{"a": 1, "b": {"c": true}}', ": b.c True must be a number, finite and positive"),
-        ('{"a": 1, "b": {"c": NaN}}', ": b.c nan must be a number, finite and positive"),
-        ('{"a": 1, "b": {"c": -1}}', ": b.c -1 must be a number, finite and positive"),
-        ('{"a": 1, "b": {"c": 1e400}}', ": b.c inf must be a number, finite and positive"),
-        ('{"a": 1, "b": {"c": 1%s}}' % ("0" * 400), ": b.c 1000"),
-        ('{"a": 1, "b": {"c": 1, "c": 2}}', ": repeated key 'c'"),
+        # a key counts at the top level alone
+        ('{"a": 1, "c": {"b": 2}}', ": missing key 'b'"),
+        ('{"a": 1, "b": "x"}', ": b 'x' must be a number, finite and positive"),
+        ('{"a": 1, "b": true}', ": b True must be a number, finite and positive"),
+        ('{"a": 1, "b": NaN}', ": b nan must be a number, finite and positive"),
+        ('{"a": 1, "b": -1}', ": b -1 must be a number, finite and positive"),
+        ('{"a": 1, "b": 1e400}', ": b inf must be a number, finite and positive"),
+        ('{"a": 1, "b": 1%s}' % ("0" * 400), ": b 1000"),
+        ('{"a": 1, "b": 1, "c": {"d": 1, "d": 2}}', ": repeated key 'd'"),
         ('{"a":\n "\udcff"}', ":2: not utf-8 text: byte 0xff"),
         ('{"a": 1%s}' % ("0" * 5000), ": Exceeds the limit (4300 digits)"),
         ("[" * 100_000, ": maximum recursion depth exceeded"),
@@ -350,14 +352,31 @@ def test_read_json_names_path_and_key(tmp_path, text, where):
     path = tmp_path / "x.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}{where}")):
-        read_json(path, {"a": None, "b.c": POSITIVE})
+        read_json(path, {"a": None, "b": POSITIVE})
 
 
 def test_read_json_returns_the_object(tmp_path):
     path = tmp_path / "x.json"
-    payload = {"a": [1, 2], "b": {"c": 0.5}}
+    payload = {"a": [1, 2], "b": 0.5, "c": {"d": True}}
     path.write_text(json.dumps(payload))
-    assert read_json(path, {"a": None, "b.c": POSITIVE}) == payload
+    assert read_json(path, {"a": None, "b": POSITIVE}) == payload
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0, True), (-3, True), (2.5, True), (float("nan"), True), (float("-inf"), True),
+        (np.int8(-1), True), (np.uint64(2**64 - 1), True), (np.float32(0.5), True), (np.float64("inf"), True),
+        (int(np.finfo(float).max), True), (-int(np.finfo(float).max), True),
+        # past the float range: float() of it raises OverflowError
+        (int(np.finfo(float).max) + 2**970, False), (-(10**400), False),
+        (True, False), (False, False), (np.bool_(True), False),
+        ("1", False), (None, False), ([1.0], False), (1j, False),
+    ],
+)
+def test_number(value, expected):
+    # the one rule every JSON input and config field is checked with
+    assert number(value) is expected
 
 
 # ---------------------------------------------------------------------------
