@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gridloop.tables import number, read_json
+from gridloop.tables import integer, number, read_json
 
 __all__ = [
     "AttackSchedule",
@@ -49,7 +49,7 @@ class AttackSchedule:
     load attack splits the hour's value equally across victims when applied
     per home, while a price attack broadcasts it to every victim unscaled
     (a price offset is not divisible across meters). victims = None means
-    every home.
+    every home; window, victims and point hours are ints (``tables.integer``).
     """
 
     mode: str
@@ -59,11 +59,18 @@ class AttackSchedule:
     victims: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        window, victims = self.window, self.victims
+        if not (type(window) in (list, tuple) and len(window) == 2 and all(map(integer, window))):
+            raise ValueError(f"window {window!r} must be a list [start, end] of hours")
+        if not (victims is None or type(victims) in (list, tuple) and all(map(integer, victims))):
+            raise ValueError(f"victims {victims!r} must be null or a list of home indices")
+        object.__setattr__(self, "window", tuple(window))
+        object.__setattr__(self, "victims", None if victims is None else tuple(victims))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        start, end = self.window
+        start, end = window
         if not (0 <= start < end):
             raise ValueError("window must satisfy 0 <= start < end")
         if self.victims is not None:
@@ -84,7 +91,9 @@ class AttackSchedule:
             if not isinstance(values, dict) or not values:
                 raise ValueError("point needs a non-empty 'values' map")
             for t, v in values.items():
-                if not (start <= int(t) < end):
+                if not integer(t):
+                    raise ValueError(f"point hour {t!r} must be an integer")
+                if not (start <= t < end):
                     raise ValueError(f"point hour {t} outside window [{start}, {end})")
                 if not _finite(v):
                     raise ValueError(f"point value at hour {t} must be finite")
@@ -114,40 +123,26 @@ class AttackSchedule:
 
 def make_ramp(window, step: float, mode: str = "load", victims=None) -> AttackSchedule:
     """Magnitude step, 2*step, ... across the window."""
-    return AttackSchedule(
-        mode=mode, kind="ramp", window=tuple(window), params={"step": step},
-        victims=None if victims is None else tuple(victims),
-    )
+    return AttackSchedule(mode=mode, kind="ramp", window=window, params={"step": step}, victims=victims)
 
 
 def make_sudden(window, level: float, mode: str = "load", victims=None) -> AttackSchedule:
     """Constant magnitude across the window."""
-    return AttackSchedule(
-        mode=mode, kind="sudden", window=tuple(window), params={"level": level},
-        victims=None if victims is None else tuple(victims),
-    )
+    return AttackSchedule(mode=mode, kind="sudden", window=window, params={"level": level}, victims=victims)
 
 
 def make_point(values: dict, window, mode: str = "load", victims=None) -> AttackSchedule:
     """Isolated spikes {hour: magnitude}, each hour inside the window."""
-    values = {int(t): v for t, v in values.items()}
-    return AttackSchedule(
-        mode=mode, kind="point", window=tuple(window), params={"values": values},
-        victims=None if victims is None else tuple(victims),
-    )
+    return AttackSchedule(mode=mode, kind="point", window=window, params={"values": values}, victims=victims)
 
 
 # ---------------------------------------------------------------------------
 # the schedule file
 
 def read_schedule(path: str) -> AttackSchedule:
-    """Read a schedule JSON; a missing key or an invalid field names the file."""
+    """Read a schedule JSON (a point hour's key as an int); a missing key or a bad field names the file."""
     payload = read_json(path, dict.fromkeys(("mode", "kind", "window", "params")))
-    window, params, victims = payload["window"], payload["params"], payload.get("victims")
-    if not (_int_list(window) and len(window) == 2):
-        raise ValueError(f"{path}: window {window!r} must be a list [start, end] of hours")
-    if not (victims is None or _int_list(victims)):
-        raise ValueError(f"{path}: victims {victims!r} must be null or a list of home indices")
+    params = payload["params"]
     if not isinstance(params, dict):
         raise ValueError(f"{path}: 'params' must be an object")
     try:
@@ -161,16 +156,12 @@ def read_schedule(path: str) -> AttackSchedule:
         return AttackSchedule(
             mode=payload["mode"],
             kind=payload["kind"],
-            window=tuple(window),
+            window=payload["window"],
             params=params,
-            victims=None if victims is None else tuple(victims),
+            victims=payload.get("victims"),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def _finite(value) -> bool:

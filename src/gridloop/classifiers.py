@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 
 from gridloop.seeds import hash_integers
+from gridloop.tables import integer
 
 __all__ = [
     "GaussianNaiveBayes",
@@ -210,10 +211,11 @@ class RandomForest:
     """
 
     def __init__(self, n_trees: int = 100, seed: int = 0):
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        self.n_trees = int(n_trees)
-        self.seed = int(seed)
+        if not (integer(n_trees) and n_trees >= 1):
+            raise ValueError("n_trees must be an integer >= 1")
+        if not (integer(seed) and seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
+        self.n_trees, self.seed = n_trees, seed
         self.kept = None
         self.trees: list[dict] = []
 

@@ -31,7 +31,7 @@ from gridloop.loadgen import BootstrapConfig, synthesize_microgrid
 from gridloop.seeds import seed_sequence, stream
 from gridloop.synth import synthetic_hourly_templates
 from gridloop.tables import (BINARY, COUNT, FINITE, NON_NEGATIVE, POSITIVE, UNIT, WHOLE,
-                             number, read_json, read_table, write_json, write_table)
+                             integer, number, read_json, read_table, write_json, write_table)
 
 __all__ = [
     "DETECTORS",
@@ -64,15 +64,24 @@ _META_KEYS = {"kappa": UNIT, "attack_type": None, "sigma": POSITIVE, "train_hour
               "glrt_window": COUNT, "sweep_points": COUNT, "cusum_sweep_sigmas": POSITIVE,
               "cusum_k": NON_NEGATIVE}
 
-# config field type -> (what its JSON value must be, the check)
-_CONFIG_JSON = {
-    "int": ("an integer", lambda v: type(v) is int),
+
+def _plain(v):
+    """A numpy scalar as the Python number it equals, which json can write; any other value as it is."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+# config field type -> (what its value must be, the check); a list is stored as a tuple
+_FIELD_TYPES = {
+    "int": ("an integer", integer),
     "float": ("a number", number),
     "float | None": ("a number or null", lambda v: v is None or number(v)),
     "str": ("a string", lambda v: type(v) is str),
-    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) is list and all(map(number, v))),
-    "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
+    "tuple[float, ...]": ("a list of numbers", lambda v: type(v) in (list, tuple) and all(map(number, v))),
+    "tuple[str, ...]": ("a list of strings", lambda v: type(v) in (list, tuple) and {*map(type, v)} <= {str}),
 }
+# the least value of each integer field bounded only from below
+_MINIMUMS = {"n_homes": 1, "train_days": 4, "replications": 1, "sweep_points": 2, "seed": 0,
+             "forest_trees": 1, "glrt_window": 1, "feature_lags": 1, "template_homes": 1, "template_days": 1}
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,12 @@ class ExperimentConfig:
     cusum_sweep_sigmas: float = 6.0
 
     def __post_init__(self):
+        for name, f in self.__dataclass_fields__.items():
+            kind, fits = _FIELD_TYPES[f.type]
+            if not fits(value := getattr(self, name)):
+                raise ValueError(f"{name} {value!r} must be {kind}")
+            store = tuple(map(_plain, value)) if type(value) in (list, tuple) else _plain(value)
+            object.__setattr__(self, name, store)
         if not self.kappas:
             raise ValueError("need at least one kappa")
         for n, k in enumerate(self.kappas):  # -0.0 and 0.0 are one participation level
@@ -117,30 +132,22 @@ class ExperimentConfig:
                 raise ValueError(f"unknown attack kind {a!r}")
             if a in self.attacks[:n]:
                 raise ValueError(f"attack kind {a!r} is repeated")
-        if self.train_days < 4:
-            raise ValueError("train_days must be >= 4")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 1 <= self.attack_hours < self.test_hours:
             raise ValueError("need 1 <= attack_hours < test_hours: the test window needs "
                              "nominal hours before the attack")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.sweep_points < 2:
-            raise ValueError("sweep_points must be >= 2")
-        for name in ("forest_trees", "glrt_window", "feature_lags", "template_homes", "template_days"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.ar_order <= self.train_hours - 72:  # the AR fit needs 3 days + ar_order hours
             raise ValueError(f"ar_order must lie in [0, train_hours - 72 = {self.train_hours - 72}]")
         if self.feature_lags >= self.train_hours:
             raise ValueError(f"feature_lags must be < train_hours = {self.train_hours}")
         if not 0.0 < self.glrt_p_fa < 1.0:
             raise ValueError("glrt_p_fa must lie strictly inside (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (number(self.cusum_k_sigma) and 0.0 <= self.cusum_k_sigma < math.inf):
+        if not 0.0 <= self.cusum_k_sigma < math.inf:
             raise ValueError("cusum_k_sigma must be finite and >= 0")
         for name in ("cusum_h_sigma", "cusum_sweep_sigmas"):
-            if not (number(v := getattr(self, name)) and 0.0 < v < math.inf):
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         for k in self.kappas:  # GridConfig range-checks each kappa and the grid parameters
             self.grid_config(k)
@@ -177,17 +184,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        """Read a config JSON; a missing field takes its default."""
+        """Read a config JSON; a missing field takes its default; a rejected key or value names the file."""
         payload = read_json(path)
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
+        if unknown := set(payload) - set(cls.__dataclass_fields__):
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-        for key, value in payload.items():
-            kind, fits = _CONFIG_JSON[cls.__dataclass_fields__[key].type]
-            if not fits(value):
-                raise ValueError(f"{path}: {key} {value!r} must be {kind}")
-            if type(value) is list:
-                payload[key] = tuple(value)
         try:
             return cls(**payload)
         except ValueError as exc:

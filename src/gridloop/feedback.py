@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, number, read_table, write_table
+from gridloop.tables import BINARY, NON_NEGATIVE, POSITIVE, WHOLE, integer, number, read_table, write_table
 
 __all__ = [
     "BaseLoadError",
@@ -85,8 +85,8 @@ class GridConfig:
     lstar_floor: float = 10.0
 
     def __post_init__(self):
-        if self.n_homes < 1:
-            raise ValueError("n_homes must be >= 1")
+        if not (integer(self.n_homes) and self.n_homes >= 1):
+            raise ValueError("n_homes must be an integer >= 1")
         # a number (tables.number) in range; NaN fails every range check
         if not (number(self.kappa) and 0.0 <= self.kappa <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")

@@ -22,7 +22,7 @@ import numpy as np
 
 from gridloop.ingest import HourlySeries
 from gridloop.seeds import hash_integers
-from gridloop.tables import number, read_json, write_json
+from gridloop.tables import integer, number, read_json, write_json
 
 __all__ = ["BootstrapConfig", "Microgrid", "read_microgrid", "synthesize_microgrid", "write_microgrid"]
 
@@ -45,10 +45,10 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_homes < 1:
-            raise ValueError("n_homes must be >= 1")
-        if self.num_days < 1:
-            raise ValueError("num_days must be >= 1")
+        if not (integer(self.n_homes) and self.n_homes >= 1):
+            raise ValueError("n_homes must be an integer >= 1")
+        if not (integer(self.num_days) and self.num_days >= 1):
+            raise ValueError("num_days must be an integer >= 1")
 
 
 @dataclass
@@ -133,7 +133,7 @@ def read_microgrid(path: str) -> Microgrid:
         raise ValueError(f"{path}: picks must be a non-empty list of equal-length, non-empty lists")
     # one pass over the types (a bool, float or list is no pick: -1), then one range comparison;
     # an int past int64 makes a float or object array, which compares all the same
-    index = np.array([v if type(v) is int else -1 for row in picks for v in row])
+    index = np.array([v if integer(v) else -1 for row in picks for v in row])
     if len(bad := np.flatnonzero((index < 0) | (index >= len(days)))):
         i, d = divmod(int(bad[0]), len(picks[0]))
         raise ValueError(f"{path}: picks[{i}][{d}] {picks[i][d]!r} is not a day block (0..{len(days) - 1})")

@@ -7,9 +7,10 @@ once.
 The readers raise one ValueError naming ``path:line`` (tables: the first
 malformed row, else the first value out of its column's domain; every cell
 is a number, so a line break in a cell is malformed) or ``path: key``
-(JSON), also for undecodable text and rows csv refuses. ``number`` is the
-one rule for what a number is, in a JSON file or a config: an int or a
-float, never a bool, and an int only inside the float range.
+(JSON), also for undecodable text and rows csv refuses. ``number`` and
+``integer`` are the one rule for a number (an int or a float, never a bool,
+an int only inside the float range) and an integer (a Python int, never a
+bool), in a JSON file and in every config a Python caller builds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 __all__ = ["BINARY", "COUNT", "FINITE", "NON_NEGATIVE", "POSITIVE", "UNIT", "WHOLE",
-           "number", "read_json", "read_table", "write_json", "write_table"]
+           "integer", "number", "read_json", "read_table", "write_json", "write_table"]
 
 # the domain of a column or a JSON number, worded as the error states it
 FINITE = "finite"
@@ -55,6 +56,11 @@ def number(v) -> bool:
     if isinstance(v, int) and not isinstance(v, bool):
         return abs(v) <= sys.float_info.max
     return isinstance(v, (float, np.integer, np.floating))
+
+
+def integer(v) -> bool:
+    """A Python int; never a bool."""
+    return type(v) is int
 
 
 def write_table(path, header, columns) -> None:

@@ -71,6 +71,22 @@ def test_schedule_validation():
         make_point({9: 1.0}, window=(0, 5))
     with pytest.raises(ValueError, match="non-empty"):
         make_point({}, window=(0, 5))
+    # hours and home indices are Python ints, from a caller as from a file: no float or bool
+    with pytest.raises(ValueError, match=re.escape("window (1.5, 3.0) must be a list [start, end] of hours")):
+        make_sudden((1.5, 3.0), 150.0)
+    with pytest.raises(ValueError, match=re.escape("window (True, 3) must be a list [start, end] of hours")):
+        make_ramp((True, 3), step=1.0)
+    for victims in ((1.5, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"victims {victims} must be null or a list of home")):
+            make_sudden((0, 5), 1.0, victims=victims)
+    with pytest.raises(ValueError, match="point hour 1.5 must be an integer"):
+        make_point({1.5: 3.0}, window=(0, 5))
+
+
+def test_schedule_stores_window_and_victims_as_tuples():
+    s = AttackSchedule(mode="load", kind="sudden", window=[0, 2], params={"level": 1.0}, victims=[1, 0])
+    assert (s.window, s.victims) == ((0, 2), (1, 0))
+    hash((s.window, s.victims))
 
 
 def test_victim_indices():

@@ -284,6 +284,13 @@ def test_forest_handles_many_distinct_values():
 def test_forest_validation():
     with pytest.raises(ValueError, match="n_trees"):
         RandomForest(n_trees=0)
+    # no truncation: 2.7 trees are not 2, and seed 0.9 is not 0
+    for bad in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="n_trees must be an integer >= 1"):
+            RandomForest(n_trees=bad)
+    for bad in (0.9, -1, True):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            RandomForest(seed=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -81,21 +81,42 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"feature_lags": 200, "train_days": 4}, "feature_lags must be < train_hours = 96"),
         ({"kappas": (-0.0, 0.0)}, r"kappa 0\.0 is repeated"),
         # integers past the float range, which a stage would fail to convert to float, and bools
-        ({"kappas": (0.5, 10**400)}, r"kappa must lie in \[0, 1\]"),
-        ({"kappas": (True,)}, r"kappa must lie in \[0, 1\]"),
-        ({"target": 10**400}, "target must be finite and positive"),
-        ({"lstar_floor": 10**400}, "lstar_floor must be finite and positive"),
-        ({"eps_dsm": -(10**400)}, "eps_dsm must be finite and negative"),
-        ({"eps_dsm_hat": -(10**400)}, "eps_dsm_hat must be finite and negative"),
-        ({"cusum_k_sigma": 10**400}, "cusum_k_sigma must be finite and >= 0"),
-        ({"cusum_k_sigma": True}, "cusum_k_sigma must be finite and >= 0"),
-        ({"cusum_h_sigma": 10**400}, "cusum_h_sigma must be finite and > 0"),
-        ({"cusum_sweep_sigmas": 10**400}, "cusum_sweep_sigmas must be finite and > 0"),
+        # get the type message a JSON config gets
+        ({"kappas": (0.5, 10**400)}, r"kappas \(0\.5, 10+\) must be a list"),
+        ({"kappas": (True,)}, r"kappas \(True,\) must be a list of numbers"),
+        ({"target": 10**400}, "target 10+ must be a number"),
+        ({"lstar_floor": 10**400}, "lstar_floor 10+ must be a number"),
+        ({"eps_dsm": -(10**400)}, "eps_dsm -10+ must be a number"),
+        ({"eps_dsm_hat": -(10**400)}, "eps_dsm_hat -10+ must be a number"),
+        ({"cusum_k_sigma": 10**400}, "cusum_k_sigma 10+ must be a number"),
+        ({"cusum_k_sigma": True}, "cusum_k_sigma True must be a number"),
+        ({"cusum_h_sigma": 10**400}, "cusum_h_sigma 10+ must be a number"),
+        ({"cusum_sweep_sigmas": 10**400}, "cusum_sweep_sigmas 10+ must be a number"),
+        # an integer field takes a Python int alone: no bool, float or numpy int
+        ({"replications": True}, "replications True must be an integer"),
+        ({"n_homes": True}, "n_homes True must be an integer"),
+        ({"sweep_points": 21.0}, r"sweep_points 21\.0 must be an integer"),
+        ({"forest_trees": 10.0}, r"forest_trees 10\.0 must be an integer"),
+        ({"n_homes": 6.0}, r"n_homes 6\.0 must be an integer"),
+        ({"n_homes": 2.5}, r"n_homes 2\.5 must be an integer"),
+        ({"train_days": 4.5}, r"train_days 4\.5 must be an integer"),
+        ({"n_homes": np.int64(6)}, r"n_homes np\.int64\(6\) must be an integer"),
+        ({"glrt_p_fa": "0.05"}, "glrt_p_fa '0.05' must be a number"),
     ],
 )
 def test_config_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         ExperimentConfig(**kwargs)
+
+
+def test_config_stores_lists_as_tuples_and_numpy_floats_as_floats():
+    # json cannot write a float32, and a list would make the frozen config unhashable
+    cfg = ExperimentConfig(kappas=[np.float32(0.25), np.float64(0.5)], attacks=["sudden"],
+                           target=np.float32(200.0), eps_dsm_hat=np.float32(-0.5))
+    assert (cfg.kappas, cfg.attacks, cfg.target, cfg.eps_dsm_hat) == ((0.25, 0.5), ("sudden",), 200.0, -0.5)
+    assert {type(v) for v in (*cfg.kappas, cfg.target, cfg.eps_dsm_hat)} == {float}
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["target"] == 200.0
+    hash(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,9 @@ def test_grid_config_validation():
         GridConfig(n_homes=1, kappa=1.0001)
     with pytest.raises(ValueError):
         GridConfig(n_homes=0, kappa=0.5)
+    for bad in (True, 2.0, np.int64(2)):  # a home count is a Python int
+        with pytest.raises(ValueError, match="n_homes must be an integer >= 1"):
+            GridConfig(n_homes=bad, kappa=0.5)
     with pytest.raises(ValueError):
         GridConfig(n_homes=1, kappa=0.5, eps_dsm=0.0)
     with pytest.raises(ValueError, match="unknown goal"):

@@ -114,6 +114,12 @@ def test_config_validation():
         BootstrapConfig(n_homes=0, num_days=1)
     with pytest.raises(ValueError):
         BootstrapConfig(n_homes=1, num_days=0)
+    # counts are Python ints: a float or bool would reach synthesize_microgrid's arrays
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="n_homes must be an integer >= 1"):
+            BootstrapConfig(n_homes=bad, num_days=3)
+        with pytest.raises(ValueError, match="num_days must be an integer >= 1"):
+            BootstrapConfig(n_homes=3, num_days=bad)
 
 
 def test_file_round_trip(tmp_path):
